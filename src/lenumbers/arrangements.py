@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .constraints import (
@@ -30,8 +30,21 @@ from .polynomials import MultiPoly
 
 
 @dataclass(frozen=True)
+class MultiplePoint:
+    """A line of the critical locus: primitive direction plus plane count."""
+
+    line: tuple[int, int, int]
+    multiplicity: int
+
+
+@dataclass(frozen=True)
 class CentralArrangement3:
-    """A reduced central arrangement: pairwise non-proportional plane normals."""
+    """A reduced central arrangement: pairwise non-proportional plane normals.
+
+    Construction crosses every pair of normals once: a zero cross product is
+    a repeated plane, and the pairs are grouped by their common line into the
+    multiple points that ``multiple_points`` returns.
+    """
 
     normals: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
@@ -45,67 +58,56 @@ class CentralArrangement3:
                 raise InputError("normals must be triples")
             if not any(n):
                 raise InputError("normals must be nonzero")
-        for i in range(len(normals)):
-            for j in range(i + 1, len(normals)):
-                if not any(_cross(normals[i], normals[j])):
+        # positive rescaling keeps each plane and each line's primitive direction
+        ints = [_clear_denominators(n) for n in normals]
+        planes: dict[tuple[int, int, int], set[int]] = {}
+        for i in range(len(ints)):
+            for j in range(i + 1, len(ints)):
+                cross = _cross(ints[i], ints[j])
+                if not any(cross):
                     raise InputError(
                         f"normals {i} and {j} are proportional: repeated plane")
+                planes.setdefault(_primitive_direction(cross), set()).update((i, j))
+        points = tuple(MultiplePoint(line, len(members))
+                       for line, members in sorted(planes.items()))
+        # every unordered pair of planes meets in exactly one line
+        if sum(comb(p.multiplicity, 2) for p in points) != comb(len(normals), 2):
+            raise InvariantViolationError("pair accounting failed over the multiple points")
+        object.__setattr__(self, "_multiple_points", points)
 
     @property
     def d0(self) -> int:
         return len(self.normals)
 
 
-@dataclass(frozen=True)
-class MultiplePoint:
-    """A line of the critical locus: primitive direction plus plane count."""
-
-    line: tuple[int, int, int]
-    multiplicity: int
-
-
-def _cross(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _cross(a: Sequence, b: Sequence) -> tuple:
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
 
 
-def _dot(a: Sequence[Fraction], b: Sequence) -> Fraction:
-    return sum(x * Fraction(y) for x, y in zip(a, b))
+def _dot(a: Sequence, b: Sequence):
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _primitive_direction(v: Sequence[Fraction]) -> tuple[int, int, int]:
-    denom = 1
-    for c in v:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
+def _clear_denominators(v: Sequence[Fraction]) -> tuple[int, ...]:
+    denom = lcm(*(c.denominator for c in v))
+    return tuple(int(c * denom) for c in v)
+
+
+def _primitive_direction(v: Sequence[int]) -> tuple[int, int, int]:
+    g = gcd(*v)
+    ints = [c // g for c in v]
     lead = next(c for c in ints if c)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    return tuple(-c for c in ints) if lead < 0 else tuple(ints)
 
 
 def multiple_points(arr: CentralArrangement3) -> tuple[MultiplePoint, ...]:
     """The distinct intersection lines, each with its plane count m >= 2.
 
-    Every unordered pair of planes meets in exactly one line, so the counts
-    satisfy sum C(m, 2) = C(d0, 2); this is asserted.
+    The counts satisfy sum C(m, 2) = C(d0, 2), which construction asserts.
     """
-    lines: dict[tuple[int, int, int], int] = {}
-    for i in range(arr.d0):
-        for j in range(i + 1, arr.d0):
-            direction = _primitive_direction(_cross(arr.normals[i], arr.normals[j]))
-            lines.setdefault(direction, 0)
-    for direction in lines:
-        lines[direction] = sum(1 for n in arr.normals if not _dot(n, direction))
-    points = tuple(MultiplePoint(line, m) for line, m in sorted(lines.items()))
-    if sum(comb(p.multiplicity, 2) for p in points) != comb(arr.d0, 2):
-        raise InvariantViolationError("pair accounting failed over the multiple points")
-    return points
+    return arr._multiple_points
 
 
 def to_setup(arr: CentralArrangement3) -> SingularSetup:
@@ -136,7 +138,7 @@ def pick_slice_form(arr: CentralArrangement3) -> tuple[int, int, int]:
     """Deterministic small-integer form not vanishing on any critical line."""
     lines = [p.line for p in multiple_points(arr)]
     for candidate in _slice_candidates():
-        if all(_dot([Fraction(v) for v in candidate], line) for line in lines):
+        if all(_dot(candidate, line) for line in lines):
             return candidate
     raise InvariantViolationError("no valid slice form found")  # unreachable: lines are finite
 
@@ -150,7 +152,7 @@ def validate_slice_form(arr: CentralArrangement3, form: Sequence) -> tuple[int, 
             raise InputError(
                 f"slice form vanishes on the critical line {list(p.line)}; "
                 "choose a form transverse to every line")
-    return _primitive_direction(coeffs)
+    return _primitive_direction(_clear_denominators(coeffs))
 
 
 def defining_polynomial(arr: CentralArrangement3) -> MultiPoly:

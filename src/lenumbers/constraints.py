@@ -23,7 +23,7 @@ from .intlinalg import (
     mat_sub,
     smith_normal_form,
 )
-from .invariants import LeInvariants
+from .invariants import LeInvariants, omega_law_holds
 
 VERDICT_NON_SPLITTING = "NON_SPLITTING"
 VERDICT_NOT_APPLICABLE = "NOT_APPLICABLE"
@@ -143,6 +143,9 @@ class SingularSetup:
         if self.mu0 < 0:
             raise InputError("mu0 must be nonnegative")
         object.__setattr__(self, "components", tuple(self.components))
+        # validation derives every characteristic polynomial and tau rank;
+        # they are kept, outside the fields, for the accessors below
+        char0 = self.char_h0
         if self.d0 is not None:
             hc0 = homogeneous_char(self.n, self.d0)
             if self.char_h0 is not None and self.char_h0 != hc0:
@@ -151,10 +154,13 @@ class SingularSetup:
                 raise InputError(
                     f"mu0 = {self.mu0} but a homogeneous slice of degree {self.d0} "
                     f"has Milnor number {hc0.degree()}")
+            char0 = hc0
         elif self.char_h0 is not None and self.char_h0.degree() != self.mu0:
             raise InputError(
                 f"charH0 has degree {self.char_h0.degree()} but mu0 = {self.mu0}")
+        chars, ranks = [], []
         for i, comp in enumerate(self.components):
+            char, rank = comp.char_h, comp.fixed_rank
             if comp.d is not None:
                 hc = homogeneous_char(self.n, comp.d)
                 if comp.char_h is not None and comp.char_h != hc:
@@ -164,38 +170,33 @@ class SingularSetup:
                     raise InputError(
                         f"component {i}: mu = {comp.mu} but degree {comp.d} forces "
                         f"transverse Milnor number {hc.degree()}")
+                char = hc
             if comp.tau is not None:
                 derived = cyclic_kernel_rank(comp.tau, comp.k).rank
                 if comp.fixed_rank is not None and comp.fixed_rank != derived:
                     raise InputError(
                         f"component {i}: fixedRank = {comp.fixed_rank} disagrees with "
                         f"the rank {derived} derived from tau")
+                rank = derived
+            chars.append(char)
+            ranks.append(rank)
         if self.lambda0 is not None and self.omega is not None:
-            if self.omega < self.lambda0 or (self.omega == self.lambda0 and self.omega != 0):
+            if not omega_law_holds(self.omega, self.lambda0):
                 raise InputError(
                     "omega >= lambda0 with equality only at zero fails for the "
                     "supplied lambda0/omega")
+        object.__setattr__(self, "_char_h0", char0)
+        object.__setattr__(self, "_component_chars", tuple(chars))
+        object.__setattr__(self, "_component_ranks", tuple(ranks))
 
     def char_h0_effective(self) -> CycloProduct | None:
-        if self.char_h0 is not None:
-            return self.char_h0
-        if self.d0 is not None:
-            return homogeneous_char(self.n, self.d0)
-        return None
+        return self._char_h0
 
     def component_char(self, i: int) -> CycloProduct | None:
-        comp = self.components[i]
-        if comp.char_h is not None:
-            return comp.char_h
-        if comp.d is not None:
-            return homogeneous_char(self.n, comp.d)
-        return None
+        return self._component_chars[i]
 
     def component_fixed_rank(self, i: int) -> int | None:
-        comp = self.components[i]
-        if comp.tau is not None:
-            return cyclic_kernel_rank(comp.tau, comp.k).rank
-        return comp.fixed_rank
+        return self._component_ranks[i]
 
     def to_dict(self) -> dict:
         out: dict = {"n": self.n, "mu0": self.mu0}
@@ -264,11 +265,9 @@ def rank_bound(setup: SingularSetup) -> int:
 
 @dataclass(frozen=True)
 class CyclicKernelResult:
-    """Fixed-space rank computed two ways; construction fails on disagreement."""
+    """Fixed-space rank, agreed on by two routes, and the torsion of id - cycle."""
 
     rank: int
-    rank_from_power: int
-    verified: bool
     torsion: tuple[int, ...] = ()
 
 
@@ -293,7 +292,7 @@ def cyclic_kernel_rank(tau, k: int) -> CyclicKernelResult:
         raise InvariantViolationError(
             f"cyclic kernel rank {rank_cyclic} != power kernel rank {rank_power}")
     torsion = tuple(dv for dv in diag if dv not in (0, 1))
-    return CyclicKernelResult(rank_cyclic, rank_power, True, torsion)
+    return CyclicKernelResult(rank_cyclic, torsion)
 
 
 def non_splitting_verdict(mu0: int, lambda1: int) -> Finding:
@@ -451,7 +450,7 @@ def full_report(setup: SingularSetup, le: LeInvariants | None = None) -> Constra
         if setup.omega is not None and le.omega is not None and setup.omega != le.omega:
             raise InputError("supplied omega disagrees with the computed value")
         if le.omega is not None and le.lambda0 is not None:
-            if le.omega < le.lambda0 or (le.omega == le.lambda0 and le.omega != 0):
+            if not omega_law_holds(le.omega, le.lambda0):
                 raise InvariantViolationError(
                     "computed invariants violate omega >= lambda0 with equality only at zero")
     lam1 = comp_l1 if comp_l1 is not None else le_l1

@@ -16,13 +16,6 @@ from typing import Iterable, Mapping
 from .errors import InputError, InvariantViolationError
 from .polynomials import UniPoly
 
-# Moebius values are memoized up to this bound; larger arguments are
-# recomputed on each call.
-MOBIUS_CACHE_BOUND = 10_000
-
-_MOBIUS_CACHE: dict[int, int] = {}
-
-
 def _factorize(k: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     d = 2
@@ -40,14 +33,8 @@ def mobius(k: int) -> int:
     """Moebius function by trial factorization."""
     if k < 1:
         raise InputError("mobius needs a positive integer")
-    cached = _MOBIUS_CACHE.get(k)
-    if cached is not None:
-        return cached
     factors = _factorize(k)
-    value = 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
-    if k <= MOBIUS_CACHE_BOUND:
-        _MOBIUS_CACHE[k] = value
-    return value
+    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
 
 
 def totient(k: int) -> int:

@@ -112,6 +112,11 @@ def lambda0(setup: SliceSetup, polar: Ideal | None = None,
     return value
 
 
+def omega_law_holds(omega_value: int, lambda0_value: int) -> bool:
+    """omega >= lambda0, with equality only when both are zero."""
+    return omega_value > lambda0_value or omega_value == lambda0_value == 0
+
+
 def omega(setup: SliceSetup, polar: Ideal | None = None,
           budget: Budget | None = None, lambda0_value: int | None = None) -> int:
     """The polar intersection number with V(f) itself.
@@ -124,7 +129,7 @@ def omega(setup: SliceSetup, polar: Ideal | None = None,
     if not is_finite(value):
         raise GenericityError("omega is infinite: the slice form is not generic")
     l0 = lambda0(setup, polar, budget) if lambda0_value is None else lambda0_value
-    if value < l0 or (value == l0 and value != 0):
+    if not omega_law_holds(value, l0):
         raise InvariantViolationError(
             f"omega={value}, lambda0={l0}: the inequality omega >= lambda0 "
             "with equality only at zero failed")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -81,6 +82,58 @@ def test_pair_accounting_random():
         arr = _random_arrangement(rng)
         points = multiple_points(arr)
         assert sum(comb(p.multiplicity, 2) for p in points) == comb(arr.d0, 2)
+
+
+def _reference_lines(normals) -> dict[tuple[int, int, int], int]:
+    """Primitive directions of the pairwise cross products, each with the
+    number of normals orthogonal to it, by exact Fraction dot products."""
+    lines = {}
+    for a, b in combinations([[Fraction(c) for c in n] for n in normals], 2):
+        cross = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                 a[0] * b[1] - a[1] * b[0]]
+        denom = lcm(*(c.denominator for c in cross))
+        ints = [int(c * denom) for c in cross]
+        sign = 1 if next(c for c in ints if c) > 0 else -1
+        line = tuple(sign * c // gcd(*ints) for c in ints)
+        lines[line] = sum(1 for n in normals
+                          if not sum(Fraction(x) * y for x, y in zip(n, line)))
+    return lines
+
+
+def _arrangement_with_pencil(rng) -> CentralArrangement3:
+    """3-4 planes through one random line, plus random planes around them."""
+    line = (0, 0, 0)
+    while not any(line):
+        line = tuple(rng.randint(-3, 3) for _ in range(3))
+    from lenumbers.arrangements import _cross
+    # u and v span the normals of the planes through the line
+    u = _cross(line, (1, 0, 0) if line[1] or line[2] else (0, 1, 0))
+    v = _cross(line, u)
+    normals = []
+    pencil_size = rng.randint(3, 4)
+    total = pencil_size + rng.randint(0, 4)
+    while len(normals) < total:
+        if len(normals) < pencil_size:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            candidate = tuple(Fraction(a * x + b * y, rng.randint(1, 3)) for x, y in zip(u, v))
+        else:
+            candidate = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
+        if any(candidate) and all(any(_cross(candidate, n)) for n in normals):
+            normals.append(candidate)
+    return CentralArrangement3(tuple(normals))
+
+
+def test_multiple_points_match_reference_counting():
+    rng = random.Random(79)
+    arrangements = [_random_arrangement(rng) for _ in range(100)]
+    arrangements += [_arrangement_with_pencil(rng) for _ in range(60)]
+    assert any(p.multiplicity >= 4 for arr in arrangements for p in multiple_points(arr))
+    for arr in arrangements:
+        reference = _reference_lines(arr.normals)
+        points = multiple_points(arr)
+        assert {p.line for p in points} == set(reference)
+        for p in points:
+            assert p.multiplicity == reference[p.line]
 
 
 def test_lambda1_at_most_mu0_with_equality_iff_pencil():

@@ -1,0 +1,73 @@
+"""Recorded ``--format json`` outputs of CLI jobs, compared byte for byte.
+
+The jobs cover paths the other CLI tests do not pin down: an arrangement with
+triple and quadruple lines and an explicit rational ``z0``, and a constraints
+job whose components carry ``d``, ``charH``, ``tau`` and ``fixedRank``.
+
+Running this module as a script rewrites the recorded outputs under
+``tests/data/``; do that only when an output change is intended.
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from lenumbers.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
+
+THREE_LINES = [{"k": 1, "mu": 1, "d": 2}] * 3
+
+JOBS = {
+    "readme_analyze": ("analyze", {
+        "polynomial": "x*y*z",
+        "variables": ["x", "y", "z"],
+        "d0": 3,
+        "components": THREE_LINES,
+    }),
+    "readme_constraints": ("constraints", {
+        "n": 2, "mu0": 4, "d0": 3, "components": THREE_LINES,
+    }),
+    "arrangement_12_planes_z0": ("arrangement", {
+        "normals": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 2],
+                    [1, 2, 3], [2, -1, 1], [3, 1, -2], [1, -3, 2], [2, 3, 5], [-1, 4, 1]],
+        "z0": ["1/2", 7, 31],
+    }),
+    "constraints_all_component_fields": ("constraints", {
+        "n": 2, "mu0": 16, "d0": 5,
+        "components": [
+            {"k": 1, "mu": 4, "d": 3, "charH": "Phi_1^2 * Phi_3", "fixedRank": 1},
+            {"k": 2, "mu": 1, "d": 2, "fixedRank": 1},
+            {"k": 2, "mu": 2, "tau": [[0, 1], [1, 0]], "fixedRank": 2,
+             "charH": "Phi_1 * Phi_2"},
+            {"k": 1, "mu": 3, "tau": [[1, 1, 0], [0, 1, 0], [0, 0, -1]],
+             "charH": "Phi_1^2 * Phi_2"},
+        ],
+        "lambda0": 3, "omega": 5,
+    }),
+}
+
+
+def run_job(name: str) -> bytes:
+    command, job = JOBS[name]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([command, "--format", "json", "--input", json.dumps(job)])
+    assert code == 0
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_cli_json_output_matches_recording(name):
+    assert run_job(name) == (DATA / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for job_name in sorted(JOBS):
+        (DATA / f"{job_name}.json").write_bytes(run_job(job_name))
+        print(f"wrote {job_name}.json", file=sys.stderr)
