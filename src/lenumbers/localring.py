@@ -7,6 +7,12 @@ normal form with ecart bookkeeping, and standard bases are computed by
 S-polynomial completion.  Colengths of zero-dimensional ideals realize
 intersection multiplicities and Milnor numbers.
 
+Under a local degree order, a standard basis whose leading ideal becomes
+zero-dimensional is truncated at its highest corner: if every monomial of
+degree K lies in the leading ideal, then m^K ⊆ I + m^(K+1), so m^K ⊆ I by
+Nakayama's lemma, and terms of degree >= K can be dropped everywhere without
+changing the ideal.  This bounds the polynomials and their coefficients.
+
 Blowups are caught by hard resource budgets: exceeding a budget raises
 ``ResourceLimitError``; a wrong answer is never returned instead.
 """
@@ -16,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Sequence
+from math import prod
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .polynomials import (
@@ -62,12 +69,16 @@ class Budget:
     def tick_pair(self) -> None:
         self.pairs_used += 1
         if self.pairs_used > self.max_pairs:
-            raise ResourceLimitError(f"S-pair budget of {self.max_pairs} exhausted")
+            self._exhausted(f"S-pair budget of {self.max_pairs}")
 
     def tick_monomials(self, count: int) -> None:
         self.monomials_used += count
         if self.monomials_used > self.max_monomials:
-            raise ResourceLimitError(f"monomial budget of {self.max_monomials} exhausted")
+            self._exhausted(f"monomial budget of {self.max_monomials}")
+
+    def _exhausted(self, what: str):
+        raise ResourceLimitError(f"{what} exhausted (pairs_used={self.pairs_used}, "
+                                 f"monomials_used={self.monomials_used})")
 
 
 class LocalOrder:
@@ -129,8 +140,15 @@ class _Reducer:
         self.quots = quots
 
 
+def _truncate(p: MultiPoly, cap: int) -> MultiPoly:
+    """p without its terms of total degree >= cap."""
+    return MultiPoly._raw({m: c for m, c in p.terms.items() if mono_deg(m) < cap}, p.nvars)
+
+
 def _mora(f: MultiPoly, gens: Sequence[MultiPoly], order: LocalOrder,
-          budget: Budget | None, track: bool):
+          budget: Budget | None, track: bool, cap: int | None = None):
+    # With a cap K (untracked reductions only), m^K lies in the ideal of
+    # gens, so terms of degree >= K are dropped from h after every step.
     n = f.nvars
     reducers: list[_Reducer] = []
     for idx, g in enumerate(gens):
@@ -138,7 +156,7 @@ def _mora(f: MultiPoly, gens: Sequence[MultiPoly], order: LocalOrder,
             continue
         lm, lc = leading(g, order)
         reducers.append(_Reducer(g, lm, lc, _ecart(g, lm), idx))
-    h = f
+    h = f if cap is None else _truncate(f, cap)
     unit = MultiPoly.constant(1, n) if track else None
     quots = [MultiPoly.zero(n) for _ in gens] if track else None
     while not h.is_zero:
@@ -158,6 +176,8 @@ def _mora(f: MultiPoly, gens: Sequence[MultiPoly], order: LocalOrder,
         fac_mono = mono_div(lm_h, red.lm)
         fac_coeff = lc_h / red.lc
         h = h - red.poly.term_mul(fac_mono, fac_coeff)
+        if cap is not None:
+            h = _truncate(h, cap)
         if track:
             if red.src is not None:
                 bump = MultiPoly._raw({fac_mono: fac_coeff}, n)
@@ -260,16 +280,28 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 
 @dataclass(frozen=True)
 class StandardBasis:
-    """A completed local standard basis together with its leading staircase."""
+    """A completed local standard basis together with its leading staircase.
+
+    ``cap`` is the certified highest-corner bound K with m^K inside the ideal
+    (see ``standard_basis``), or None when the leading ideal is not
+    zero-dimensional or the order is not a local degree order.  A basis
+    element whose leading monomial has degree < K has no term of degree >= K;
+    any other element is its leading monomial.
+    """
 
     basis: tuple[MultiPoly, ...]
     order: LocalOrder
     staircase: tuple[Monomial, ...]
     nvars: int
+    cap: int | None = None
 
     def contains(self, f: MultiPoly, budget: Budget | None = None) -> bool:
-        """Ideal membership in the local ring via Mora reduction."""
-        return mora_reduce(f, self.basis, self.order, budget).is_zero
+        """Ideal membership in the local ring via Mora reduction.
+
+        With a cap K, f lies in the ideal iff its part of degree < K does, so
+        the reduction drops every term of degree >= K.
+        """
+        return _mora(f, self.basis, self.order, budget, False, self.cap)[0].is_zero
 
 
 def _minimal_monomials(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -279,6 +311,43 @@ def _minimal_monomials(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(minimal)
 
 
+def _standard_monomials(lead: Sequence[Monomial], nvars: int,
+                        budget: Budget) -> Iterator[Monomial] | None:
+    """The monomials outside the monomial ideal generated by lead, lazily.
+
+    None when there are infinitely many, i.e. when lead lacks a pure power of
+    some variable.  Otherwise they lie in the box below the smallest pure
+    powers, which is charged to the monomial budget before it is enumerated.
+    """
+    bounds = []
+    for v in range(nvars):
+        pure = [m[v] for m in lead if mono_deg(m) == m[v]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    budget.tick_monomials(prod(bounds))
+    return (mono for mono in iter_product(*(range(b) for b in bounds))
+            if not any(mono_divides(s, mono) for s in lead))
+
+
+def _lower_cap(G: list[MultiPoly], lms: list[Monomial], cap: int | None,
+               budget: Budget) -> tuple[int | None, list[MultiPoly]]:
+    """The highest-corner cap of L(G), and G truncated to it if it fell.
+
+    The cap is 1 + the largest degree of a monomial outside (lms), or None
+    while there are infinitely many such monomials.
+    """
+    standard = _standard_monomials(lms, G[0].nvars, budget)
+    if standard is None:
+        return cap, G
+    new_cap = 1 + max(map(mono_deg, standard), default=-1)
+    if new_cap == cap:
+        return cap, G
+    budget.tick_monomials(sum(len(g.terms) for g in G))
+    return new_cap, [MultiPoly._raw({lm: Fraction(1)}, g.nvars) if mono_deg(lm) >= new_cap
+                     else _truncate(g, new_cap).primitive() for g, lm in zip(G, lms)]
+
+
 def standard_basis(I: Ideal, order: LocalOrder | None = None,
                    budget: Budget | None = None) -> StandardBasis:
     """Complete the generators to a standard basis under the given local order.
@@ -286,6 +355,18 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     Pair selection is deterministic: minimal degree of the leading-monomial
     lcm, then first-created order.  No pair criteria are applied; every
     S-polynomial is reduced, which is safe for local and mixed orders.
+
+    Highest-corner truncation (Greuel–Pfister; Singular's ``highcorner``),
+    under a local degree order only: once the leading monomials of the
+    partial basis G include a pure power of every variable, let K be 1 + the
+    largest degree of a monomial outside L(G).  Every monomial of degree K
+    then lies in L(G) ⊆ L(I); since the leading monomial of an element is a
+    term of least degree, this gives m^K ⊆ I + m^(K+1), and Nakayama's lemma
+    gives m^K ⊆ I.  From then on terms of degree >= K are dropped from the
+    basis elements (an element whose leading monomial has degree >= K becomes
+    that monomial), from the S-polynomials and from every reduction step;
+    this changes nothing modulo I and keeps coefficients from growing.  K is
+    recomputed whenever an element is added and can only fall.
     """
     order = order or LocalOrder()
     budget = budget if budget is not None else Budget()
@@ -293,6 +374,9 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     if not G:
         return StandardBasis((), order, (), I.nvars)
     lms = [leading(g, order)[0] for g in G]
+    cap = None
+    if order.ntags == 0:
+        cap, G = _lower_cap(G, lms, cap, budget)
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     while pairs:
         budget.tick_pair()
@@ -300,17 +384,21 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
         pairs.remove(best)
         i, j = best
         s = s_polynomial(G[i], G[j], order)
+        if cap is not None:
+            s = _truncate(s, cap)
         if s.is_zero:
             continue
-        r = mora_reduce(s, G, order, budget)
+        r = _mora(s, G, order, budget, False, cap)[0]
         if r.is_zero:
             continue
         r = r.primitive()
         G.append(r)
         lms.append(leading(r, order)[0])
+        if order.ntags == 0:
+            cap, G = _lower_cap(G, lms, cap, budget)
         new = len(G) - 1
         pairs.extend((k, new) for k in range(new))
-    return StandardBasis(tuple(G), order, _minimal_monomials(lms), I.nvars)
+    return StandardBasis(tuple(G), order, _minimal_monomials(lms), I.nvars, cap)
 
 
 def colength(I: Ideal | StandardBasis, budget: Budget | None = None):
@@ -319,29 +407,14 @@ def colength(I: Ideal | StandardBasis, budget: Budget | None = None):
     Counts the standard monomials (those outside the leading ideal).  The
     count is finite iff the staircase contains a pure power of every
     variable; otherwise some axis direction escapes and INFINITE is returned.
+    For a finite count the standard basis was computed with the highest-corner
+    cap K of ``standard_basis``: m^K ⊆ I by Nakayama, so dropping terms of
+    degree >= K along the way changes neither the ideal nor its staircase.
     """
     budget = budget if budget is not None else Budget()
     sb = I if isinstance(I, StandardBasis) else standard_basis(I, budget=budget)
-    stair = sb.staircase
-    if not stair:
-        return INFINITE  # zero ideal: the whole local ring
-    if any(mono_deg(m) == 0 for m in stair):
-        return 0  # unit ideal
-    bounds = []
-    for v in range(sb.nvars):
-        pure = [m[v] for m in stair if all(e == 0 for i, e in enumerate(m) if i != v)]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
-    box = 1
-    for b in bounds:
-        box *= b
-    budget.tick_monomials(box)
-    count = 0
-    for mono in iter_product(*(range(b) for b in bounds)):
-        if not any(mono_divides(s, mono) for s in stair):
-            count += 1
-    return count
+    standard = _standard_monomials(sb.staircase, sb.nvars, budget)
+    return INFINITE if standard is None else sum(1 for _ in standard)
 
 
 def _unit_collapse(gens: list[MultiPoly], nvars: int) -> Ideal:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,9 +21,11 @@ from lenumbers import (
     mora_reduce,
     parse_poly,
     saturate,
+    slice_with_form,
     standard_basis,
 )
 from lenumbers.localring import leading
+from lenumbers.polynomials import mono_deg, mono_divides
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -201,6 +204,85 @@ def test_colength_invariant_under_coordinate_change():
         assert colength(changed) == expected
 
 
+def jacobian(f):
+    return ideal([f.partial(i) for i in range(f.nvars)])
+
+
+def small_budget():
+    # far above what the truncated computations below need (at most about
+    # 1500 monomials), far below what unbounded coefficient growth costs
+    return Budget(max_pairs=100, max_monomials=5_000)
+
+
+def test_le_iomdine_colength_of_sliced_germs():
+    # mu(g + w^N) = lambda0 + (N - 1) * lambda1 (Le-Iomdine) for the umbrella
+    # and D-infinity, both with (lambda0, lambda1) = (2, 1), sliced by the
+    # generic form (1, 1, -5).  Without the highest-corner cap the umbrella's
+    # Mora reductions grow coefficients without bound.
+    for text in ("x^2 - y^2*z", "x^2*y + z^2"):
+        g = slice_with_form(parse_poly(text, XYZ), (1, 1, -5))[0].f
+        for N in range(5, 9):
+            F = g + MultiPoly.variable(0, 3) ** N
+            assert colength(jacobian(F), small_budget()) == 2 + (N - 1)
+
+
+def test_semi_quasihomogeneous_milnor_numbers():
+    """mu(x^a + y^b + z^c + h) = (a-1)(b-1)(c-1) when h has weighted degree > 1.
+
+    Every extra term also has total degree > max(a, b, c), so each partial
+    derivative of h has degree >= max(a, b, c) > the degree of the pure power
+    leading that Jacobian generator.  The generators' leading monomials are
+    then x^(a-1), y^(b-1), z^(c-1), and the cap engages from the first basis.
+    """
+    rng = random.Random(59)
+    for _ in range(60):
+        a, b, c = (rng.randint(2, 6) for _ in range(3))
+        terms = {(a, 0, 0): 1, (0, b, 0): 1, (0, 0, c): 1}
+        while len(terms) < 3 + rng.randint(1, 3):
+            e = tuple(rng.randint(0, 6) for _ in range(3))
+            # weighted degree e0/a + e1/b + e2/c > 1, in integers
+            if e[0] * b * c + e[1] * a * c + e[2] * a * b > a * b * c and sum(e) > max(a, b, c):
+                terms[e] = rng.choice((-3, -2, -1, 1, 2, 3))
+        f = MultiPoly(terms, 3)
+        assert colength(jacobian(f), small_budget()) == (a - 1) * (b - 1) * (c - 1)
+
+
+def test_highest_corner_cap_is_certified():
+    g = slice_with_form(parse_poly("x^2 - y^2*z", XYZ), (1, 1, -5))[0].f
+    cases = [
+        (jacobian(g + MultiPoly.variable(0, 3) ** 5), 3),
+        (jacobian(P("x^3 + y^4 + x^2*y^2")), 2),
+        (ideal([P("x + x^2"), P("y")]), 2),
+    ]
+    for I, nvars in cases:
+        sb = standard_basis(I, budget=small_budget())
+        assert sb.cap is not None
+        # an element is truncated below the cap, or is its leading monomial
+        assert all(len(el.terms) == 1 or all(mono_deg(m) < sb.cap for m in el.terms)
+                   for el in sb.basis)
+        box = [m for m in product(range(sb.cap + 1), repeat=nvars) if sum(m) <= sb.cap]
+        standard = [m for m in box if not any(mono_divides(s, m) for s in sb.staircase)]
+        assert len(standard) == colength(sb)
+        for m in box:
+            mono = MultiPoly({m: 1}, nvars)
+            if mono_deg(m) == sb.cap:
+                assert any(mono_divides(s, m) for s in sb.staircase)
+                assert sb.contains(mono)
+            elif m in standard:
+                assert not sb.contains(mono)
+
+
+def test_highest_corner_cap_edge_cases():
+    unit = standard_basis(unit_ideal(2))
+    assert unit.cap == 0
+    assert colength(unit) == 0
+    assert unit.contains(P("x + 3"))
+    line = standard_basis(ideal([P("x^2"), P("x*y")]))
+    assert line.cap is None
+    assert colength(line) is INFINITE
+    assert not line.contains(P("y^7"))
+
+
 # ---------------------------------------------------------------------------
 # quotients and saturation
 # ---------------------------------------------------------------------------
@@ -317,3 +399,12 @@ def test_budget_is_cumulative():
     standard_basis(ideal([P("x"), P("y")]), budget=budget)
     assert budget.pairs_used >= 1
     assert is_finite(colength(ideal([P("x"), P("y")]), budget))
+
+
+def test_budget_error_reports_counters():
+    gens = [P("x^2 + y^3"), P("y^2 + x^3"), P("x*y")]
+    for budget in (Budget(max_pairs=1), Budget(max_monomials=2)):
+        with pytest.raises(ResourceLimitError) as info:
+            standard_basis(ideal(gens), budget=budget)
+        assert (f"pairs_used={budget.pairs_used}, monomials_used={budget.monomials_used}"
+                in str(info.value))
