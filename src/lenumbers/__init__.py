@@ -30,7 +30,7 @@ from .errors import (
     PolyParseError,
     ResourceLimitError,
 )
-from .polynomials import Monomial, MultiPoly, UniPoly, parse_poly, unipoly_gcd
+from .polynomials import Monomial, MultiPoly, UniPoly, parse_poly
 from .localring import (
     Budget,
     INFINITE,
@@ -65,7 +65,6 @@ from .intlinalg import smith_normal_form
 from .constraints import (
     ComponentData,
     ConstraintReport,
-    CyclicKernelResult,
     Finding,
     SingularSetup,
     acampo_validate,

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 from .arrangements import CentralArrangement3, arrangement_report
-from .constraints import ComponentData, SingularSetup, full_report
+from .constraints import SingularSetup, full_report
 from .cyclo import CycloProduct, cyclotomic, factor_unity, homogeneous_char
 from .errors import (
     GenericityError,
@@ -131,16 +131,8 @@ def _cmd_analyze(args) -> int:
     if not le.genericity_ok:
         _emit(payload, "\n".join(lines), args.format)
         return EXIT_GENERICITY
-    setup = SingularSetup(
-        n=result.setup.n,
-        mu0=le.mu0,
-        char_h0=None if job.get("charH0") is None else CycloProduct.parse(job["charH0"]),
-        d0=int(job["d0"]) if job.get("d0") is not None else None,
-        components=tuple(ComponentData.from_dict(c)
-                         for c in job.get("components", [])),
-        lambda0=le.lambda0,
-        omega=le.omega,
-    )
+    setup = SingularSetup.from_dict({**job, "n": result.setup.n, "mu0": le.mu0,
+                                     "lambda0": le.lambda0, "omega": le.omega})
     report = full_report(setup, le=le)
     payload["constraints"] = report.to_dict()
     lines.append(report.render_text())

@@ -108,7 +108,8 @@ class ComponentData:
             mu=int(d["mu"]),
             d=int(d["d"]) if d.get("d") is not None else None,
             char_h=_char_in(d.get("charH")),
-            tau=tuple(tuple(int(v) for v in row) for row in d["tau"]) if d.get("tau") else None,
+            tau=(tuple(tuple(int(v) for v in row) for row in d["tau"])
+                 if d.get("tau") is not None else None),
             fixed_rank=int(d["fixedRank"]) if d.get("fixedRank") is not None else None,
         )
 
@@ -116,12 +117,8 @@ class ComponentData:
 def _char_in(value) -> CycloProduct | None:
     if value is None:
         return None
-    if isinstance(value, CycloProduct):
-        return value
     if isinstance(value, str):
         return CycloProduct.parse(value)
-    if isinstance(value, dict):
-        return CycloProduct(value)
     raise InputError(f"cannot read a characteristic polynomial from {value!r}")
 
 
@@ -172,7 +169,7 @@ class SingularSetup:
                         f"transverse Milnor number {hc.degree()}")
                 char = hc
             if comp.tau is not None:
-                derived = cyclic_kernel_rank(comp.tau, comp.k).rank
+                derived = cyclic_kernel_rank(comp.tau, comp.k)
                 if comp.fixed_rank is not None and comp.fixed_rank != derived:
                     raise InputError(
                         f"component {i}: fixedRank = {comp.fixed_rank} disagrees with "
@@ -263,15 +260,7 @@ def rank_bound(setup: SingularSetup) -> int:
     return min(candidates)
 
 
-@dataclass(frozen=True)
-class CyclicKernelResult:
-    """Fixed-space rank, agreed on by two routes, and the torsion of id - cycle."""
-
-    rank: int
-    torsion: tuple[int, ...] = ()
-
-
-def cyclic_kernel_rank(tau, k: int) -> CyclicKernelResult:
+def cyclic_kernel_rank(tau, k: int) -> int:
     """Rank of the fixed space of the cyclic block action built from tau.
 
     The block-cycle matrix on k copies has the same fixed-space rank as
@@ -285,14 +274,12 @@ def cyclic_kernel_rank(tau, k: int) -> CyclicKernelResult:
         raise InputError("k must be >= 1")
     cyc = block_cycle_matrix(T, k)
     diff = mat_sub(identity(len(cyc)), cyc)
-    diag = smith_normal_form(diff)
-    rank_cyclic = len(cyc) - sum(1 for dv in diag if dv)
+    rank_cyclic = len(cyc) - sum(1 for dv in smith_normal_form(diff) if dv)
     rank_power = fixed_space_rank(mat_pow(T, k))
     if rank_cyclic != rank_power:
         raise InvariantViolationError(
             f"cyclic kernel rank {rank_cyclic} != power kernel rank {rank_power}")
-    torsion = tuple(dv for dv in diag if dv not in (0, 1))
-    return CyclicKernelResult(rank_cyclic, torsion)
+    return rank_cyclic
 
 
 def non_splitting_verdict(mu0: int, lambda1: int) -> Finding:

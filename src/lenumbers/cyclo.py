@@ -89,17 +89,9 @@ class CycloProduct:
                 clean[k] = clean.get(k, 0) + c
         self._factors = clean
 
-    @classmethod
-    def one(cls) -> "CycloProduct":
-        return cls()
-
     @property
     def factors(self) -> dict[int, int]:
         return dict(self._factors)
-
-    @property
-    def is_one(self) -> bool:
-        return not self._factors
 
     def exponent(self, k: int) -> int:
         return self._factors.get(k, 0)

@@ -40,6 +40,9 @@ GENERICITY_SCOPE_WARNING = (
     "lambda0, omega and lambda1; full genericity is not certified"
 )
 
+# pseudo-random forms tried by the slice-form search after the coordinate forms
+_RANDOM_SLICE_FORMS = 12
+
 
 @dataclass(frozen=True)
 class SliceSetup:
@@ -137,19 +140,20 @@ def omega(setup: SliceSetup, polar: Ideal | None = None,
 
 
 def lambda1(setup: SliceSetup, polar: Ideal | None = None,
-            budget: Budget | None = None) -> int:
+            budget: Budget | None = None, mu0_value: int | None = None) -> int:
     """The 1-dimensional Le number, as a colength difference.
 
     Both the full non-slice Jacobian scheme and the polar curve are cut by
     the slice hyperplane; their colength difference counts the transverse
     Milnor numbers along the critical locus, weighted by slice intersection.
+    The first colength is mu0, since (d_1 f, ..., d_n f, z0) is
+    (z0) + Jac(f|V(z0)); the pipeline passes in the mu0 it already has.
     """
     polar = polar_ideal(setup, budget) if polar is None else polar
-    z0 = setup.slice_ideal()
-    total = colength(ideal_sum(setup.jacobian_rest(), z0), budget)
+    total = mu0(setup, budget) if mu0_value is None else mu0_value
     if not is_finite(total):
         raise GenericityError("lambda1 is infinite: the slice form is not generic")
-    polar_part = colength(ideal_sum(polar, z0), budget)
+    polar_part = colength(ideal_sum(polar, setup.slice_ideal()), budget)
     if not is_finite(polar_part):
         raise GenericityError("polar curve meets the slice in positive dimension")
     return total - polar_part
@@ -223,7 +227,7 @@ def _pipeline(setup: SliceSetup, budget: Budget | None):
     try:
         l0 = lambda0(setup, polar, budget)
         om = omega(setup, polar, budget, lambda0_value=l0)
-        l1 = lambda1(setup, polar, budget)
+        l1 = lambda1(setup, polar, budget, mu0_value=m)
     except GenericityError as exc:
         warnings.append(str(exc))
         return LeInvariants(m, None, None, None, False, tuple(warnings), z0), polar
@@ -271,12 +275,12 @@ def slice_with_form(f: MultiPoly, coefficients: Sequence,
     return SliceSetup(transformed, coeffs), new_names
 
 
-def _candidate_forms(nvars: int, seed: int, limit: int):
+def _candidate_forms(nvars: int, seed: int):
     for i in range(nvars):
         yield tuple(Fraction(1 if j == i else 0) for j in range(nvars))
     rng = random.Random(seed)
     produced = 0
-    while produced < limit:
+    while produced < _RANDOM_SLICE_FORMS:
         form = tuple(Fraction(rng.randint(-5, 5)) for _ in range(nvars))
         if any(form):
             produced += 1
@@ -284,20 +288,21 @@ def _candidate_forms(nvars: int, seed: int, limit: int):
 
 
 def analyze_poly(f: MultiPoly, z0: Sequence | None = None, seed: int = 0,
-                 budget: Budget | None = None, names: Sequence[str] | None = None,
-                 max_candidates: int = 12) -> AnalysisResult:
+                 budget: Budget | None = None,
+                 names: Sequence[str] | None = None) -> AnalysisResult:
     """Analyze f, choosing a slice form when none is given.
 
-    Candidate forms are the coordinate forms first, then small pseudo-random
-    integer forms drawn deterministically from the seed.  With an explicit
-    ``z0`` no search happens; a failing form is reported, not retried.
+    Candidate forms are the coordinate forms first, then twelve small
+    pseudo-random integer forms drawn deterministically from the seed.  With
+    an explicit ``z0`` no search happens; a failing form is reported, not
+    retried.
     """
     if z0 is not None:
         setup, new_names = slice_with_form(f, z0, names)
         inv, polar = _pipeline(setup, budget)
         return AnalysisResult(inv, setup, polar, new_names)
     last: AnalysisResult | None = None
-    for form in _candidate_forms(f.nvars, seed, max_candidates):
+    for form in _candidate_forms(f.nvars, seed):
         setup, new_names = slice_with_form(f, form, names)
         inv, polar = _pipeline(setup, budget)
         last = AnalysisResult(inv, setup, polar, new_names)

@@ -458,8 +458,11 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
     return _unit_collapse(quotient_gens, n)
 
 
-def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None,
-             max_rounds: int = 64) -> Ideal:
+# colon steps before a saturation that has not stabilized gives up
+_SATURATION_ROUNDS = 64
+
+
+def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     """The saturation (I : g^infinity), by iterating the colon until stable.
 
     Stability is certified by standard-basis membership of every new
@@ -470,7 +473,7 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None,
         raise InputError("saturation by the zero element")
     budget = budget if budget is not None else Budget()
     current = ideal(I.generators, I.nvars)
-    for _ in range(max_rounds):
+    for _ in range(_SATURATION_ROUNDS):
         nxt = ideal_quotient(current, g, budget)
         if nxt.is_zero_ideal:
             return nxt
@@ -478,7 +481,8 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None,
         if all(sb.contains(q, budget) for q in nxt.generators):
             return current
         current = nxt
-    raise ResourceLimitError(f"saturation did not stabilize within {max_rounds} rounds")
+    raise ResourceLimitError(
+        f"saturation did not stabilize within {_SATURATION_ROUNDS} rounds")
 
 
 def ideals_equal(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:

@@ -371,18 +371,6 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return UniPoly(x + y for x, y in zip(a, b))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
             return UniPoly()
@@ -415,27 +403,6 @@ class UniPoly:
             raise InputError("inexact division in Z[t]")
         return UniPoly(out)
 
-    def evaluate(self, value: Fraction) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * value + c
-        return total
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive_positive(self) -> "UniPoly":
-        """Divide by the content and force a positive leading coefficient."""
-        if self.is_zero:
-            return self
-        g = self.content()
-        if self.coeffs[-1] < 0:
-            g = -g
-        return UniPoly(c // g for c in self.coeffs)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -458,34 +425,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
-
-
-def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q scaled to primitive integer form, leading coefficient positive."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-
-    def trim(p: list[Fraction]) -> list[Fraction]:
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    fa, fb = trim(fa), trim(fb)
-    while fb:
-        # remainder of fa by fb over Q
-        while len(fa) >= len(fb) and fa:
-            factor = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            for i, c in enumerate(fb):
-                fa[shift + i] -= factor * c
-            trim(fa)
-        fa, fb = fb, fa
-    if not fa:
-        return UniPoly()
-    denom = 1
-    for c in fa:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return UniPoly((c * denom).numerator for c in fa).primitive_positive()
 
 
 # ---------------------------------------------------------------------------

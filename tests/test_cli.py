@@ -160,3 +160,26 @@ def test_input_from_stdin(monkeypatch, capsys):
     code, out, _ = run(capsys, "analyze", "--input", "-")
     assert code == 0
     assert "mu0 = 4" in out
+
+
+def test_analyze_unreadable_char_h0_is_an_input_error(capsys):
+    job = json.dumps({"polynomial": "x*y*z", "variables": ["x", "y", "z"],
+                      "charH0": 5})
+    code, _, err = run(capsys, "analyze", "--input", job)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_constraints_empty_tau_is_an_input_error(capsys):
+    job = json.dumps({"n": 2, "mu0": 4, "d0": 3,
+                      "components": [{"k": 1, "mu": 1, "tau": []}]})
+    code, _, err = run(capsys, "constraints", "--input", job)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_usage_error_exit_code(capsys):
+    code, out, err = run(capsys, "analyze", "--format", "xml", "--input", "{}")
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""

@@ -13,8 +13,8 @@ from lenumbers import (
     homogeneous_char_exponents,
     mobius,
     totient,
-    unipoly_gcd,
 )
+from unipoly_oracle import unipoly_gcd
 
 
 def test_mobius_and_totient_values():

@@ -210,3 +210,27 @@ def test_le_invariants_serialization_roundtrip():
     inv = compute_all(setup_from("x^2 + y^2"))
     data = inv.to_dict()
     assert LeInvariants.from_dict(data) == inv
+
+
+def test_teissier_lemma_oracle():
+    # Teissier's lemma along the polar curve: (G . V(f)) = (G . V(df/dz0)) +
+    # (G . V(z0)), and (G . V(z0)) = mu0 - lambda1, since the non-slice
+    # Jacobian scheme cut by V(z0) has colength mu0.  So omega = lambda0 +
+    # (mu0 - lambda1), tying lambda1 to three independently computed numbers.
+    corpus = [
+        "x^2 - y^2*z",
+        "x*y*z",
+        "x^2*y + z^2",
+        "x^2 + y^3",
+        "x*y*(x + y)",
+        "x^2 + y^2",
+        "x^3 + y^3 + x*y*z",
+        "x^2*y^2 + z^3*x",
+        "x^2 + y^2*z^2",
+        "x^3 + y^2*z",
+    ]
+    for text in corpus:
+        for seed in range(4):
+            inv = analyze_poly(parse_poly(text, ["x", "y", "z"]), seed=seed).invariants
+            assert inv.genericity_ok, (text, seed)
+            assert inv.omega == inv.lambda0 + (inv.mu0 - inv.lambda1), (text, seed)
