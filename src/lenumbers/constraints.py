@@ -104,14 +104,25 @@ class ComponentData:
         if "k" not in d or "mu" not in d:
             raise InputError("every component needs both 'k' and 'mu'")
         return cls(
-            k=int(d["k"]),
-            mu=int(d["mu"]),
-            d=int(d["d"]) if d.get("d") is not None else None,
+            k=_integer(d["k"], "k"),
+            mu=_integer(d["mu"], "mu"),
+            d=_optional_integer(d, "d"),
             char_h=_char_in(d.get("charH")),
-            tau=(tuple(tuple(int(v) for v in row) for row in d["tau"])
+            tau=(tuple(tuple(_integer(v, "tau") for v in row) for row in d["tau"])
                  if d.get("tau") is not None else None),
-            fixed_rank=int(d["fixedRank"]) if d.get("fixedRank") is not None else None,
+            fixed_rank=_optional_integer(d, "fixedRank"),
         )
+
+
+def _integer(value, key: str) -> int:
+    """A JSON integer; a float, bool or string is an InputError naming the key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
+def _optional_integer(d: dict, key: str) -> int | None:
+    return None if d.get(key) is None else _integer(d[key], key)
 
 
 def _char_in(value) -> CycloProduct | None:
@@ -211,18 +222,18 @@ class SingularSetup:
     @classmethod
     def from_dict(cls, d: dict) -> "SingularSetup":
         try:
-            n = int(d["n"])
-            mu0 = int(d["mu0"])
+            n = _integer(d["n"], "n")
+            mu0 = _integer(d["mu0"], "mu0")
         except KeyError as missing:
             raise InputError(f"setup is missing the required key {missing}")
         return cls(
             n=n,
             mu0=mu0,
             char_h0=_char_in(d.get("charH0")),
-            d0=int(d["d0"]) if d.get("d0") is not None else None,
+            d0=_optional_integer(d, "d0"),
             components=tuple(ComponentData.from_dict(c) for c in d.get("components", [])),
-            lambda0=int(d["lambda0"]) if d.get("lambda0") is not None else None,
-            omega=int(d["omega"]) if d.get("omega") is not None else None,
+            lambda0=_optional_integer(d, "lambda0"),
+            omega=_optional_integer(d, "omega"),
         )
 
 

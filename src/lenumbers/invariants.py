@@ -13,11 +13,12 @@ saturation here; reports carry a warning naming that identification.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import GenericityError, InputError, InvariantViolationError
+from .errors import GenericityError, InputError, InvariantViolationError, ResourceLimitError
 from .localring import (
     Budget,
     INFINITE,
@@ -216,18 +217,32 @@ def compute_all(setup: SliceSetup, budget: Budget | None = None) -> LeInvariants
     return result
 
 
+@contextmanager
+def _stage(name: str):
+    """Prefix a ResourceLimitError raised inside the block with the stage name."""
+    try:
+        yield
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"stage {name}: {exc}") from exc
+
+
 def _pipeline(setup: SliceSetup, budget: Budget | None):
     warnings = [LENGTH_IDENTIFICATION_WARNING, GENERICITY_SCOPE_WARNING]
     z0 = setup.z0_coefficients
-    m = mu0(setup, budget)
+    with _stage("mu0"):
+        m = mu0(setup, budget)
     if not is_finite(m):
         warnings.append("mu0 is infinite: the sliced function has a non-isolated singularity")
         return LeInvariants(None, None, None, None, False, tuple(warnings), z0), None
-    polar = polar_ideal(setup, budget)
+    with _stage("polar"):
+        polar = polar_ideal(setup, budget)
     try:
-        l0 = lambda0(setup, polar, budget)
-        om = omega(setup, polar, budget, lambda0_value=l0)
-        l1 = lambda1(setup, polar, budget, mu0_value=m)
+        with _stage("lambda0"):
+            l0 = lambda0(setup, polar, budget)
+        with _stage("omega"):
+            om = omega(setup, polar, budget, lambda0_value=l0)
+        with _stage("lambda1"):
+            l1 = lambda1(setup, polar, budget, mu0_value=m)
     except GenericityError as exc:
         warnings.append(str(exc))
         return LeInvariants(m, None, None, None, False, tuple(warnings), z0), polar

@@ -7,6 +7,15 @@ normal form with ecart bookkeeping, and standard bases are computed by
 S-polynomial completion.  Colengths of zero-dimensional ideals realize
 intersection multiplicities and Milnor numbers.
 
+Standard-basis completion and ideal membership run fraction-free: the
+polynomials are dicts of integer coefficients, and each S-polynomial and
+each Mora step is a nonzero integer multiple of the same step over Q, with
+its content divided out.  Leading monomials, ecarts and reducer choices are
+then those of the computation over Q, and a new basis element, made
+primitive, equals the primitive form of the remainder over Q, so the bases
+are those of the computation over Q.  ``StandardBasis.basis``,
+``mora_reduce`` and ``mora_divide`` keep ``Fraction`` coefficients.
+
 Under a local degree order, a standard basis whose leading ideal becomes
 zero-dimensional is truncated at its highest corner: if every monomial of
 degree K lies in the leading ideal, then m^K ⊆ I + m^(K+1), so m^K ⊆ I by
@@ -22,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import prod
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
@@ -33,6 +42,7 @@ from .polynomials import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
 )
 
 
@@ -140,15 +150,8 @@ class _Reducer:
         self.quots = quots
 
 
-def _truncate(p: MultiPoly, cap: int) -> MultiPoly:
-    """p without its terms of total degree >= cap."""
-    return MultiPoly._raw({m: c for m, c in p.terms.items() if mono_deg(m) < cap}, p.nvars)
-
-
 def _mora(f: MultiPoly, gens: Sequence[MultiPoly], order: LocalOrder,
-          budget: Budget | None, track: bool, cap: int | None = None):
-    # With a cap K (untracked reductions only), m^K lies in the ideal of
-    # gens, so terms of degree >= K are dropped from h after every step.
+          budget: Budget | None, track: bool):
     n = f.nvars
     reducers: list[_Reducer] = []
     for idx, g in enumerate(gens):
@@ -156,7 +159,7 @@ def _mora(f: MultiPoly, gens: Sequence[MultiPoly], order: LocalOrder,
             continue
         lm, lc = leading(g, order)
         reducers.append(_Reducer(g, lm, lc, _ecart(g, lm), idx))
-    h = f if cap is None else _truncate(f, cap)
+    h = f
     unit = MultiPoly.constant(1, n) if track else None
     quots = [MultiPoly.zero(n) for _ in gens] if track else None
     while not h.is_zero:
@@ -176,8 +179,6 @@ def _mora(f: MultiPoly, gens: Sequence[MultiPoly], order: LocalOrder,
         fac_mono = mono_div(lm_h, red.lm)
         fac_coeff = lc_h / red.lc
         h = h - red.poly.term_mul(fac_mono, fac_coeff)
-        if cap is not None:
-            h = _truncate(h, cap)
         if track:
             if red.src is not None:
                 bump = MultiPoly._raw({fac_mono: fac_coeff}, n)
@@ -217,12 +218,106 @@ def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
     return _mora(f, gens, order or LocalOrder(), budget, track=True)
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: LocalOrder) -> MultiPoly:
-    lm_f, lc_f = leading(f, order)
-    lm_g, lc_g = leading(g, order)
-    lcm = mono_lcm(lm_f, lm_g)
-    return (f.term_mul(mono_div(lcm, lm_f), 1 / lc_f)
-            - g.term_mul(mono_div(lcm, lm_g), 1 / lc_g))
+# ---------------------------------------------------------------------------
+# the fraction-free kernel: polynomials as dicts {Monomial: int}
+# ---------------------------------------------------------------------------
+
+
+class _OrderKeys(dict):
+    """Order key of each monomial met, computed once: keys[m] == order.key(m)."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, order: LocalOrder):
+        super().__init__()
+        self._key = order.key
+
+    def __missing__(self, m: Monomial):
+        k = self[m] = self._key(m)
+        return k
+
+
+def _int_terms(p: MultiPoly, cap: int | None = None) -> dict[Monomial, int]:
+    """p times the lcm of its denominators, without its terms of degree >= cap."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()
+            if cap is None or mono_deg(m) < cap}
+
+
+def _fraction_poly(h: dict[Monomial, int], nvars: int) -> MultiPoly:
+    return MultiPoly._raw({m: Fraction(c) for m, c in h.items()}, nvars)
+
+
+def _primitive(h: dict[Monomial, int]) -> dict[Monomial, int]:
+    """h over the gcd of its coefficients, grlex-leading coefficient positive."""
+    content = gcd(*h.values())
+    if h[max(h, key=lambda m: (mono_deg(m), m))] < 0:
+        content = -content
+    return h if content == 1 else {m: c // content for m, c in h.items()}
+
+
+def _shift(h: dict[Monomial, int], a: Monomial, cap: int | None) -> dict[Monomial, int]:
+    """x^a * h, without its terms of degree >= cap."""
+    shifted = ((mono_mul(m, a), c) for m, c in h.items())
+    return {m: c for m, c in shifted if cap is None or mono_deg(m) < cap}
+
+
+def _combine(h: dict[Monomial, int], sh: int, r: dict[Monomial, int], a: Monomial,
+             sr: int, cap: int | None) -> dict[Monomial, int]:
+    """sh·h − sr·x^a·r over its content.
+
+    Terms of x^a·r of degree >= cap are dropped; h has none.
+    """
+    out = dict(h) if sh == 1 else {m: sh * c for m, c in h.items()}
+    for m, c in r.items():
+        m = mono_mul(m, a)
+        if cap is not None and sum(m) >= cap:
+            continue
+        v = out.get(m, 0) - sr * c
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    content = gcd(*out.values())
+    if content > 1:
+        out = {m: c // content for m, c in out.items()}
+    return out
+
+
+def _reducer(g: dict[Monomial, int], keys: _OrderKeys) -> tuple:
+    lm = max(g, key=keys.__getitem__)
+    return lm, g[lm], max(map(sum, g)) - sum(lm), g
+
+
+def _reduce(h: dict[Monomial, int], reducers: list[tuple], keys: _OrderKeys,
+            budget: Budget | None, cap: int | None) -> dict[Monomial, int]:
+    """Mora weak normal form of h, up to a nonzero integer factor.
+
+    ``reducers`` holds (lm, lc, ecart, poly) tuples and is not modified.  The
+    choice of reducer, the remembered remainders and the budget charges are
+    those of ``_mora``.  With a cap K, m^K lies in the ideal of the reducers
+    and h has no term of degree >= K; none is created.
+    """
+    reducers = list(reducers)
+    lead = keys.__getitem__
+    while h:
+        lm_h = max(h, key=lead)
+        red = None
+        for r in reducers:
+            if (red is None or r[2] < red[2]) and mono_divides(r[0], lm_h):
+                red = r
+        if red is None:
+            break
+        lc_h = h[lm_h]
+        e_h = max(map(sum, h)) - sum(lm_h)
+        if red[2] > e_h:
+            # remember the current remainder so later reductions stay local
+            reducers.append((lm_h, lc_h, e_h, h))
+        gamma = gcd(red[1], lc_h)
+        h = _combine(h, red[1] // gamma, red[3], mono_div(lm_h, red[0]), lc_h // gamma, cap)
+        if budget is not None:
+            budget.tick_monomials(max(1, len(h)))
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +396,9 @@ class StandardBasis:
         With a cap K, f lies in the ideal iff its part of degree < K does, so
         the reduction drops every term of degree >= K.
         """
-        return _mora(f, self.basis, self.order, budget, False, self.cap)[0].is_zero
+        keys = _OrderKeys(self.order)
+        reducers = [_reducer(_int_terms(g), keys) for g in self.basis]
+        return not _reduce(_int_terms(f, self.cap), reducers, keys, budget, self.cap)
 
 
 def _minimal_monomials(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -330,22 +427,23 @@ def _standard_monomials(lead: Sequence[Monomial], nvars: int,
             if not any(mono_divides(s, mono) for s in lead))
 
 
-def _lower_cap(G: list[MultiPoly], lms: list[Monomial], cap: int | None,
-               budget: Budget) -> tuple[int | None, list[MultiPoly]]:
+def _lower_cap(G: list[dict[Monomial, int]], lms: list[Monomial], cap: int | None,
+               budget: Budget) -> tuple[int | None, list[dict[Monomial, int]]]:
     """The highest-corner cap of L(G), and G truncated to it if it fell.
 
     The cap is 1 + the largest degree of a monomial outside (lms), or None
     while there are infinitely many such monomials.
     """
-    standard = _standard_monomials(lms, G[0].nvars, budget)
+    standard = _standard_monomials(lms, len(lms[0]), budget)
     if standard is None:
         return cap, G
     new_cap = 1 + max(map(mono_deg, standard), default=-1)
     if new_cap == cap:
         return cap, G
-    budget.tick_monomials(sum(len(g.terms) for g in G))
-    return new_cap, [MultiPoly._raw({lm: Fraction(1)}, g.nvars) if mono_deg(lm) >= new_cap
-                     else _truncate(g, new_cap).primitive() for g, lm in zip(G, lms)]
+    budget.tick_monomials(sum(map(len, G)))
+    return new_cap, [{lm: 1} if mono_deg(lm) >= new_cap
+                     else _primitive({m: c for m, c in g.items() if mono_deg(m) < new_cap})
+                     for g, lm in zip(G, lms)]
 
 
 def standard_basis(I: Ideal, order: LocalOrder | None = None,
@@ -355,6 +453,17 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     Pair selection is deterministic: minimal degree of the leading-monomial
     lcm, then first-created order.  No pair criteria are applied; every
     S-polynomial is reduced, which is safe for local and mixed orders.
+
+    The completion is fraction-free: polynomials are integer dicts, the
+    S-polynomial of f and g is lc_g·x^(L−lm_f)·f − lc_f·x^(L−lm_g)·g (over
+    gcd(lc_f, lc_g)), and a Mora step replaces h by
+    (lc_r/γ)·h − (lc_h/γ)·x^a·r over its content, γ = gcd(lc_r, lc_h).  Each
+    is a nonzero integer multiple of the same step over Q, so leading
+    monomials, ecarts and reducer choices agree with Mora's algorithm over Q,
+    and a remainder made primitive is the one Q would give.  The basis is
+    returned with ``Fraction`` coefficients, each new element primitive with
+    a positive grlex-leading coefficient.  Monomial order keys are computed
+    once per call.
 
     Highest-corner truncation (Greuel–Pfister; Singular's ``highcorner``),
     under a local degree order only: once the leading monomials of the
@@ -370,35 +479,47 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     """
     order = order or LocalOrder()
     budget = budget if budget is not None else Budget()
-    G = [g for g in I.generators if not g.is_zero]
-    if not G:
+    given = [g for g in I.generators if not g.is_zero]
+    if not given:
         return StandardBasis((), order, (), I.nvars)
-    lms = [leading(g, order)[0] for g in G]
+    keys = _OrderKeys(order)
+    start = [_int_terms(g) for g in given]
+    G = list(start)
+    reducers = [_reducer(g, keys) for g in G]
+    lms = [r[0] for r in reducers]
     cap = None
     if order.ntags == 0:
         cap, G = _lower_cap(G, lms, cap, budget)
-    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+        reducers = [_reducer(g, keys) for g in G]
+    # (degree of the lcm of the leading monomials, i, j), smallest first
+    pairs = [(mono_deg(mono_lcm(lms[i], lms[j])), i, j) for j in range(len(G)) for i in range(j)]
     while pairs:
         budget.tick_pair()
-        best = min(pairs, key=lambda ij: (mono_deg(mono_lcm(lms[ij[0]], lms[ij[1]])), ij))
+        best = min(pairs)
         pairs.remove(best)
-        i, j = best
-        s = s_polynomial(G[i], G[j], order)
-        if cap is not None:
-            s = _truncate(s, cap)
-        if s.is_zero:
+        (lm_f, lc_f, _, f), (lm_g, lc_g, _, g) = reducers[best[1]], reducers[best[2]]
+        lcm_fg = mono_lcm(lm_f, lm_g)
+        gamma = gcd(lc_f, lc_g)
+        s = _combine(_shift(f, mono_div(lcm_fg, lm_f), cap), lc_g // gamma,
+                     g, mono_div(lcm_fg, lm_g), lc_f // gamma, cap)
+        if not s:
             continue
-        r = _mora(s, G, order, budget, False, cap)[0]
-        if r.is_zero:
+        r = _reduce(s, reducers, keys, budget, cap)
+        if not r:
             continue
-        r = r.primitive()
-        G.append(r)
-        lms.append(leading(r, order)[0])
+        G.append(_primitive(r))
+        reducers.append(_reducer(G[-1], keys))
+        lms.append(reducers[-1][0])
         if order.ntags == 0:
-            cap, G = _lower_cap(G, lms, cap, budget)
+            capped, G = _lower_cap(G, lms, cap, budget)
+            if capped != cap:
+                cap, reducers = capped, [_reducer(g, keys) for g in G]
         new = len(G) - 1
-        pairs.extend((k, new) for k in range(new))
-    return StandardBasis(tuple(G), order, _minimal_monomials(lms), I.nvars, cap)
+        pairs.extend((mono_deg(mono_lcm(lms[k], lms[new])), k, new) for k in range(new))
+    # a generator no truncation touched is returned as given
+    basis = [p if g is q else _fraction_poly(g, I.nvars) for p, q, g in zip(given, start, G)]
+    basis += [_fraction_poly(g, I.nvars) for g in G[len(given):]]
+    return StandardBasis(tuple(basis), order, _minimal_monomials(lms), I.nvars, cap)
 
 
 def colength(I: Ideal | StandardBasis, budget: Budget | None = None):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, PolyParseError
@@ -22,21 +23,21 @@ Monomial = tuple[int, ...]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of x^a / x^b; the caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Monomial) -> int:

@@ -4,11 +4,15 @@ from itertools import combinations
 from math import comb, gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lenumbers import (
+    Budget,
     CentralArrangement3,
     CycloProduct,
     InputError,
+    ResourceLimitError,
     analyze_poly,
     arrangement_report,
     defining_polynomial,
@@ -216,6 +220,35 @@ def test_defining_polynomial():
     assert f == parse_poly("x*y*z", ["x", "y", "z"])
 
 
+def _cross_int(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _pair_count_oracle(normals):
+    """mu0, lambda1 and lambda0 of an arrangement from its intersection lines.
+
+    Lines are found by crossing every pair of normals, independently of the
+    package; a line shared by m planes is crossed C(m, 2) times.  Then
+    mu0 = (d - 1)^2, lambda1 = sum (m - 1)^2 and, from the Euler
+    characteristic of the Milnor fibre, lambda0 = lambda1 + d*chi - 1 with
+    chi(P^2 minus A) = 3 - 2d + sum (m - 1).
+    """
+    pairs_on_line = {}
+    for a, b in combinations(normals, 2):
+        v = _cross_int(a, b)
+        g = gcd(*v)
+        v = tuple(c // g for c in v)
+        if next(c for c in v if c) < 0:
+            v = tuple(-c for c in v)
+        pairs_on_line[v] = pairs_on_line.get(v, 0) + 1
+    mults = [next(m for m in range(2, len(normals) + 1) if comb(m, 2) == count)
+             for count in pairs_on_line.values()]
+    d = len(normals)
+    lambda1 = sum((m - 1) ** 2 for m in mults)
+    chi = 3 - 2 * d + sum(m - 1 for m in mults)
+    return (d - 1) ** 2, lambda1, lambda1 + d * chi - 1
+
+
 def test_cross_check_degree_four_arrangements():
     # combinatorial formulas versus the analytic pipeline on degree-4 inputs,
     # including one with a triple line (lambda1 = 4 + 1 + 1 + 1)
@@ -232,6 +265,26 @@ def test_cross_check_degree_four_arrangements():
         assert inv.genericity_ok
         assert inv.mu0 == setup.mu0
         assert inv.lambda1 == sum(c.k * c.mu for c in setup.components)
+        assert (inv.mu0, inv.lambda1, inv.lambda0) == _pair_count_oracle(normals)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=4))
+def test_le_numbers_of_random_four_plane_arrangements(normals):
+    assume(all(any(n) for n in normals))
+    assume(all(any(_cross_int(a, b)) for a, b in combinations(normals, 2)))
+    arr = CentralArrangement3(normals)
+    inv = analyze_poly(defining_polynomial(arr), z0=pick_slice_form(arr)).invariants
+    assert inv.genericity_ok
+    assert (inv.mu0, inv.lambda1, inv.lambda0) == _pair_count_oracle(normals)
+
+
+def test_resource_limit_names_the_polar_stage():
+    arr = CentralArrangement3((E1, E2, E3, (1, 1, 1), (1, 2, 3)))
+    with pytest.raises(ResourceLimitError, match=r"^stage polar: S-pair budget of 20 "
+                                                 r"exhausted \(pairs_used=21, "):
+        analyze_poly(defining_polynomial(arr), z0=pick_slice_form(arr),
+                     budget=Budget(max_pairs=20))
 
 
 def test_cross_check_against_slice_pipeline():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lenumbers import ConstraintReport
 from lenumbers.cli import main
 
@@ -100,6 +102,18 @@ def test_analyze_resource_limit_exit_code(capsys):
     assert "resource limit" in err
 
 
+def test_resource_limit_message_names_the_stage(capsys):
+    # five planes x, y, z, x+y+z, x+2y+3z: mu0 needs fewer than 20 S-pairs,
+    # the polar curve's saturation more
+    job = json.dumps({"polynomial": "x*y*z*(x + y + z)*(x + 2*y + 3*z)",
+                      "variables": ["x", "y", "z"], "z0": [2, 1, -1]})
+    code, out, err = run(capsys, "analyze", "--max-pairs", "20", "--input", job)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: stage polar: S-pair budget of 20 exhausted")
+    assert "pairs_used=21" in err
+
+
 def test_constraints_command(capsys):
     job = json.dumps({"n": 2, "mu0": 4, "d0": 3,
                       "components": [{"k": 1, "mu": 1, "d": 2}] * 3})
@@ -176,6 +190,20 @@ def test_constraints_empty_tau_is_an_input_error(capsys):
     code, _, err = run(capsys, "constraints", "--input", job)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("job,key", [
+    ({"n": 2.7, "mu0": 4, "d0": 3, "components": []}, "n"),
+    ({"n": 2, "mu0": True, "d0": 3, "components": []}, "mu0"),
+    ({"n": 2, "mu0": 4, "d0": 3, "components": [{"k": "1", "mu": 1}]}, "k"),
+    ({"n": 2, "mu0": 4, "d0": 3,
+      "components": [{"k": 1, "mu": 2, "tau": [[0, 1], [1.0, 0]]}]}, "tau"),
+], ids=["float-n", "bool-mu0", "string-k", "float-tau"])
+def test_constraints_counts_must_be_integers(capsys, job, key):
+    code, out, err = run(capsys, "constraints", "--input", json.dumps(job))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: '{key}' must be an integer")
 
 
 def test_usage_error_exit_code(capsys):
