@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 from .arrangements import CentralArrangement3, arrangement_report
-from .constraints import SingularSetup, full_report
+from .constraints import SingularSetup, _integer, full_report
 from .cyclo import CycloProduct, cyclotomic, factor_unity, homogeneous_char
 from .errors import (
     GenericityError,
@@ -113,7 +113,7 @@ def _cmd_analyze(args) -> int:
     z0 = job.get("z0")
     if z0 is not None:
         z0 = [_frac(c) for c in z0]
-    seed = args.seed if args.seed is not None else int(job.get("seed", 0))
+    seed = args.seed if args.seed is not None else _integer(job.get("seed", 0), "seed")
     result = analyze_poly(f, z0=z0, seed=seed, budget=_budget(args), names=variables)
     le = result.invariants
     payload = {

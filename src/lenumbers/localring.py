@@ -7,14 +7,14 @@ normal form with ecart bookkeeping, and standard bases are computed by
 S-polynomial completion.  Colengths of zero-dimensional ideals realize
 intersection multiplicities and Milnor numbers.
 
-Standard-basis completion and ideal membership run fraction-free: the
-polynomials are dicts of integer coefficients, and each S-polynomial and
-each Mora step is a nonzero integer multiple of the same step over Q, with
-its content divided out.  Leading monomials, ecarts and reducer choices are
-then those of the computation over Q, and a new basis element, made
-primitive, equals the primitive form of the remainder over Q, so the bases
-are those of the computation over Q.  ``StandardBasis.basis``,
-``mora_reduce`` and ``mora_divide`` keep ``Fraction`` coefficients.
+Standard-basis completion, ideal membership and Mora division run
+fraction-free on one kernel: the polynomials are dicts of integer
+coefficients, and each S-polynomial and each Mora step is a nonzero integer
+multiple of the same step over Q, with its content divided out.  Leading
+monomials, ecarts and reducer choices are then those of the computation over
+Q, and a new basis element, made primitive, equals the primitive form of the
+remainder over Q, so the bases are those of the computation over Q.  The
+polynomials that cross the module boundary have ``Fraction`` coefficients.
 
 Under a local degree order, a standard basis whose leading ideal becomes
 zero-dimensional is truncated at its highest corner: if every monomial of
@@ -133,91 +133,6 @@ def leading(p: MultiPoly, order: LocalOrder) -> tuple[Monomial, Fraction]:
     return m, p.terms[m]
 
 
-def _ecart(p: MultiPoly, lm: Monomial) -> int:
-    return p.total_degree() - mono_deg(lm)
-
-
-class _Reducer:
-    __slots__ = ("poly", "lm", "lc", "ecart", "src", "unit", "quots")
-
-    def __init__(self, poly, lm, lc, ecart, src, unit=None, quots=None):
-        self.poly = poly
-        self.lm = lm
-        self.lc = lc
-        self.ecart = ecart
-        self.src = src  # index into the original generators, or None for an added remainder
-        self.unit = unit
-        self.quots = quots
-
-
-def _mora(f: MultiPoly, gens: Sequence[MultiPoly], order: LocalOrder,
-          budget: Budget | None, track: bool):
-    n = f.nvars
-    reducers: list[_Reducer] = []
-    for idx, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        lm, lc = leading(g, order)
-        reducers.append(_Reducer(g, lm, lc, _ecart(g, lm), idx))
-    h = f
-    unit = MultiPoly.constant(1, n) if track else None
-    quots = [MultiPoly.zero(n) for _ in gens] if track else None
-    while not h.is_zero:
-        lm_h, lc_h = leading(h, order)
-        candidates = [r for r in reducers if mono_divides(r.lm, lm_h)]
-        if not candidates:
-            break
-        e_h = _ecart(h, lm_h)
-        red = min(candidates, key=lambda r: r.ecart)
-        if red.ecart > e_h:
-            # remember the current remainder so later reductions stay local
-            reducers.append(_Reducer(
-                h, lm_h, lc_h, e_h, None,
-                unit if track else None,
-                list(quots) if track else None,
-            ))
-        fac_mono = mono_div(lm_h, red.lm)
-        fac_coeff = lc_h / red.lc
-        h = h - red.poly.term_mul(fac_mono, fac_coeff)
-        if track:
-            if red.src is not None:
-                bump = MultiPoly._raw({fac_mono: fac_coeff}, n)
-                quots[red.src] = quots[red.src] + bump
-            else:
-                unit = unit - red.unit.term_mul(fac_mono, fac_coeff)
-                quots = [q - rq.term_mul(fac_mono, fac_coeff)
-                         for q, rq in zip(quots, red.quots)]
-        if budget is not None:
-            budget.tick_monomials(max(1, len(h.terms)))
-    return h, unit, quots
-
-
-def mora_reduce(f: MultiPoly, gens: Sequence[MultiPoly],
-                order: LocalOrder | None = None,
-                budget: Budget | None = None) -> MultiPoly:
-    """Mora weak normal form of f against gens.
-
-    The remainder r satisfies u*f = (combination of gens) + r for some local
-    unit u.  When gens is a standard basis, r == 0 iff f lies in the ideal
-    generated by gens in the local ring.  Termination is guaranteed by the
-    ecart-based reducer selection.
-    """
-    r, _, _ = _mora(f, list(gens), order or LocalOrder(), budget, track=False)
-    return r
-
-
-def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
-                order: LocalOrder | None = None,
-                budget: Budget | None = None):
-    """Mora division with witnesses: returns (r, u, q) with u*f = sum(q_i*g_i) + r.
-
-    u is a local unit with constant term 1; the identity is exact and can be
-    checked term by term.
-    """
-    gens = list(gens)
-    return _mora(f, gens, order or LocalOrder(), budget, track=True)
-
-
 # ---------------------------------------------------------------------------
 # the fraction-free kernel: polynomials as dicts {Monomial: int}
 # ---------------------------------------------------------------------------
@@ -237,15 +152,21 @@ class _OrderKeys(dict):
         return k
 
 
+def _denominator(p: MultiPoly) -> int:
+    """The lcm of the denominators of p's coefficients."""
+    return lcm(*(c.denominator for c in p.terms.values()))
+
+
 def _int_terms(p: MultiPoly, cap: int | None = None) -> dict[Monomial, int]:
     """p times the lcm of its denominators, without its terms of degree >= cap."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
+    den = _denominator(p)
     return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()
             if cap is None or mono_deg(m) < cap}
 
 
-def _fraction_poly(h: dict[Monomial, int], nvars: int) -> MultiPoly:
-    return MultiPoly._raw({m: Fraction(c) for m, c in h.items()}, nvars)
+def _fraction_poly(h: dict[Monomial, int], nvars: int, den: int = 1) -> MultiPoly:
+    """h / den with ``Fraction`` coefficients."""
+    return MultiPoly._raw({m: Fraction(c, den) for m, c in h.items()}, nvars)
 
 
 def _primitive(h: dict[Monomial, int]) -> dict[Monomial, int]:
@@ -263,8 +184,8 @@ def _shift(h: dict[Monomial, int], a: Monomial, cap: int | None) -> dict[Monomia
 
 
 def _combine(h: dict[Monomial, int], sh: int, r: dict[Monomial, int], a: Monomial,
-             sr: int, cap: int | None) -> dict[Monomial, int]:
-    """sh·h − sr·x^a·r over its content.
+             sr: int, cap: int | None, content: bool = True) -> dict[Monomial, int]:
+    """sh·h − sr·x^a·r, over its content unless ``content`` is false.
 
     Terms of x^a·r of degree >= cap are dropped; h has none.
     """
@@ -278,9 +199,10 @@ def _combine(h: dict[Monomial, int], sh: int, r: dict[Monomial, int], a: Monomia
             out[m] = v
         else:
             del out[m]
-    content = gcd(*out.values())
-    if content > 1:
-        out = {m: c // content for m, c in out.items()}
+    if content:
+        d = gcd(*out.values())
+        if d > 1:
+            out = {m: c // d for m, c in out.items()}
     return out
 
 
@@ -290,13 +212,21 @@ def _reducer(g: dict[Monomial, int], keys: _OrderKeys) -> tuple:
 
 
 def _reduce(h: dict[Monomial, int], reducers: list[tuple], keys: _OrderKeys,
-            budget: Budget | None, cap: int | None) -> dict[Monomial, int]:
+            budget: Budget | None, cap: int | None,
+            witness: list[dict[Monomial, int]] | None = None) -> dict[Monomial, int]:
     """Mora weak normal form of h, up to a nonzero integer factor.
 
-    ``reducers`` holds (lm, lc, ecart, poly) tuples and is not modified.  The
-    choice of reducer, the remembered remainders and the budget charges are
-    those of ``_mora``.  With a cap K, m^K lies in the ideal of the reducers
-    and h has no term of degree >= K; none is created.
+    ``reducers`` holds (lm, lc, ecart, poly) tuples and is not modified.  Each
+    step is h ← sh·h − sr·x^a·r over its content, a nonzero integer multiple
+    of the step of Mora's algorithm over Q, so the choice of reducer, the
+    remembered remainders and the budget charges are those over Q.  With a
+    cap K, m^K lies in the ideal of the reducers and h has no term of degree
+    >= K; none is created.
+
+    Tracking (cap None): ``witness`` is [U, Q_1..Q_k] with U·f = Σ Q_i·g_i + h,
+    and each reducer carries the witness of its poly as a fifth entry.  Each
+    step applies the same combination to the witnesses, divides h and the
+    witness by their joint content, and replaces the witness in place.
     """
     reducers = list(reducers)
     lead = keys.__getitem__
@@ -312,12 +242,65 @@ def _reduce(h: dict[Monomial, int], reducers: list[tuple], keys: _OrderKeys,
         e_h = max(map(sum, h)) - sum(lm_h)
         if red[2] > e_h:
             # remember the current remainder so later reductions stay local
-            reducers.append((lm_h, lc_h, e_h, h))
+            reducers.append((lm_h, lc_h, e_h, h, witness and list(witness)))
         gamma = gcd(red[1], lc_h)
-        h = _combine(h, red[1] // gamma, red[3], mono_div(lm_h, red[0]), lc_h // gamma, cap)
+        sh, a, sr = red[1] // gamma, mono_div(lm_h, red[0]), lc_h // gamma
+        if witness is None:
+            h = _combine(h, sh, red[3], a, sr, cap)
+        else:
+            polys = [_combine(p, sh, pr, a, sr, cap, False)
+                     for p, pr in zip([h, *witness], [red[3], *red[4]])]
+            content = gcd(*(c for p in polys for c in p.values()))
+            h, *witness[:] = ({m: c // content for m, c in p.items()} for p in polys)
         if budget is not None:
             budget.tick_monomials(max(1, len(h)))
     return h
+
+
+def mora_reduce(f: MultiPoly, gens: Sequence[MultiPoly],
+                order: LocalOrder | None = None,
+                budget: Budget | None = None) -> MultiPoly:
+    """Mora weak normal form of f against gens: the remainder of ``mora_divide``.
+
+    The remainder r satisfies u*f = (combination of gens) + r for some local
+    unit u.  When gens is a standard basis, r == 0 iff f lies in the ideal
+    generated by gens in the local ring.  Termination is guaranteed by the
+    ecart-based reducer selection.
+    """
+    return mora_divide(f, gens, order, budget)[0]
+
+
+def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
+                order: LocalOrder | None = None,
+                budget: Budget | None = None):
+    """Mora division with witnesses: returns (r, u, q) with u*f = sum(q_i*g_i) + r.
+
+    u is a local unit with constant term 1; the identity is exact and can be
+    checked term by term.  A zero generator gets a zero quotient.
+
+    The division is ``_reduce`` with tracking, started from h = d·f, U = d,
+    Q = 0 for the d that clears f's denominators; g_i enters as D_i·g_i with
+    witness Q_i = −D_i, so the identity holds for the g_i themselves.  Each
+    tracked state (h, U, Q) is then c·(r, u, q) for the state of Mora's
+    division over Q and some integer c ≠ 0, with the same leading monomials,
+    ecarts, reducer choices and budget charges.  Over Q, u starts at 1 and a
+    step by a remembered remainder subtracts a multiple of x^a·u_r with a ≠ 0,
+    so u(0) = 1 throughout, and dividing by c = U(0) gives the division over Q
+    term for term.
+    """
+    gens = list(gens)
+    if any(g.nvars != f.nvars for g in gens):
+        raise InputError("generators must share the variable count")
+    n, one = f.nvars, (0,) * f.nvars
+    keys = _OrderKeys(order or LocalOrder())
+    reducers = [(*_reducer(_int_terms(g), keys),
+                 [{}] + [{one: -_denominator(g)} if j == i else {} for j in range(len(gens))])
+                for i, g in enumerate(gens) if not g.is_zero]
+    witness = [{one: _denominator(f)}] + [{} for _ in gens]
+    h = _reduce(_int_terms(f), reducers, keys, budget, None, witness)
+    c = witness[0][one]
+    u, *q = (_fraction_poly(w, n, c) for w in witness)
+    return _fraction_poly(h, n, c), u, q
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,15 @@ def test_constraints_counts_must_be_integers(capsys, job, key):
     assert err.startswith(f"error: '{key}' must be an integer")
 
 
+@pytest.mark.parametrize("seed", [2.7, True], ids=["float", "bool"])
+def test_analyze_seed_must_be_an_integer(capsys, seed):
+    job = json.dumps({"polynomial": "x*y", "variables": ["x", "y"], "seed": seed})
+    code, out, err = run(capsys, "analyze", "--input", job)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: 'seed' must be an integer, not {seed!r}"
+
+
 def test_usage_error_exit_code(capsys):
     code, out, err = run(capsys, "analyze", "--format", "xml", "--input", "{}")
     assert code == 1

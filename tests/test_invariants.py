@@ -234,3 +234,29 @@ def test_teissier_lemma_oracle():
             inv = analyze_poly(parse_poly(text, ["x", "y", "z"]), seed=seed).invariants
             assert inv.genericity_ok, (text, seed)
             assert inv.omega == inv.lambda0 + (inv.mu0 - inv.lambda1), (text, seed)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("x^3 + y^3 + x*y*z", (4, 6, 1, 9)),
+    ("x^3 + y^2*z", (4, 4, 2, 6)),
+    ("x^4 + y^4 + x^2*y^2 + x*y*z^2", (9, 24, 1, 32)),
+    ("(x^2 + y^2 - z^2)*x*y", (9, 12, 5, 16)),
+])
+def test_bezout_for_cones_oracle(text, expected):
+    # For f homogeneous of degree d in 3 variables, the generic slice is a
+    # homogeneous plane curve singularity (mu0 = (d-1)^2) and the polar curve
+    # is a cone of degree e = (G . V(z0)) = mu0 - lambda1 (Teissier's lemma
+    # above).  Bezout along its e lines gives lambda0 = (G . V(df/dz0)) =
+    # (d-1)*e and omega = (G . V(f)) = d*e.  None of these germs is a plane
+    # arrangement: the cones over a nodal cubic, a cuspidal cubic, a nodal
+    # quartic and a conic with two lines.
+    f = parse_poly(text, ["x", "y", "z"])
+    d = f.total_degree()
+    assert {sum(m) for m in f.terms} == {d}
+    inv = analyze_poly(f).invariants
+    assert inv.genericity_ok
+    e = inv.mu0 - inv.lambda1
+    assert inv.mu0 == (d - 1) ** 2
+    assert inv.lambda0 == (d - 1) * e
+    assert inv.omega == d * e
+    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == expected

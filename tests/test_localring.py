@@ -24,7 +24,7 @@ from lenumbers import (
     slice_with_form,
     standard_basis,
 )
-from lenumbers.localring import leading
+from lenumbers.localring import EliminationOrder, leading
 from lenumbers.polynomials import mono_deg, mono_divides
 
 XY = ["x", "y"]
@@ -95,26 +95,67 @@ def test_mora_reduce_absorbs_local_unit():
     assert mora_reduce(P("x"), [P("x + x^2")]).is_zero
 
 
+def _rand_poly(rng, nvars, low=0):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(rng.randint(0, 2) for _ in range(nvars))
+        if sum(mono) >= low:
+            terms[mono] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return MultiPoly(terms, nvars)
+
+
+def test_mora_divide_witness_identity_any_inputs():
+    # f and the generators may have a constant term, so generators may be units
+    for order in (LocalOrder(), EliminationOrder(1)):
+        rng = random.Random(17)
+        for _ in range(30):
+            nvars = rng.randint(2, 3)
+
+            def rand_poly():
+                terms = {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                         Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))}
+                return MultiPoly(terms, nvars)
+
+            f = rand_poly()
+            gens = [g for g in (rand_poly(), rand_poly()) if not g.is_zero]
+            if not gens or f.is_zero:
+                continue
+            r, unit, quots = mora_divide(f, gens, order)
+            combination = MultiPoly.zero(nvars)
+            for q, g in zip(quots, gens):
+                combination = combination + q * g
+            assert unit * f == combination + r
+            assert unit.constant_term() == 1
+
+
 def test_mora_divide_witness_identity():
-    rng = random.Random(17)
-    for _ in range(30):
-        nvars = rng.randint(2, 3)
-
-        def rand_poly():
-            terms = {tuple(rng.randint(0, 2) for _ in range(nvars)):
-                     Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))}
-            return MultiPoly(terms, nvars)
-
-        f = rand_poly()
-        gens = [g for g in (rand_poly(), rand_poly()) if not g.is_zero]
-        if not gens or f.is_zero:
-            continue
-        r, unit, quots = mora_divide(f, gens)
-        combination = MultiPoly.zero(nvars)
-        for q, g in zip(quots, gens):
-            combination = combination + q * g
-        assert unit * f == combination + r
-        assert unit.constant_term() == 1
+    for order in (LocalOrder(), EliminationOrder(1)):
+        rng = random.Random(17)
+        units = 0
+        for trial in range(40):
+            n = rng.randint(2, 3)
+            one = MultiPoly.constant(1, n)
+            # a zero slot, and a generator with a unit factor
+            gens = [_rand_poly(rng, n, 1), MultiPoly.zero(n),
+                    (one + _rand_poly(rng, n, 1)) * _rand_poly(rng, n, 1)]
+            # f = 0, a combination of the generators, or its terms of degree at
+            # most that of its leading monomial (ecart 0, so remainders are kept)
+            f = MultiPoly.zero(n)
+            if trial % 4:
+                f = _rand_poly(rng, n) * gens[0] + _rand_poly(rng, n) * gens[2]
+            if trial % 4 == 3 and f:
+                top = mono_deg(leading(f, order)[0])
+                f = MultiPoly({m: c for m, c in f.terms.items() if mono_deg(m) <= top}, n)
+            r, unit, quots = mora_divide(f, gens, order)
+            assert len(quots) == len(gens)
+            assert quots[1].is_zero
+            assert unit * f == quots[0] * gens[0] + quots[2] * gens[2] + r
+            assert unit.constant_term() == 1
+            if f.is_zero:
+                assert r.is_zero and unit == one
+            units += unit != one
+        # some remainders were remembered and used, so the unit was tracked
+        assert units, order
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +416,9 @@ def test_ideal_sum_examples():
 def test_ideal_sum_rejects_mixed_rings():
     with pytest.raises(InputError):
         ideal_sum(ideal([P("x")]), ideal([parse_poly("x", XYZ)]))
+    # x divides x but lives in another ring: no division is attempted
+    with pytest.raises(InputError):
+        mora_divide(P("x"), [parse_poly("x", XYZ)])
 
 
 # ---------------------------------------------------------------------------
