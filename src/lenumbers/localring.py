@@ -21,6 +21,8 @@ zero-dimensional is truncated at its highest corner: if every monomial of
 degree K lies in the leading ideal, then m^K ⊆ I + m^(K+1), so m^K ⊆ I by
 Nakayama's lemma, and terms of degree >= K can be dropped everywhere without
 changing the ideal.  This bounds the polynomials and their coefficients.
+Completion skips the S-pairs that Buchberger's chain criterion makes
+redundant; the criterion holds for local and mixed orders too.
 
 Blowups are caught by hard resource budgets: exceeding a budget raises
 ``ResourceLimitError``; a wrong answer is never returned instead.
@@ -434,8 +436,15 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     """Complete the generators to a standard basis under the given local order.
 
     Pair selection is deterministic: minimal degree of the leading-monomial
-    lcm, then first-created order.  No pair criteria are applied; every
-    S-polynomial is reduced, which is safe for local and mixed orders.
+    lcm, then first-created order.  Each selected pair is charged to the
+    budget, then skipped by Buchberger's chain criterion (Gebauer–Möller) when
+    some other element k has lm_k | lcm(lm_i, lm_j) and neither (i, k) nor
+    (j, k) is still pending: the leading-term syzygy of (i, j) is then a
+    combination of those of (i, k) and (j, k), which were reduced to zero or
+    skipped the same way before.  A basis is standard once the S-polynomials
+    of a generating set of these syzygies have weak normal form zero, for any
+    monomial order, so the criterion holds for local and mixed orders
+    (Greuel–Pfister, §2.5).  The product criterion is not used.
 
     The completion is fraction-free: polynomials are integer dicts, the
     S-polynomial of f and g is lc_g·x^(L−lm_f)·f − lc_f·x^(L−lm_g)·g (over
@@ -474,14 +483,19 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     if order.ntags == 0:
         cap, G = _lower_cap(G, lms, cap, budget)
         reducers = [_reducer(g, keys) for g in G]
-    # (degree of the lcm of the leading monomials, i, j), smallest first
-    pairs = [(mono_deg(mono_lcm(lms[i], lms[j])), i, j) for j in range(len(G)) for i in range(j)]
+    # pending pairs (i, j), i < j -> degree of the lcm of their leading monomials
+    pairs = {(i, j): mono_deg(mono_lcm(lms[i], lms[j])) for j in range(len(G)) for i in range(j)}
     while pairs:
         budget.tick_pair()
-        best = min(pairs)
-        pairs.remove(best)
-        (lm_f, lc_f, _, f), (lm_g, lc_g, _, g) = reducers[best[1]], reducers[best[2]]
+        i, j = min(pairs, key=lambda p: (pairs[p], p))
+        del pairs[i, j]
+        (lm_f, lc_f, _, f), (lm_g, lc_g, _, g) = reducers[i], reducers[j]
         lcm_fg = mono_lcm(lm_f, lm_g)
+        # chain criterion: the done pairs (i, k) and (j, k) generate this one
+        if any(k != i and k != j and mono_divides(lm_k, lcm_fg)
+               and (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs
+               for k, lm_k in enumerate(lms)):
+            continue
         gamma = gcd(lc_f, lc_g)
         s = _combine(_shift(f, mono_div(lcm_fg, lm_f), cap), lc_g // gamma,
                      g, mono_div(lcm_fg, lm_g), lc_f // gamma, cap)
@@ -498,7 +512,7 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
             if capped != cap:
                 cap, reducers = capped, [_reducer(g, keys) for g in G]
         new = len(G) - 1
-        pairs.extend((mono_deg(mono_lcm(lms[k], lms[new])), k, new) for k in range(new))
+        pairs.update(((k, new), mono_deg(mono_lcm(lms[k], lms[new]))) for k in range(new))
     # a generator no truncation touched is returned as given
     basis = [p if g is q else _fraction_poly(g, I.nvars) for p, q, g in zip(given, start, G)]
     basis += [_fraction_poly(g, I.nvars) for g in G[len(given):]]

@@ -1,4 +1,7 @@
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -22,6 +25,7 @@ from lenumbers import (
     to_setup,
 )
 from lenumbers.arrangements import validate_slice_form
+from lenumbers.cli import main
 from lenumbers.constraints import VERDICT_EXPONENTS, VERDICT_NON_SPLITTING
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -268,15 +272,38 @@ def test_cross_check_degree_four_arrangements():
         assert (inv.mu0, inv.lambda1, inv.lambda0) == _pair_count_oracle(normals)
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=4))
-def test_le_numbers_of_random_four_plane_arrangements(normals):
+def _check_random_arrangement(normals):
     assume(all(any(n) for n in normals))
     assume(all(any(_cross_int(a, b)) for a, b in combinations(normals, 2)))
     arr = CentralArrangement3(normals)
     inv = analyze_poly(defining_polynomial(arr), z0=pick_slice_form(arr)).invariants
     assert inv.genericity_ok
     assert (inv.mu0, inv.lambda1, inv.lambda0) == _pair_count_oracle(normals)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=4))
+def test_le_numbers_of_random_four_plane_arrangements(normals):
+    _check_random_arrangement(normals)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=5, max_size=5))
+def test_le_numbers_of_random_five_plane_arrangements(normals):
+    _check_random_arrangement(normals)
+
+
+def test_six_generic_planes_fit_the_default_budget():
+    normals = (E1, E2, E3, (1, 1, 1), (1, 2, 3), (1, -1, 2))
+    f = defining_polynomial(CentralArrangement3(normals))
+    job = {"polynomial": f.to_string(["x", "y", "z"]), "variables": ["x", "y", "z"],
+           "d0": 6, "components": [{"k": 1, "mu": 1, "d": 2}] * 15}
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["analyze", "--format", "json", "--input", json.dumps(job)])
+    assert code == 0
+    le = json.loads(buf.getvalue())["le"]
+    assert (le["mu0"], le["lambda1"], le["lambda0"]) == _pair_count_oracle(normals)
 
 
 def test_resource_limit_names_the_polar_stage():
