@@ -24,7 +24,7 @@ from .constraints import (
     VERDICT_EXPONENTS,
     full_report,
 )
-from .cyclo import cyclo_product, divisors, homogeneous_char_exponents
+from .cyclo import divisors, homogeneous_char_exponents
 from .errors import InputError, InvariantViolationError
 from .polynomials import MultiPoly
 
@@ -177,8 +177,7 @@ def arrangement_report(arr: CentralArrangement3,
     setup = to_setup(arr)
     report = full_report(setup)
     a0, b0 = homogeneous_char_exponents(2, arr.d0)
-    product = cyclo_product([setup.component_char(i)
-                             for i in range(len(setup.components))])
+    product = setup.component_product
     ceilings = {}
     for k in divisors(arr.d0):
         cap = a0 if k == 1 else b0

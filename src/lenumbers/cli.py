@@ -37,26 +37,28 @@ def _build_parser() -> _Parser:
                      description="Exact slice invariants and Milnor-fiber "
                                  "monodromy constraints for hypersurface "
                                  "singularities with one-dimensional critical locus.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="path to a JSON job file, '-' for stdin, "
-                                        "or inline JSON starting with '{'")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for slice-form candidates (default 0)")
-    common.add_argument("--max-pairs", type=int, default=100_000)
-    common.add_argument("--max-monomials", type=int, default=1_000_000)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common],
-                   help="compute slice invariants of a polynomial, then constraints")
-    sub.add_parser("constraints", parents=[common],
-                   help="run the constraint engine on numeric setup data")
-    sub.add_parser("arrangement", parents=[common],
-                   help="analyze a central hyperplane arrangement in C^3")
-    cyclo = sub.add_parser("cyclo", parents=[common],
-                           help="cyclotomic utilities: phi, unity, homchar, gcd")
+    analyze, constraints, arrangement, cyclo = (sub.add_parser(name, help=text) for name, text in (
+        ("analyze", "compute slice invariants of a polynomial, then constraints"),
+        ("constraints", "run the constraint engine on numeric setup data"),
+        ("arrangement", "analyze a central hyperplane arrangement in C^3"),
+        ("cyclo", "cyclotomic utilities: phi, unity, homchar, gcd")))
+    for command in (analyze, constraints, arrangement):
+        command.add_argument("--input", help="path to a JSON job file, '-' for stdin, "
+                                             "or inline JSON starting with '{'")
+    for command in (analyze, constraints, arrangement, cyclo):
+        command.add_argument("--format", choices=("text", "json"), default="text")
+    analyze.add_argument("--seed", type=int, default=None,
+                         help="seed for slice-form candidates (default 0)")
+    analyze.add_argument("--max-pairs", type=int, default=100_000)
+    analyze.add_argument("--max-monomials", type=int, default=1_000_000)
     cyclo.add_argument("operation", choices=("phi", "unity", "homchar", "gcd"))
     cyclo.add_argument("args", nargs="*")
     return parser
+
+
+# built once: parse_args keeps no state between calls
+_PARSER = _build_parser()
 
 
 def _load_job(args) -> dict:
@@ -93,6 +95,16 @@ def _frac(value) -> Fraction:
         raise InputError(f"cannot read {value!r} as a rational number")
 
 
+def _z0(job: dict) -> list[Fraction] | None:
+    """The optional slice form ``z0``: a JSON list of rational entries."""
+    z0 = job.get("z0")
+    if z0 is None:
+        return None
+    if not isinstance(z0, list):
+        raise InputError(f"'z0' must be a list of coefficients, not {z0!r}")
+    return [_frac(c) for c in z0]
+
+
 def _emit(payload: dict, text: str, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -104,15 +116,15 @@ def _cmd_analyze(args) -> int:
     job = _load_job(args)
     try:
         poly_text = job["polynomial"]
-        variables = list(job["variables"])
+        variables = job["variables"]
     except KeyError as missing:
         raise InputError(f"analyze input is missing the key {missing}")
     if not isinstance(poly_text, str):
         raise InputError("'polynomial' must be a string")
+    if not isinstance(variables, list):
+        raise InputError(f"'variables' must be a list of names, not {variables!r}")
     f = parse_poly(poly_text, variables)
-    z0 = job.get("z0")
-    if z0 is not None:
-        z0 = [_frac(c) for c in z0]
+    z0 = _z0(job)
     seed = args.seed if args.seed is not None else _integer(job.get("seed", 0), "seed")
     result = analyze_poly(f, z0=z0, seed=seed, budget=_budget(args), names=variables)
     le = result.invariants
@@ -156,8 +168,7 @@ def _cmd_arrangement(args) -> int:
         raise InputError("arrangement input is missing the key 'normals'")
     normals = tuple(tuple(_frac(v) for v in n) for n in job["normals"])
     arr = CentralArrangement3(normals)
-    z0 = job.get("z0")
-    report = arrangement_report(arr, z0=z0)
+    report = arrangement_report(arr, z0=_z0(job))
     payload = {"command": "arrangement",
                "normals": [[str(v) for v in n] for n in arr.normals],
                "report": report.to_dict()}
@@ -221,9 +232,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (InputError, PolyParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

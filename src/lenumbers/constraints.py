@@ -144,6 +144,13 @@ class SingularSetup:
     components: tuple[ComponentData, ...] = ()
     lambda0: int | None = None
     omega: int | None = None
+    # derived by validation: the effective characteristic polynomials, their
+    # product over the components (None when one is unknown) and the ranks
+    char0: CycloProduct | None = field(init=False, repr=False, compare=False)
+    component_chars: tuple[CycloProduct | None, ...] = field(
+        init=False, repr=False, compare=False)
+    component_product: CycloProduct | None = field(init=False, repr=False, compare=False)
+    component_ranks: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -151,8 +158,6 @@ class SingularSetup:
         if self.mu0 < 0:
             raise InputError("mu0 must be nonnegative")
         object.__setattr__(self, "components", tuple(self.components))
-        # validation derives every characteristic polynomial and tau rank;
-        # they are kept, outside the fields, for the accessors below
         char0 = self.char_h0
         if self.d0 is not None:
             hc0 = homogeneous_char(self.n, self.d0)
@@ -193,18 +198,11 @@ class SingularSetup:
                 raise InputError(
                     "omega >= lambda0 with equality only at zero fails for the "
                     "supplied lambda0/omega")
-        object.__setattr__(self, "_char_h0", char0)
-        object.__setattr__(self, "_component_chars", tuple(chars))
-        object.__setattr__(self, "_component_ranks", tuple(ranks))
-
-    def char_h0_effective(self) -> CycloProduct | None:
-        return self._char_h0
-
-    def component_char(self, i: int) -> CycloProduct | None:
-        return self._component_chars[i]
-
-    def component_fixed_rank(self, i: int) -> int | None:
-        return self._component_ranks[i]
+        object.__setattr__(self, "char0", char0)
+        object.__setattr__(self, "component_chars", tuple(chars))
+        object.__setattr__(self, "component_product",
+                           None if None in chars else cyclo_product(chars))
+        object.__setattr__(self, "component_ranks", tuple(ranks))
 
     def to_dict(self) -> dict:
         out: dict = {"n": self.n, "mu0": self.mu0}
@@ -248,16 +246,9 @@ def divisibility_bound(setup: SingularSetup) -> CycloProduct | None:
     The product takes one characteristic polynomial per component.  Returns
     None (unknown) when any needed characteristic polynomial is unavailable.
     """
-    char0 = setup.char_h0_effective()
-    if char0 is None:
+    if setup.char0 is None or setup.component_product is None:
         return None
-    parts = []
-    for i in range(len(setup.components)):
-        c = setup.component_char(i)
-        if c is None:
-            return None
-        parts.append(c)
-    return char0.gcd(cyclo_product(parts))
+    return setup.char0.gcd(setup.component_product)
 
 
 def rank_bound(setup: SingularSetup) -> int:
@@ -265,8 +256,8 @@ def rank_bound(setup: SingularSetup) -> int:
     candidates = [setup.mu0,
                   lambda1_from_components(setup),
                   sum(c.mu for c in setup.components)]
-    ranks = [setup.component_fixed_rank(i) for i in range(len(setup.components))]
-    if setup.components and all(r is not None for r in ranks):
+    ranks = setup.component_ranks
+    if ranks and None not in ranks:
         candidates.append(sum(ranks))
     return min(candidates)
 
@@ -357,14 +348,13 @@ def acampo_validate(setup: SingularSetup) -> list[Finding]:
     """Trace check: every monodromy characteristic polynomial has trace (-1)^n."""
     expected = (-1) ** setup.n
     violations: list[Finding] = []
-    char0 = setup.char_h0_effective()
+    char0 = setup.char0
     if char0 is not None and char0.trace() != expected:
         violations.append(Finding(
             VERDICT_ACAMPO,
             f"charH0 = {char0} has trace {char0.trace()}, expected {expected}",
             {"which": "charH0", "trace": char0.trace(), "expected": expected}))
-    for i in range(len(setup.components)):
-        c = setup.component_char(i)
+    for i, c in enumerate(setup.component_chars):
         if c is not None and c.trace() != expected:
             violations.append(Finding(
                 VERDICT_ACAMPO,
@@ -504,9 +494,7 @@ def full_report(setup: SingularSetup, le: LeInvariants | None = None) -> Constra
         verdicts=tuple(verdicts),
         warnings=tuple(warnings),
     )
-    if divisor is not None:
-        char0 = setup.char_h0_effective()
-        parts = [setup.component_char(i) for i in range(len(setup.components))]
-        if not divisor.divides(char0) or not divisor.divides(cyclo_product(parts)):
-            raise InvariantViolationError("divisor bound fails to divide its inputs")
+    if divisor is not None and not (divisor.divides(setup.char0)
+                                    and divisor.divides(setup.component_product)):
+        raise InvariantViolationError("divisor bound fails to divide its inputs")
     return report

@@ -63,10 +63,8 @@ class SliceSetup:
             raise InputError("f must be nonzero")
         if self.f.constant_term():
             raise InputError("f must vanish at the origin")
-        point = (0,) * self.f.nvars
-        for i in range(self.f.nvars):
-            if self.f.partial(i).evaluate(point):
-                raise InputError("the origin must be a critical point of f")
+        if any(sum(mono) == 1 for mono in self.f.terms):
+            raise InputError("the origin must be a critical point of f")
 
     @property
     def n(self) -> int:
@@ -312,16 +310,11 @@ def analyze_poly(f: MultiPoly, z0: Sequence | None = None, seed: int = 0,
     an explicit ``z0`` no search happens; a failing form is reported, not
     retried.
     """
-    if z0 is not None:
-        setup, new_names = slice_with_form(f, z0, names)
-        inv, polar = _pipeline(setup, budget)
-        return AnalysisResult(inv, setup, polar, new_names)
-    last: AnalysisResult | None = None
-    for form in _candidate_forms(f.nvars, seed):
+    forms = [z0] if z0 is not None else _candidate_forms(f.nvars, seed)
+    for form in forms:
         setup, new_names = slice_with_form(f, form, names)
         inv, polar = _pipeline(setup, budget)
-        last = AnalysisResult(inv, setup, polar, new_names)
+        result = AnalysisResult(inv, setup, polar, new_names)
         if inv.genericity_ok:
-            return last
-    assert last is not None
-    return last
+            break
+    return result

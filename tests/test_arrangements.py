@@ -160,7 +160,7 @@ def test_to_setup_coordinate_planes():
     setup = to_setup(CentralArrangement3(COORDINATE_PLANES))
     assert setup.n == 2
     assert setup.mu0 == 4
-    assert setup.char_h0_effective() == homogeneous_char(2, 3)
+    assert setup.char0 == homogeneous_char(2, 3)
     assert len(setup.components) == 3
     assert all(c.k == 1 and c.mu == 1 and c.d == 2 for c in setup.components)
 

@@ -220,3 +220,54 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+CONSTRAINTS_JOB = json.dumps({"n": 2, "mu0": 4, "d0": 3, "components": []})
+
+
+@pytest.mark.parametrize("argv", [
+    ("constraints", "--seed", "1", "--input", CONSTRAINTS_JOB),
+    ("constraints", "--seed", "5", "--max-pairs", "1", "--input", CONSTRAINTS_JOB),
+    ("arrangement", "--max-pairs", "5", "--input", '{"normals": [[1, 0, 0], [0, 1, 0]]}'),
+    ("cyclo", "--input", "x", "phi", "6"),
+    ("cyclo", "--input", "missing.json", "--seed", "3", "phi", "6"),
+], ids=["constraints-seed", "constraints-budget", "arrangement-max-pairs",
+        "cyclo-input", "cyclo-input-seed"])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_parser_is_reused_without_leaking_options(capsys):
+    code, _, err = run(capsys, "analyze", "--max-monomials", "3", "--input", XYZ_JOB)
+    assert code == 3
+    assert "resource limit" in err
+    code, out, _ = run(capsys, "analyze", "--input", XYZ_JOB)
+    assert code == 0
+    assert "mu0 = 4" in out
+
+
+def test_arrangement_z0_entries_read_like_normals(capsys):
+    job = json.dumps({"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "z0": [0.1, 1, 1]})
+    code, out, _ = run(capsys, "arrangement", "--format", "json", "--input", job)
+    assert code == 0
+    ceilings = next(v for v in json.loads(out)["report"]["verdicts"]
+                    if v["tag"] == "EXPONENT_CEILINGS")
+    assert ceilings["data"]["slice_form"] == [1, 10, 10]
+
+
+@pytest.mark.parametrize("command,job", [
+    ("arrangement", {"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "z0": [True, 1, 1]}),
+    ("arrangement", {"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "z0": "111"}),
+    ("analyze", {"polynomial": "x*y*z", "variables": ["x", "y", "z"], "z0": [True, 1, 1]}),
+    ("analyze", {"polynomial": "x*y*z", "variables": ["x", "y", "z"], "z0": "111"}),
+    ("analyze", {"polynomial": "x*y*z", "variables": "zxy"}),
+], ids=["arrangement-bool-z0", "arrangement-string-z0", "analyze-bool-z0",
+        "analyze-string-z0", "analyze-string-variables"])
+def test_z0_and_variables_must_be_json_lists_of_values(capsys, command, job):
+    code, out, err = run(capsys, command, "--input", json.dumps(job))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")

@@ -302,3 +302,17 @@ def test_report_json_roundtrip():
 def test_finding_roundtrip():
     finding = Finding("TAG", "message", {"a": 1, "b": [1, 2]})
     assert Finding.from_dict(finding.to_dict()) == finding
+
+
+def test_setup_derived_data_stays_out_of_eq_repr_and_json():
+    comps = (ComponentData(k=1, mu=1, d=2), ComponentData(k=1, mu=2, tau=((0, 1), (1, 0))))
+    setup = SingularSetup(n=2, mu0=4, d0=3, components=comps)
+    assert setup.char0 == homogeneous_char(2, 3)
+    assert setup.component_chars == (homogeneous_char(2, 2), None)
+    assert setup.component_product is None
+    assert setup.component_ranks == (None, 1)
+    assert setup == SingularSetup.from_dict(setup.to_dict())
+    assert "char0" not in repr(setup) and "component_" not in repr(setup)
+    assert set(setup.to_dict()) == {"n", "mu0", "d0", "components"}
+    full = SingularSetup(n=2, mu0=4, d0=3, components=comps[:1] * 3)
+    assert full.component_product == CycloProduct({1: 3})
