@@ -33,7 +33,6 @@ from .errors import (
 from .polynomials import Monomial, MultiPoly, UniPoly, parse_poly
 from .localring import (
     Budget,
-    INFINITE,
     Ideal,
     LocalOrder,
     StandardBasis,
@@ -42,7 +41,6 @@ from .localring import (
     ideal_quotient,
     ideal_sum,
     ideals_equal,
-    is_finite,
     mora_divide,
     mora_reduce,
     saturate,

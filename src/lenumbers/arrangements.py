@@ -26,7 +26,7 @@ from .constraints import (
 )
 from .cyclo import divisors, homogeneous_char_exponents
 from .errors import InputError, InvariantViolationError
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, rational
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class CentralArrangement3:
     normals: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     def __post_init__(self):
-        normals = tuple(tuple(Fraction(v) for v in n) for n in self.normals)
+        normals = tuple(tuple(rational(v) for v in n) for n in self.normals)
         object.__setattr__(self, "normals", normals)
         if len(normals) < 2:
             raise InputError("an arrangement needs at least two planes")
@@ -144,7 +144,7 @@ def pick_slice_form(arr: CentralArrangement3) -> tuple[int, int, int]:
 
 
 def validate_slice_form(arr: CentralArrangement3, form: Sequence) -> tuple[int, int, int]:
-    coeffs = tuple(Fraction(c) for c in form)
+    coeffs = tuple(rational(c) for c in form)
     if len(coeffs) != 3 or not any(coeffs):
         raise InputError("slice form must be a nonzero triple")
     for p in multiple_points(arr):

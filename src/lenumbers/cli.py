@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .arrangements import CentralArrangement3, arrangement_report
 from .constraints import SingularSetup, _integer, full_report
@@ -88,21 +87,12 @@ def _budget(args) -> Budget:
     return Budget(max_pairs=args.max_pairs, max_monomials=args.max_monomials)
 
 
-def _frac(value) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"cannot read {value!r} as a rational number")
-
-
-def _z0(job: dict) -> list[Fraction] | None:
-    """The optional slice form ``z0``: a JSON list of rational entries."""
+def _z0(job: dict) -> list | None:
+    """The optional slice form ``z0``: a JSON list, its entries read by the library."""
     z0 = job.get("z0")
-    if z0 is None:
-        return None
-    if not isinstance(z0, list):
+    if z0 is not None and not isinstance(z0, list):
         raise InputError(f"'z0' must be a list of coefficients, not {z0!r}")
-    return [_frac(c) for c in z0]
+    return z0
 
 
 def _emit(payload: dict, text: str, fmt: str) -> None:
@@ -166,8 +156,7 @@ def _cmd_arrangement(args) -> int:
     job = _load_job(args)
     if "normals" not in job:
         raise InputError("arrangement input is missing the key 'normals'")
-    normals = tuple(tuple(_frac(v) for v in n) for n in job["normals"])
-    arr = CentralArrangement3(normals)
+    arr = CentralArrangement3(job["normals"])
     report = arrangement_report(arr, z0=_z0(job))
     payload = {"command": "arrangement",
                "normals": [[str(v) for v in n] for n in arr.normals],

@@ -19,17 +19,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import GenericityError, InputError, InvariantViolationError, ResourceLimitError
-from .localring import (
-    Budget,
-    INFINITE,
-    Ideal,
-    colength,
-    ideal,
-    ideal_sum,
-    is_finite,
-    saturate,
-)
-from .polynomials import MultiPoly
+from .localring import Budget, Ideal, colength, ideal, ideal_sum, saturate
+from .polynomials import MultiPoly, rational
 
 LENGTH_IDENTIFICATION_WARNING = (
     "intersection numbers are computed as colengths; this identifies length "
@@ -83,15 +74,19 @@ class SliceSetup:
         return ideal([MultiPoly.variable(0, self.f.nvars)], self.f.nvars)
 
 
-def mu0(setup: SliceSetup, budget: Budget | None = None):
-    """Milnor number of the sliced function at the origin, or INFINITE.
+def mu0(setup: SliceSetup, budget: Budget | None = None) -> int:
+    """Milnor number of the sliced function at the origin.
 
-    INFINITE means the slice hyperplane does not cut the critical locus down
-    to the origin, i.e. the slice form is not generic.
+    Raises ``GenericityError`` when it is infinite: the slice hyperplane then
+    does not cut the critical locus down to the origin, i.e. the slice form is
+    not generic.
     """
     f0 = setup.sliced()
-    jac = ideal([f0.partial(i) for i in range(f0.nvars)], f0.nvars)
-    return colength(jac, budget)
+    value = colength(ideal([f0.partial(i) for i in range(f0.nvars)], f0.nvars), budget)
+    if value is None:
+        raise GenericityError(
+            "mu0 is infinite: the sliced function has a non-isolated singularity")
+    return value
 
 
 def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> Ideal:
@@ -103,13 +98,10 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> Ideal:
     return saturate(setup.jacobian_rest(), setup.f, budget)
 
 
-def lambda0(setup: SliceSetup, polar: Ideal | None = None,
-            budget: Budget | None = None) -> int:
+def lambda0(setup: SliceSetup, polar: Ideal, budget: Budget | None = None) -> int:
     """The 0-dimensional Le number: polar curve against the slice-direction partial."""
-    polar = polar_ideal(setup, budget) if polar is None else polar
-    top = ideal_sum(polar, ideal([setup.f.partial(0)], setup.f.nvars))
-    value = colength(top, budget)
-    if not is_finite(value):
+    value = colength(ideal_sum(polar, ideal([setup.f.partial(0)], setup.f.nvars)), budget)
+    if value is None:
         raise GenericityError("lambda0 is infinite: the slice form is not generic")
     return value
 
@@ -119,43 +111,37 @@ def omega_law_holds(omega_value: int, lambda0_value: int) -> bool:
     return omega_value > lambda0_value or omega_value == lambda0_value == 0
 
 
-def omega(setup: SliceSetup, polar: Ideal | None = None,
-          budget: Budget | None = None, lambda0_value: int | None = None) -> int:
+def omega(setup: SliceSetup, polar: Ideal, lambda0_value: int,
+          budget: Budget | None = None) -> int:
     """The polar intersection number with V(f) itself.
 
     Validates omega >= lambda0 with equality only when both vanish; a
     violation indicates a bug rather than bad input.
     """
-    polar = polar_ideal(setup, budget) if polar is None else polar
     value = colength(ideal_sum(polar, ideal([setup.f], setup.f.nvars)), budget)
-    if not is_finite(value):
+    if value is None:
         raise GenericityError("omega is infinite: the slice form is not generic")
-    l0 = lambda0(setup, polar, budget) if lambda0_value is None else lambda0_value
-    if not omega_law_holds(value, l0):
+    if not omega_law_holds(value, lambda0_value):
         raise InvariantViolationError(
-            f"omega={value}, lambda0={l0}: the inequality omega >= lambda0 "
+            f"omega={value}, lambda0={lambda0_value}: the inequality omega >= lambda0 "
             "with equality only at zero failed")
     return value
 
 
-def lambda1(setup: SliceSetup, polar: Ideal | None = None,
-            budget: Budget | None = None, mu0_value: int | None = None) -> int:
+def lambda1(setup: SliceSetup, polar: Ideal, mu0_value: int,
+            budget: Budget | None = None) -> int:
     """The 1-dimensional Le number, as a colength difference.
 
     Both the full non-slice Jacobian scheme and the polar curve are cut by
     the slice hyperplane; their colength difference counts the transverse
     Milnor numbers along the critical locus, weighted by slice intersection.
     The first colength is mu0, since (d_1 f, ..., d_n f, z0) is
-    (z0) + Jac(f|V(z0)); the pipeline passes in the mu0 it already has.
+    (z0) + Jac(f|V(z0)), so the caller passes in the mu0 it already has.
     """
-    polar = polar_ideal(setup, budget) if polar is None else polar
-    total = mu0(setup, budget) if mu0_value is None else mu0_value
-    if not is_finite(total):
-        raise GenericityError("lambda1 is infinite: the slice form is not generic")
     polar_part = colength(ideal_sum(polar, setup.slice_ideal()), budget)
-    if not is_finite(polar_part):
+    if polar_part is None:
         raise GenericityError("polar curve meets the slice in positive dimension")
-    return total - polar_part
+    return mu0_value - polar_part
 
 
 @dataclass(frozen=True)
@@ -191,7 +177,7 @@ class LeInvariants:
             omega=data.get("omega"),
             genericity_ok=bool(data["genericity_ok"]),
             warnings=tuple(data.get("warnings", ())),
-            z0=None if z0 is None else tuple(Fraction(c) for c in z0),
+            z0=None if z0 is None else tuple(rational(c) for c in z0),
         )
 
     def render_text(self) -> str:
@@ -227,20 +213,18 @@ def _stage(name: str):
 def _pipeline(setup: SliceSetup, budget: Budget | None):
     warnings = [LENGTH_IDENTIFICATION_WARNING, GENERICITY_SCOPE_WARNING]
     z0 = setup.z0_coefficients
-    with _stage("mu0"):
-        m = mu0(setup, budget)
-    if not is_finite(m):
-        warnings.append("mu0 is infinite: the sliced function has a non-isolated singularity")
-        return LeInvariants(None, None, None, None, False, tuple(warnings), z0), None
-    with _stage("polar"):
-        polar = polar_ideal(setup, budget)
+    m = polar = None
     try:
+        with _stage("mu0"):
+            m = mu0(setup, budget)
+        with _stage("polar"):
+            polar = polar_ideal(setup, budget)
         with _stage("lambda0"):
             l0 = lambda0(setup, polar, budget)
         with _stage("omega"):
-            om = omega(setup, polar, budget, lambda0_value=l0)
+            om = omega(setup, polar, l0, budget)
         with _stage("lambda1"):
-            l1 = lambda1(setup, polar, budget, mu0_value=m)
+            l1 = lambda1(setup, polar, m, budget)
     except GenericityError as exc:
         warnings.append(str(exc))
         return LeInvariants(m, None, None, None, False, tuple(warnings), z0), polar
@@ -265,7 +249,7 @@ def slice_with_form(f: MultiPoly, coefficients: Sequence,
     called ``w`` unless the form already is the first coordinate).
     """
     n = f.nvars
-    coeffs = tuple(Fraction(c) for c in coefficients)
+    coeffs = tuple(rational(c) for c in coefficients)
     if len(coeffs) != n:
         raise InputError("slice form needs one coefficient per variable")
     if not any(coeffs):

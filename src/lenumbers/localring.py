@@ -5,7 +5,8 @@ polynomial is a unit exactly when its constant term is nonzero.  Monomial
 orders are anti-graded (1 is the largest monomial), division is Mora's weak
 normal form with ecart bookkeeping, and standard bases are computed by
 S-polynomial completion.  Colengths of zero-dimensional ideals realize
-intersection multiplicities and Milnor numbers.
+intersection multiplicities and Milnor numbers; ``colength`` returns None for
+an ideal that is not zero-dimensional, whose colength is infinite.
 
 Standard-basis completion, ideal membership and Mora division run
 fraction-free on one kernel: the polynomials are dicts of integer
@@ -24,8 +25,10 @@ changing the ideal.  This bounds the polynomials and their coefficients.
 Completion skips the S-pairs that Buchberger's chain criterion makes
 redundant; the criterion holds for local and mixed orders too.
 
-Blowups are caught by hard resource budgets: exceeding a budget raises
-``ResourceLimitError``; a wrong answer is never returned instead.
+Blowups are caught by hard resource budgets: every completion and reduction
+is charged to a ``Budget`` (a default one when the caller passes none), and
+exceeding it raises ``ResourceLimitError``; a wrong answer is never returned
+instead.
 """
 
 from __future__ import annotations
@@ -46,27 +49,6 @@ from .polynomials import (
     mono_lcm,
     mono_mul,
 )
-
-
-class Infinite:
-    """Singleton marker for an infinite colength."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-
-INFINITE = Infinite()
-
-
-def is_finite(value) -> bool:
-    return value is not INFINITE
 
 
 @dataclass
@@ -214,7 +196,7 @@ def _reducer(g: dict[Monomial, int], keys: _OrderKeys) -> tuple:
 
 
 def _reduce(h: dict[Monomial, int], reducers: list[tuple], keys: _OrderKeys,
-            budget: Budget | None, cap: int | None,
+            budget: Budget, cap: int | None,
             witness: list[dict[Monomial, int]] | None = None) -> dict[Monomial, int]:
     """Mora weak normal form of h, up to a nonzero integer factor.
 
@@ -254,8 +236,7 @@ def _reduce(h: dict[Monomial, int], reducers: list[tuple], keys: _OrderKeys,
                      for p, pr in zip([h, *witness], [red[3], *red[4]])]
             content = gcd(*(c for p in polys for c in p.values()))
             h, *witness[:] = ({m: c // content for m, c in p.items()} for p in polys)
-        if budget is not None:
-            budget.tick_monomials(max(1, len(h)))
+        budget.tick_monomials(max(1, len(h)))
     return h
 
 
@@ -293,6 +274,7 @@ def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
     gens = list(gens)
     if any(g.nvars != f.nvars for g in gens):
         raise InputError("generators must share the variable count")
+    budget = budget if budget is not None else Budget()
     n, one = f.nvars, (0,) * f.nvars
     keys = _OrderKeys(order or LocalOrder())
     reducers = [(*_reducer(_int_terms(g), keys),
@@ -334,7 +316,11 @@ class Ideal:
 
 
 def ideal(gens: Iterable[MultiPoly], nvars: int | None = None) -> Ideal:
-    """Normalize generators: drop zeros, scale to primitive form, deduplicate."""
+    """Normalize generators: drop zeros, scale to primitive form, deduplicate.
+
+    The primitive form has coprime integer coefficients and a positive
+    grlex-leading one, as the standard-basis kernel makes its elements.
+    """
     cleaned: list[MultiPoly] = []
     seen = set()
     for g in gens:
@@ -342,7 +328,7 @@ def ideal(gens: Iterable[MultiPoly], nvars: int | None = None) -> Ideal:
             nvars = g.nvars
         if g.is_zero:
             continue
-        g = g.primitive()
+        g = _fraction_poly(_primitive(_int_terms(g)), g.nvars)
         if g not in seen:
             seen.add(g)
             cleaned.append(g)
@@ -381,6 +367,7 @@ class StandardBasis:
         With a cap K, f lies in the ideal iff its part of degree < K does, so
         the reduction drops every term of degree >= K.
         """
+        budget = budget if budget is not None else Budget()
         keys = _OrderKeys(self.order)
         reducers = [_reducer(_int_terms(g), keys) for g in self.basis]
         return not _reduce(_int_terms(f, self.cap), reducers, keys, budget, self.cap)
@@ -519,12 +506,12 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     return StandardBasis(tuple(basis), order, _minimal_monomials(lms), I.nvars, cap)
 
 
-def colength(I: Ideal | StandardBasis, budget: Budget | None = None):
-    """Dimension over Q of the local ring modulo the ideal, or INFINITE.
+def colength(I: Ideal | StandardBasis, budget: Budget | None = None) -> int | None:
+    """Dimension over Q of the local ring modulo the ideal, or None if infinite.
 
     Counts the standard monomials (those outside the leading ideal).  The
     count is finite iff the staircase contains a pure power of every
-    variable; otherwise some axis direction escapes and INFINITE is returned.
+    variable; otherwise some axis direction escapes and None is returned.
     For a finite count the standard basis was computed with the highest-corner
     cap K of ``standard_basis``: m^K ⊆ I by Nakayama, so dropping terms of
     degree >= K along the way changes neither the ideal nor its staircase.
@@ -532,7 +519,7 @@ def colength(I: Ideal | StandardBasis, budget: Budget | None = None):
     budget = budget if budget is not None else Budget()
     sb = I if isinstance(I, StandardBasis) else standard_basis(I, budget=budget)
     standard = _standard_monomials(sb.staircase, sb.nvars, budget)
-    return INFINITE if standard is None else sum(1 for _ in standard)
+    return None if standard is None else sum(1 for _ in standard)
 
 
 def _unit_collapse(gens: list[MultiPoly], nvars: int) -> Ideal:
@@ -605,6 +592,7 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
 
 def ideals_equal(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
     """Equality as ideals of the local ring, by mutual membership."""
+    budget = budget if budget is not None else Budget()
     sa = standard_basis(a, budget=budget)
     sb = standard_basis(b, budget=budget)
     return (all(sa.contains(g, budget) for g in b.generators)

@@ -13,13 +13,28 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, PolyParseError
 
 Monomial = tuple[int, ...]
+
+
+def rational(value) -> Fraction:
+    """An exact rational read from an int, a ``Fraction``, a string or a float.
+
+    A float is read through its repr, so 0.1 is 1/10, as the CLI reads a JSON
+    number.  A bool, or any other type, is an ``InputError``.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str, float)) and not isinstance(value, bool):
+        try:
+            return Fraction(repr(value) if isinstance(value, float) else value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"cannot read {value!r} as a rational number")
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -52,7 +67,8 @@ class MultiPoly:
     """Immutable multivariate polynomial with exact rational coefficients.
 
     Terms map exponent tuples (one entry per variable) to nonzero Fractions;
-    the zero polynomial has an empty term map.  Arithmetic returns new
+    the zero polynomial has an empty term map.  Coefficients, constants and
+    scalars from outside are read by ``rational``.  Arithmetic returns new
     objects; instances are safe to share between threads.
     """
 
@@ -67,7 +83,7 @@ class MultiPoly:
             mono = tuple(int(e) for e in mono)
             if len(mono) != nvars or any(e < 0 for e in mono):
                 raise InputError(f"bad exponent vector {mono!r} for {nvars} variable(s)")
-            c = clean.get(mono, Fraction(0)) + Fraction(coeff)
+            c = clean.get(mono, Fraction(0)) + rational(coeff)
             if c:
                 clean[mono] = c
             else:
@@ -89,7 +105,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value, nvars: int) -> "MultiPoly":
-        c = Fraction(value)
+        c = rational(value)
         return cls._raw({(0,) * nvars: c} if c else {}, nvars)
 
     @classmethod
@@ -162,7 +178,7 @@ class MultiPoly:
                     else:
                         out.pop(m, None)
             return MultiPoly._raw(out, self.nvars)
-        c = Fraction(other)
+        c = rational(other)
         if not c:
             return MultiPoly.zero(self.nvars)
         return MultiPoly._raw({m: co * c for m, co in self._terms.items()}, self.nvars)
@@ -218,7 +234,7 @@ class MultiPoly:
         return MultiPoly._raw(out, self.nvars + 1)
 
     def evaluate(self, values: Sequence) -> Fraction:
-        vals = [Fraction(v) for v in values]
+        vals = [rational(v) for v in values]
         if len(vals) != self.nvars:
             raise InputError("wrong number of values")
         total = Fraction(0)
@@ -237,7 +253,7 @@ class MultiPoly:
         matrix must be square of size nvars and invertible.
         """
         n = self.nvars
-        rows = [[Fraction(v) for v in row] for row in matrix]
+        rows = [[rational(v) for v in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("matrix size must match the variable count")
         if not _det(rows):
@@ -257,22 +273,6 @@ class MultiPoly:
                 term = term * cache[e]
             result = result + term
         return result
-
-    def primitive(self) -> "MultiPoly":
-        """Scale to coprime integer coefficients, leading (grlex) one positive."""
-        if not self._terms:
-            return self
-        denom = 1
-        for c in self._terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        numer = 0
-        for c in self._terms.values():
-            numer = gcd(numer, (c * denom).numerator)
-        scale = Fraction(denom, numer)
-        lead = max(self._terms, key=_grlex_key)
-        if self._terms[lead] < 0:
-            scale = -scale
-        return MultiPoly._raw({m: c * scale for m, c in self._terms.items()}, self.nvars)
 
     def to_string(self, names: Sequence[str] | None = None) -> str:
         """Render in graded-lex descending order; output re-parses exactly."""

@@ -45,6 +45,16 @@ def test_arrangement_validation():
         CentralArrangement3((E1, E2, (Fraction(-1, 2), 0, 0)))
 
 
+def test_arrangement_reads_floats_by_repr_and_rejects_bools():
+    arr = CentralArrangement3(((0.1, 1, 0), E2, E3))
+    assert arr.normals[0] == (Fraction(1, 10), 1, 0)
+    with pytest.raises(InputError, match="rational"):
+        CentralArrangement3(((True, 1, 0), E2, E3))
+    with pytest.raises(InputError, match="rational"):
+        validate_slice_form(CentralArrangement3(COORDINATE_PLANES), [True, 1, 1])
+    assert validate_slice_form(CentralArrangement3(COORDINATE_PLANES), [0.5, 1, 1]) == (1, 2, 2)
+
+
 def test_multiple_points_coordinate_planes():
     points = multiple_points(CentralArrangement3(COORDINATE_PLANES))
     assert [(p.line, p.multiplicity) for p in points] == [

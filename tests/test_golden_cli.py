@@ -1,8 +1,11 @@
 """Recorded ``--format json`` outputs of CLI jobs, compared byte for byte.
 
 The jobs cover paths the other CLI tests do not pin down: an arrangement with
-triple and quadruple lines and an explicit rational ``z0``, and a constraints
-job whose components carry ``d``, ``charH``, ``tau`` and ``fixedRank``.
+triple and quadruple lines and an explicit rational ``z0``, a constraints job
+whose components carry ``d``, ``charH``, ``tau`` and ``fixedRank``, and two
+``analyze`` jobs that end in a genericity failure (exit code 2): one with an
+explicit ``z0`` on which mu0 is infinite, and one where every searched slice
+form is rejected and the last is reported.
 
 Running this module as a script rewrites the recorded outputs under
 ``tests/data/``; do that only when an output change is intended.
@@ -22,21 +25,22 @@ DATA = Path(__file__).resolve().parent / "data"
 
 THREE_LINES = [{"k": 1, "mu": 1, "d": 2}] * 3
 
+# name -> (command, job, expected exit code)
 JOBS = {
     "readme_analyze": ("analyze", {
         "polynomial": "x*y*z",
         "variables": ["x", "y", "z"],
         "d0": 3,
         "components": THREE_LINES,
-    }),
+    }, 0),
     "readme_constraints": ("constraints", {
         "n": 2, "mu0": 4, "d0": 3, "components": THREE_LINES,
-    }),
+    }, 0),
     "arrangement_12_planes_z0": ("arrangement", {
         "normals": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 2],
                     [1, 2, 3], [2, -1, 1], [3, 1, -2], [1, -3, 2], [2, 3, 5], [-1, 4, 1]],
         "z0": ["1/2", 7, 31],
-    }),
+    }, 0),
     "constraints_all_component_fields": ("constraints", {
         "n": 2, "mu0": 16, "d0": 5,
         "components": [
@@ -48,16 +52,25 @@ JOBS = {
              "charH": "Phi_1^2 * Phi_2"},
         ],
         "lambda0": 3, "omega": 5,
-    }),
+    }, 0),
+    "analyze_mu0_infinite_z0": ("analyze", {
+        "polynomial": "x^2 - y^2*z",
+        "variables": ["x", "y", "z"],
+        "z0": [-1, -1, 0],
+    }, 2),
+    "analyze_no_generic_form": ("analyze", {
+        "polynomial": "x^2",
+        "variables": ["x", "y", "z"],
+    }, 2),
 }
 
 
 def run_job(name: str) -> bytes:
-    command, job = JOBS[name]
+    command, job, expected_code = JOBS[name]
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main([command, "--format", "json", "--input", json.dumps(job)])
-    assert code == 0
+    assert code == expected_code
     return buf.getvalue().encode()
 
 

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from lenumbers import (
+    GenericityError,
     InputError,
-    INFINITE,
     SliceSetup,
     analyze_poly,
     compute_all,
@@ -38,7 +40,8 @@ def test_mu0_examples():
     assert mu0(setup_from("z^2 + x^2 + y^2")) == 1
     assert mu0(setup_from("x^2 + y^2")) == 1
     # non-generic slice: the sliced function has a line of critical points
-    assert mu0(setup_from("x^2")) is INFINITE
+    with pytest.raises(GenericityError, match="mu0 is infinite"):
+        mu0(setup_from("x^2"))
 
 
 def test_polar_ideal_examples():
@@ -54,14 +57,16 @@ def test_polar_ideal_examples():
 
 def test_lambda0_omega_lambda1_on_a1_singularities():
     smooth_cylinder = setup_from("x^2 + y^2")
-    assert lambda0(smooth_cylinder) == 0
-    assert omega(smooth_cylinder) == 0
-    assert lambda1(smooth_cylinder) == 1
+    polar = polar_ideal(smooth_cylinder)
+    assert lambda0(smooth_cylinder, polar) == 0
+    assert omega(smooth_cylinder, polar, lambda0(smooth_cylinder, polar)) == 0
+    assert lambda1(smooth_cylinder, polar, mu0(smooth_cylinder)) == 1
 
     cone = setup_from("z^2 + x^2 + y^2")
-    assert lambda0(cone) == 1
-    assert omega(cone) == 2
-    assert lambda1(cone) == 0
+    polar = polar_ideal(cone)
+    assert lambda0(cone, polar) == 1
+    assert omega(cone, polar, lambda0(cone, polar)) == 2
+    assert lambda1(cone, polar, mu0(cone)) == 0
 
 
 def test_compute_all_worked_examples():
@@ -93,6 +98,15 @@ def test_slice_with_form_rejects_bad_forms():
         slice_with_form(f, [0, 0, 0])
     with pytest.raises(InputError):
         slice_with_form(f, [1, 1])
+
+
+def test_slice_form_reads_floats_by_repr_and_rejects_bools():
+    f = parse_poly("x*y*z", ["x", "y", "z"])
+    inv = analyze_poly(f, z0=[0.1, 1, 1]).invariants
+    assert inv.z0 == (Fraction(1, 10), 1, 1)
+    assert inv.genericity_ok
+    with pytest.raises(InputError, match="rational"):
+        slice_with_form(f, [True, 1, 1])
 
 
 def test_triple_planes_full_pipeline():
@@ -162,7 +176,7 @@ def test_omega_dominates_lambda0_across_corpus():
 def test_polar_curve_chain_rule_identity():
     # along each polar branch, ord(f) = ord(df/dz0) + ord(z0), so
     # omega = lambda0 + (polar . V(z0)) whenever everything is finite
-    from lenumbers import colength, ideal_sum, INFINITE
+    from lenumbers import colength, ideal_sum
 
     corpus = [
         ("x^2 + y^2", ["z", "x", "y"], [1, 0, 0]),
@@ -177,7 +191,7 @@ def test_polar_curve_chain_rule_identity():
         assert inv.genericity_ok
         slice_meets_polar = colength(
             ideal_sum(result.polar, result.setup.slice_ideal()))
-        assert slice_meets_polar is not INFINITE
+        assert slice_meets_polar is not None
         assert inv.omega == inv.lambda0 + slice_meets_polar
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from lenumbers import (
     Budget,
-    INFINITE,
     InputError,
     LocalOrder,
     MultiPoly,
@@ -16,7 +15,6 @@ from lenumbers import (
     ideal_quotient,
     ideal_sum,
     ideals_equal,
-    is_finite,
     mora_divide,
     mora_reduce,
     parse_poly,
@@ -181,9 +179,9 @@ def test_standard_basis_monomial_jacobian():
 def test_colength_examples():
     assert colength(ideal([parse_poly(v, XYZ) for v in "xyz"])) == 1
     assert colength(ideal([P("x^2"), P("y^2")])) == 4
-    assert colength(ideal([P("x^2"), P("x*y")])) is INFINITE
+    assert colength(ideal([P("x^2"), P("x*y")])) is None
     assert colength(unit_ideal(2)) == 0
-    assert colength(ideal([], 2)) is INFINITE
+    assert colength(ideal([], 2)) is None
 
 
 def test_colength_local_vs_global():
@@ -224,7 +222,7 @@ def test_colength_matches_oracle_on_random_monomial_ideals():
         oracle = staircase_count_oracle(
             standard_basis(ideal(gens, nvars)).staircase, nvars)
         if oracle is None:
-            assert value is INFINITE
+            assert value is None
         else:
             assert value == oracle
 
@@ -320,7 +318,7 @@ def test_highest_corner_cap_edge_cases():
     assert unit.contains(P("x + 3"))
     line = standard_basis(ideal([P("x^2"), P("x*y")]))
     assert line.cap is None
-    assert colength(line) is INFINITE
+    assert colength(line) is None
     assert not line.contains(P("y^7"))
 
 
@@ -442,7 +440,35 @@ def test_budget_is_cumulative():
     budget = Budget(max_pairs=10)
     standard_basis(ideal([P("x"), P("y")]), budget=budget)
     assert budget.pairs_used >= 1
-    assert is_finite(colength(ideal([P("x"), P("y")]), budget))
+    assert colength(ideal([P("x"), P("y")]), budget) is not None
+
+
+@pytest.fixture
+def monomial_charges(monkeypatch):
+    """The counts charged to any Budget's monomial counter while the test runs."""
+    charges = []
+    tick = Budget.tick_monomials
+    monkeypatch.setattr(Budget, "tick_monomials",
+                        lambda self, count: charges.append(count) or tick(self, count))
+    return charges
+
+
+def test_mora_reduce_without_a_budget_is_charged(monomial_charges):
+    assert mora_reduce(P("x^2 + x*y"), [P("x")]).is_zero
+    assert monomial_charges
+
+
+def test_membership_without_a_budget_is_charged(monomial_charges):
+    sb = standard_basis(ideal([P("x")]))
+    assert not monomial_charges  # a single generator needs no reduction
+    assert sb.contains(P("x*y"))
+    assert monomial_charges
+
+
+def test_ideal_scales_generators_to_primitive_integer_form():
+    g = MultiPoly({(1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 3)}, 2)
+    assert ideal([g]).generators == (P("3*x - 2*y"),)
+    assert ideal([P("2*x^2 + 4*y"), P("-x^2 - 2*y")]).generators == (P("x^2 + 2*y"),)
 
 
 def test_budget_error_reports_counters():

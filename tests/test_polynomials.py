@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lenumbers import InputError, MultiPoly, PolyParseError, UniPoly, parse_poly
+from lenumbers.polynomials import rational
 from unipoly_oracle import primitive_positive, unipoly_gcd
 
 XY = ["x", "y"]
@@ -137,6 +138,51 @@ def test_linear_change_shear_example():
 def test_linear_change_rejects_singular_matrix():
     with pytest.raises(InputError, match="singular"):
         P("x", XY).linear_change([[1, 1], [1, 1]])
+
+
+# ---------------------------------------------------------------------------
+# reading numbers
+# ---------------------------------------------------------------------------
+
+
+def test_rational_reads_ints_fractions_strings_and_floats_by_repr():
+    half = Fraction(1, 2)
+    assert rational(half) is half
+    assert rational(-3) == -3 and type(rational(-3)) is Fraction
+    assert rational("7/21") == Fraction(1, 3)
+    assert rational(" 2.5 ") == Fraction(5, 2)
+    assert rational(0.1) == Fraction(1, 10)
+    assert rational(1e-20) == Fraction(1, 10**20)
+
+
+@pytest.mark.parametrize("value", [True, False, None, [1], "1/0", "x", float("inf"),
+                                   float("nan"), 1j])
+def test_rational_rejects_bools_and_non_numbers(value):
+    with pytest.raises(InputError, match="as a rational number"):
+        rational(value)
+
+
+def test_polynomial_entry_points_read_floats_by_repr():
+    x = MultiPoly.variable(0, 2)
+    assert MultiPoly({(1, 0): 0.1}, 2) == Fraction(1, 10) * x
+    assert MultiPoly.constant(0.1, 2).constant_term() == Fraction(1, 10)
+    assert (x * 0.1).terms == {(1, 0): Fraction(1, 10)}
+    assert (0.1 * x).terms == {(1, 0): Fraction(1, 10)}
+    assert P("x*y", XY).evaluate([0.1, 0.2]) == Fraction(1, 50)
+    assert P("x", XY).linear_change([[0.1, 0], [0, 1]]) == Fraction(1, 10) * x
+
+
+def test_polynomial_entry_points_reject_bools():
+    with pytest.raises(InputError):
+        MultiPoly({(1, 0): True}, 2)
+    with pytest.raises(InputError):
+        MultiPoly.constant(True, 2)
+    with pytest.raises(InputError):
+        MultiPoly.variable(0, 2) * True
+    with pytest.raises(InputError):
+        P("x", XY).evaluate([True, 1])
+    with pytest.raises(InputError):
+        P("x", XY).linear_change([[True, 0], [0, 1]])
 
 
 def test_linear_change_inverse_roundtrip():
