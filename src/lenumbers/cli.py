@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .arrangements import CentralArrangement3, arrangement_report
-from .constraints import SingularSetup, _integer, full_report
+from .constraints import SingularSetup, full_report
 from .cyclo import CycloProduct, cyclotomic, factor_unity, homogeneous_char
 from .errors import (
     GenericityError,
@@ -18,7 +19,7 @@ from .errors import (
 )
 from .invariants import analyze_poly
 from .localring import Budget
-from .polynomials import parse_poly
+from .polynomials import integer, parse_poly
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -115,7 +116,7 @@ def _cmd_analyze(args) -> int:
         raise InputError(f"'variables' must be a list of names, not {variables!r}")
     f = parse_poly(poly_text, variables)
     z0 = _z0(job)
-    seed = args.seed if args.seed is not None else _integer(job.get("seed", 0), "seed")
+    seed = args.seed if args.seed is not None else integer(job.get("seed", 0), "seed")
     result = analyze_poly(f, z0=z0, seed=seed, budget=_budget(args), names=variables)
     le = result.invariants
     payload = {
@@ -134,8 +135,11 @@ def _cmd_analyze(args) -> int:
         _emit(payload, "\n".join(lines), args.format)
         return EXIT_GENERICITY
     setup = SingularSetup.from_dict({**job, "n": result.setup.n, "mu0": le.mu0,
-                                     "lambda0": le.lambda0, "omega": le.omega})
-    report = full_report(setup, le=le)
+                                     "lambda0": le.lambda0, "omega": le.omega,
+                                     "lambda1": le.lambda1})
+    report = full_report(setup)
+    # the pipeline's warnings follow the report's own, without repeats
+    report = replace(report, warnings=tuple(dict.fromkeys(report.warnings + le.warnings)))
     payload["constraints"] = report.to_dict()
     lines.append(report.render_text())
     _emit(payload, "\n".join(lines), args.format)

@@ -20,7 +20,8 @@ from .intlinalg import (
     fixed_space_rank,
     mat_pow,
 )
-from .invariants import LeInvariants, omega_law_holds
+from .invariants import omega_law_holds
+from .polynomials import integer
 
 VERDICT_NON_SPLITTING = "NON_SPLITTING"
 VERDICT_NOT_APPLICABLE = "NOT_APPLICABLE"
@@ -67,21 +68,22 @@ class ComponentData:
     fixed_rank: int | None = None
 
     def __post_init__(self):
-        if self.k < 1:
+        if integer(self.k, "k") < 1:
             raise InputError("component slice intersection number k must be >= 1")
-        if self.mu < 1:
+        if integer(self.mu, "mu") < 1:
             raise InputError("transverse Milnor number mu must be >= 1")
-        if self.d is not None and self.d < 2:
+        if self.d is not None and integer(self.d, "d") < 2:
             raise InputError("local homogeneous degree d must be >= 2")
         if self.char_h is not None and self.char_h.degree() != self.mu:
             raise InputError(
                 f"charH has degree {self.char_h.degree()} but mu = {self.mu}")
         if self.tau is not None:
-            t = as_matrix(self.tau)
+            t = as_matrix([[integer(v, "tau") for v in row] for row in self.tau])
             if len(t) != self.mu or len(t[0]) != self.mu:
                 raise InputError("tau must be a square matrix of size mu")
             object.__setattr__(self, "tau", t)
-        if self.fixed_rank is not None and not 0 <= self.fixed_rank <= self.mu:
+        if self.fixed_rank is not None and not (
+                0 <= integer(self.fixed_rank, "fixedRank") <= self.mu):
             raise InputError("fixed_rank must lie between 0 and mu")
 
     def to_dict(self) -> dict:
@@ -100,26 +102,8 @@ class ComponentData:
     def from_dict(cls, d: dict) -> "ComponentData":
         if "k" not in d or "mu" not in d:
             raise InputError("every component needs both 'k' and 'mu'")
-        return cls(
-            k=_integer(d["k"], "k"),
-            mu=_integer(d["mu"], "mu"),
-            d=_optional_integer(d, "d"),
-            char_h=_char_in(d.get("charH")),
-            tau=(tuple(tuple(_integer(v, "tau") for v in row) for row in d["tau"])
-                 if d.get("tau") is not None else None),
-            fixed_rank=_optional_integer(d, "fixedRank"),
-        )
-
-
-def _integer(value, key: str) -> int:
-    """A JSON integer; a float, bool or string is an InputError naming the key."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{key!r} must be an integer, not {value!r}")
-    return value
-
-
-def _optional_integer(d: dict, key: str) -> int | None:
-    return None if d.get(key) is None else _integer(d[key], key)
+        return cls(k=d["k"], mu=d["mu"], d=d.get("d"), char_h=_char_in(d.get("charH")),
+                   tau=d.get("tau"), fixed_rank=d.get("fixedRank"))
 
 
 def _char_in(value) -> CycloProduct | None:
@@ -141,6 +125,7 @@ class SingularSetup:
     components: tuple[ComponentData, ...] = ()
     lambda0: int | None = None
     omega: int | None = None
+    lambda1: int | None = None
     # derived by validation: the effective characteristic polynomials, their
     # product over the components (None when one is unknown) and the ranks
     char0: CycloProduct | None = field(init=False, repr=False, compare=False)
@@ -150,37 +135,23 @@ class SingularSetup:
     component_ranks: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        if integer(self.n, "n") < 1:
             raise InputError("ambient dimension n must be >= 1")
-        if self.mu0 < 0:
+        if integer(self.mu0, "mu0") < 0:
             raise InputError("mu0 must be nonnegative")
-        object.__setattr__(self, "components", tuple(self.components))
-        char0 = self.char_h0
         if self.d0 is not None:
-            hc0 = homogeneous_char(self.n, self.d0)
-            if self.char_h0 is not None and self.char_h0 != hc0:
-                raise InputError("explicit charH0 disagrees with homogeneous degree d0")
-            if hc0.degree() != self.mu0:
-                raise InputError(
-                    f"mu0 = {self.mu0} but a homogeneous slice of degree {self.d0} "
-                    f"has Milnor number {hc0.degree()}")
-            char0 = hc0
-        elif self.char_h0 is not None and self.char_h0.degree() != self.mu0:
-            raise InputError(
-                f"charH0 has degree {self.char_h0.degree()} but mu0 = {self.mu0}")
+            integer(self.d0, "d0")
+        for key, value in (("lambda0", self.lambda0), ("omega", self.omega),
+                           ("lambda1", self.lambda1)):
+            if value is not None and integer(value, key) < 0:
+                raise InputError(f"{key} must be nonnegative")
+        object.__setattr__(self, "components", tuple(self.components))
+        char0 = _effective_char(self.n, self.d0, self.char_h0, self.mu0, where="", suffix="0")
         chars, ranks = [], []
         for i, comp in enumerate(self.components):
-            char, rank = comp.char_h, comp.fixed_rank
-            if comp.d is not None:
-                hc = homogeneous_char(self.n, comp.d)
-                if comp.char_h is not None and comp.char_h != hc:
-                    raise InputError(
-                        f"component {i}: explicit charH disagrees with degree d = {comp.d}")
-                if hc.degree() != comp.mu:
-                    raise InputError(
-                        f"component {i}: mu = {comp.mu} but degree {comp.d} forces "
-                        f"transverse Milnor number {hc.degree()}")
-                char = hc
+            chars.append(_effective_char(self.n, comp.d, comp.char_h, comp.mu,
+                                         where=f"component {i}: ", suffix=""))
+            rank = comp.fixed_rank
             if comp.tau is not None:
                 derived = cyclic_kernel_rank(comp.tau, comp.k)
                 if comp.fixed_rank is not None and comp.fixed_rank != derived:
@@ -188,13 +159,18 @@ class SingularSetup:
                         f"component {i}: fixedRank = {comp.fixed_rank} disagrees with "
                         f"the rank {derived} derived from tau")
                 rank = derived
-            chars.append(char)
             ranks.append(rank)
         if self.lambda0 is not None and self.omega is not None:
             if not omega_law_holds(self.omega, self.lambda0):
                 raise InputError(
                     "omega >= lambda0 with equality only at zero fails for the "
                     "supplied lambda0/omega")
+        if self.lambda1 is not None and self.components:
+            from_components = lambda1_from_components(self)
+            if self.lambda1 != from_components:
+                raise InputError(
+                    f"lambda1 = {self.lambda1} disagrees with the components' "
+                    f"sum of k*mu = {from_components}")
         object.__setattr__(self, "char0", char0)
         object.__setattr__(self, "component_chars", tuple(chars))
         object.__setattr__(self, "component_product",
@@ -212,29 +188,56 @@ class SingularSetup:
             out["lambda0"] = self.lambda0
         if self.omega is not None:
             out["omega"] = self.omega
+        if self.lambda1 is not None:
+            out["lambda1"] = self.lambda1
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "SingularSetup":
-        try:
-            n = _integer(d["n"], "n")
-            mu0 = _integer(d["mu0"], "mu0")
-        except KeyError as missing:
-            raise InputError(f"setup is missing the required key {missing}")
+        for key in ("n", "mu0"):
+            if key not in d:
+                raise InputError(f"setup is missing the required key {key!r}")
         return cls(
-            n=n,
-            mu0=mu0,
+            n=d["n"],
+            mu0=d["mu0"],
             char_h0=_char_in(d.get("charH0")),
-            d0=_optional_integer(d, "d0"),
+            d0=d.get("d0"),
             components=tuple(ComponentData.from_dict(c) for c in d.get("components", [])),
-            lambda0=_optional_integer(d, "lambda0"),
-            omega=_optional_integer(d, "omega"),
+            lambda0=d.get("lambda0"),
+            omega=d.get("omega"),
+            lambda1=d.get("lambda1"),
         )
+
+
+def _effective_char(n: int, d: int | None, char_h: CycloProduct | None, mu: int,
+                    where: str, suffix: str) -> CycloProduct | None:
+    """The characteristic polynomial that d or charH fixes, checked against mu.
+
+    Used for the slice (key suffix "0") and for each component (messages
+    prefixed by ``where``); None when neither d nor charH is given.
+    """
+    if d is None:
+        if char_h is not None and char_h.degree() != mu:
+            raise InputError(
+                f"{where}charH{suffix} has degree {char_h.degree()} but mu{suffix} = {mu}")
+        return char_h
+    hc = homogeneous_char(n, d)
+    if char_h is not None and char_h != hc:
+        raise InputError(f"{where}explicit charH{suffix} disagrees with degree d{suffix} = {d}")
+    if hc.degree() != mu:
+        raise InputError(f"{where}mu{suffix} = {mu} but degree d{suffix} = {d} forces "
+                         f"Milnor number {hc.degree()}")
+    return hc
 
 
 def lambda1_from_components(setup: SingularSetup) -> int:
     """lambda1 as the slice-weighted sum of transverse Milnor numbers."""
     return sum(c.k * c.mu for c in setup.components)
+
+
+def _lambda1(setup: SingularSetup) -> int | None:
+    """lambda1 from the components when there are any, else the supplied one."""
+    return lambda1_from_components(setup) if setup.components else setup.lambda1
 
 
 def divisibility_bound(setup: SingularSetup) -> CycloProduct | None:
@@ -249,13 +252,16 @@ def divisibility_bound(setup: SingularSetup) -> CycloProduct | None:
 
 
 def rank_bound(setup: SingularSetup) -> int:
-    """Best available upper bound for the rank of the middle cohomology."""
-    candidates = [setup.mu0,
-                  lambda1_from_components(setup),
-                  sum(c.mu for c in setup.components)]
-    ranks = setup.component_ranks
-    if ranks and None not in ranks:
-        candidates.append(sum(ranks))
+    """Best available upper bound for the rank of the middle cohomology.
+
+    The minimum of mu0, lambda1 (0 when unknown), and, given components, the
+    sum of their transverse Milnor numbers and of their ranks when all are known.
+    """
+    candidates = [setup.mu0, _lambda1(setup) or 0]
+    if setup.components:
+        candidates.append(sum(c.mu for c in setup.components))
+        if None not in setup.component_ranks:
+            candidates.append(sum(setup.component_ranks))
     return min(candidates)
 
 
@@ -406,48 +412,24 @@ class ConstraintReport:
         return "\n".join(lines)
 
 
-def full_report(setup: SingularSetup, le: LeInvariants | None = None) -> ConstraintReport:
+def full_report(setup: SingularSetup) -> ConstraintReport:
     """Assemble the divisor bound, rank bounds and verdicts for a setup.
 
-    When slice invariants are supplied they must be consistent with the
-    component data; lambda1 may come from either source.
+    lambda1 is the components' sum of k*mu when there are components and the
+    setup's own lambda1 otherwise; with neither it is reported as 0.
     """
     warnings: list[str] = []
     verdicts: list[Finding] = []
-    comp_l1 = lambda1_from_components(setup) if setup.components else None
-    le_l1 = le.lambda1 if le is not None else None
-    if comp_l1 is not None and le_l1 is not None and comp_l1 != le_l1:
-        raise InputError(
-            f"component data gives lambda1 = {comp_l1} but the computed "
-            f"invariants give lambda1 = {le_l1}")
-    if le is not None:
-        if le.mu0 is not None and le.mu0 != setup.mu0:
-            raise InputError(
-                f"setup has mu0 = {setup.mu0} but the computed invariants give {le.mu0}")
-        if setup.lambda0 is not None and le.lambda0 is not None and setup.lambda0 != le.lambda0:
-            raise InputError("supplied lambda0 disagrees with the computed value")
-        if setup.omega is not None and le.omega is not None and setup.omega != le.omega:
-            raise InputError("supplied omega disagrees with the computed value")
-        if le.omega is not None and le.lambda0 is not None:
-            if not omega_law_holds(le.omega, le.lambda0):
-                raise InvariantViolationError(
-                    "computed invariants violate omega >= lambda0 with equality only at zero")
-    lam1 = comp_l1 if comp_l1 is not None else le_l1
+    lam1 = _lambda1(setup)
     if lam1 is None:
-        lam1 = 0
         warnings.append("no components supplied: critical-locus data missing, "
                         "lambda1 reported as 0")
     divisor = divisibility_bound(setup)
     if divisor is None:
         warnings.append("divisor bound unknown: some characteristic polynomial "
                         "is unavailable")
-    if setup.components or le_l1 is None:
-        rank = rank_bound(setup)
-    else:
-        # no component data: only mu0 and the computed lambda1 bound the rank
-        rank = min(setup.mu0, le_l1)
     s_bounds: tuple[int, ...] | None = None
-    if comp_l1 is not None or le_l1 is not None:
+    if lam1 is not None:
         verdict1 = non_splitting_verdict(setup.mu0, lam1)
         verdicts.append(verdict1)
         if verdict1.data.get("degenerate"):
@@ -475,12 +457,10 @@ def full_report(setup: SingularSetup, le: LeInvariants | None = None) -> Constra
                     f"of rank lambda1 = {lam1}; the rank is strictly smaller",
                     {"lambda1": lam1, "s": s_actual}))
     verdicts.extend(acampo_validate(setup))
-    if le is not None:
-        warnings.extend(w for w in le.warnings if w not in warnings)
     report = ConstraintReport(
-        lambda1=lam1,
+        lambda1=lam1 or 0,
         divisor_bound=divisor,
-        rank_bound=rank,
+        rank_bound=rank_bound(setup),
         s_bounds=s_bounds,
         verdicts=tuple(verdicts),
         warnings=tuple(warnings),

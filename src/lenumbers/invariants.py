@@ -167,19 +167,6 @@ class LeInvariants:
             "z0": None if self.z0 is None else [_frac_out(c) for c in self.z0],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LeInvariants":
-        z0 = data.get("z0")
-        return cls(
-            mu0=data.get("mu0"),
-            lambda0=data.get("lambda0"),
-            lambda1=data.get("lambda1"),
-            omega=data.get("omega"),
-            genericity_ok=bool(data["genericity_ok"]),
-            warnings=tuple(data.get("warnings", ())),
-            z0=None if z0 is None else tuple(rational(c) for c in z0),
-        )
-
     def render_text(self) -> str:
         lines = ["slice invariants:"]
         for label, value in (("mu0", self.mu0), ("lambda0", self.lambda0),

@@ -580,8 +580,6 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     current = ideal(I.generators, I.nvars)
     for _ in range(_SATURATION_ROUNDS):
         nxt = ideal_quotient(current, g, budget)
-        if nxt.is_zero_ideal:
-            return nxt
         sb = standard_basis(current, budget=budget)
         if all(sb.contains(q, budget) for q in nxt.generators):
             return current

@@ -37,6 +37,13 @@ def rational(value) -> Fraction:
     raise InputError(f"cannot read {value!r} as a rational number")
 
 
+def integer(value, name: str) -> int:
+    """An exact count: an ``int`` that is not a bool, else an ``InputError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name!r} must be an integer, not {value!r}")
+    return value
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
@@ -68,8 +75,9 @@ class MultiPoly:
 
     Terms map exponent tuples (one entry per variable) to nonzero Fractions;
     the zero polynomial has an empty term map.  Coefficients, constants and
-    scalars from outside are read by ``rational``.  Arithmetic returns new
-    objects; instances are safe to share between threads.
+    scalars from outside are read by ``rational``, exponents by ``integer``.
+    Arithmetic returns new objects; instances are safe to share between
+    threads.
     """
 
     __slots__ = ("_terms", "nvars")
@@ -80,7 +88,7 @@ class MultiPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(integer(e, "exponent") for e in mono)
             if len(mono) != nvars or any(e < 0 for e in mono):
                 raise InputError(f"bad exponent vector {mono!r} for {nvars} variable(s)")
             c = clean.get(mono, Fraction(0)) + rational(coeff)

@@ -156,7 +156,7 @@ def test_criterion_05_end_to_end_cylinder_over_node():
         inv = compute_all(SliceSetup(f))
         assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (1, 0, 1, 0)
         assert inv.genericity_ok
-        report = full_report(SingularSetup(n=2, mu0=1), le=inv)
+        report = full_report(SingularSetup(n=2, mu0=1, lambda1=inv.lambda1))
         verdict = next(v for v in report.verdicts if v.tag == VERDICT_NON_SPLITTING)
         assert verdict.data["h_top_rank"] == 0
         assert verdict.data["h_middle_rank"] == 1
@@ -174,9 +174,10 @@ def test_criterion_06_end_to_end_triple_planes():
         assert inv.lambda0 - inv.lambda1 == -1  # reduced Euler char of (C*)^2
         setup = SingularSetup(
             n=2, mu0=4, d0=3,
-            components=tuple(ComponentData(k=1, mu=1, d=2) for _ in range(3)))
+            components=tuple(ComponentData(k=1, mu=1, d=2) for _ in range(3)),
+            lambda1=inv.lambda1)  # checked against the components' sum of k*mu
         assert lambda1_from_components(setup) == 3  # second, combinatorial path
-        report = full_report(setup, le=inv)
+        report = full_report(setup)
         assert report.divisor_bound == CycloProduct({1: 2})
         assert homogeneous_char(2, 3).gcd(
             cyclo_product([homogeneous_char(2, 2)] * 3)) == CycloProduct({1: 2})

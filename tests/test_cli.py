@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,19 @@ def test_cyclo_phi(capsys):
     code, out, _ = run(capsys, "cyclo", "phi", "6")
     assert code == 0
     assert out == "t^2 - t + 1\n"
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    (["cyclo", "phi", "6"], 0, "t^2 - t + 1\n"),
+    (["cyclo", "phi", "x"], 1, ""),
+], ids=["ok", "input-error"])
+def test_module_entry_point_exits_with_mains_code(argv, code, out):
+    # `python3 -m lenumbers.cli`, as the README documents it, in a fresh process
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "lenumbers.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_cyclo_homchar(capsys):
@@ -204,6 +221,16 @@ def test_constraints_counts_must_be_integers(capsys, job, key):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: '{key}' must be an integer")
+
+
+def test_analyze_rejects_components_that_disagree_with_the_computed_lambda1(capsys):
+    # x*y*z has lambda1 = 3; one transverse A1 line gives sum k*mu = 1
+    job = json.dumps({"polynomial": "x*y*z", "variables": ["x", "y", "z"],
+                      "components": [{"k": 1, "mu": 1}]})
+    code, out, err = run(capsys, "analyze", "--input", job)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: lambda1 = 3 disagrees")
 
 
 @pytest.mark.parametrize("seed", [2.7, True], ids=["float", "bool"])

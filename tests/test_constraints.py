@@ -120,6 +120,31 @@ def test_component_validation():
         ComponentData(k=1, mu=1, fixed_rank=5)
 
 
+@pytest.mark.parametrize("cls,kwargs,key", [
+    (ComponentData, {"k": 1.5, "mu": 1}, "k"),
+    (ComponentData, {"k": 1, "mu": True}, "mu"),
+    (ComponentData, {"k": 1, "mu": 1, "d": 2.0}, "d"),
+    (ComponentData, {"k": 1, "mu": 1, "tau": ((1.5,),)}, "tau"),
+    (ComponentData, {"k": 1, "mu": 1, "fixed_rank": 1.0}, "fixedRank"),
+    (SingularSetup, {"n": 2.0, "mu0": 4}, "n"),
+    (SingularSetup, {"n": 2, "mu0": "4"}, "mu0"),
+    (SingularSetup, {"n": 2, "mu0": 4, "d0": 3.0}, "d0"),
+    (SingularSetup, {"n": 2, "mu0": 4, "lambda0": True, "omega": 2}, "lambda0"),
+    (SingularSetup, {"n": 2, "mu0": 4, "lambda0": 1, "omega": 2.5}, "omega"),
+    (SingularSetup, {"n": 2, "mu0": 4, "lambda1": 1.0}, "lambda1"),
+], ids=["k", "mu", "d", "tau", "fixedRank", "n", "mu0", "d0", "lambda0", "omega",
+        "lambda1"])
+def test_library_construction_reads_counts_as_integers(cls, kwargs, key):
+    with pytest.raises(InputError, match=f"^'{key}' must be an integer"):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["lambda0", "omega", "lambda1"])
+def test_setup_le_numbers_must_be_nonnegative(key):
+    with pytest.raises(InputError, match=f"^{key} must be nonnegative"):
+        SingularSetup(n=2, mu0=4, **{key: -1})
+
+
 def test_setup_validation():
     with pytest.raises(InputError, match="mu0"):
         SingularSetup(n=2, mu0=3, d0=3)  # (3-1)^2 = 4 != 3
@@ -237,7 +262,7 @@ def test_full_report_triple_planes():
 
 def test_full_report_non_splitting_from_invariants():
     inv = compute_all(SliceSetup(parse_poly("x^2 + y^2", ["z", "x", "y"])))
-    report = full_report(SingularSetup(n=2, mu0=1), le=inv)
+    report = full_report(SingularSetup(n=2, mu0=1, lambda1=inv.lambda1))
     assert report.lambda1 == 1
     tags = [v.tag for v in report.verdicts]
     assert VERDICT_NON_SPLITTING in tags
@@ -249,8 +274,9 @@ def test_full_report_nontransverse_component():
     # one smooth component met doubly by the slice: lambda1 = 2, and k = 2
     # alone rules out a middle cohomology of full rank lambda1
     inv = compute_all(SliceSetup(parse_poly("x^2 + (y - z^2)^2", ["y", "x", "z"])))
-    setup = SingularSetup(n=2, mu0=3, components=(ComponentData(k=2, mu=1, d=2),))
-    report = full_report(setup, le=inv)
+    setup = SingularSetup(n=2, mu0=3, components=(ComponentData(k=2, mu=1, d=2),),
+                          lambda1=inv.lambda1)
+    report = full_report(setup)
     assert report.lambda1 == 2
     assert report.rank_bound == 1  # sum of transverse Milnor numbers
     assert VERDICT_RANK_BELOW in [v.tag for v in report.verdicts]
@@ -258,23 +284,25 @@ def test_full_report_nontransverse_component():
 
 def test_full_report_rejects_inconsistent_lambda1():
     inv = compute_all(SliceSetup(parse_poly("x^2 + y^2", ["z", "x", "y"])))
-    setup = SingularSetup(n=2, mu0=1,
-                          components=(ComponentData(k=2, mu=1),))
     with pytest.raises(InputError, match="lambda1"):
-        full_report(setup, le=inv)
-
-
-def test_full_report_rejects_inconsistent_lambda0():
-    inv = compute_all(SliceSetup(parse_poly("z^2 + x^2 + y^2", ["z", "x", "y"])))
-    setup = SingularSetup(n=2, mu0=1, lambda0=3, omega=5)
-    with pytest.raises(InputError, match="lambda0"):
-        full_report(setup, le=inv)
+        SingularSetup(n=2, mu0=1, components=(ComponentData(k=2, mu=1),),
+                      lambda1=inv.lambda1)
 
 
 def test_full_report_rejects_inconsistent_mu0():
+    # a supplied lambda1 above mu0 is impossible, with or without components
     inv = compute_all(SliceSetup(parse_poly("x^2 + y^2", ["z", "x", "y"])))
     with pytest.raises(InputError, match="mu0"):
-        full_report(SingularSetup(n=2, mu0=7), le=inv)
+        full_report(SingularSetup(n=2, mu0=0, lambda1=inv.lambda1))
+
+
+def test_setup_lambda1_stands_in_for_missing_components():
+    setup = SingularSetup(n=2, mu0=4, d0=3, lambda1=3)
+    assert setup.to_dict()["lambda1"] == 3
+    assert SingularSetup.from_dict(setup.to_dict()) == setup
+    report = full_report(setup)
+    assert (report.lambda1, report.rank_bound, report.s_bounds) == (3, 3, (2,))
+    assert not any("no components" in w for w in report.warnings)
 
 
 def test_full_report_empty_components_contract():

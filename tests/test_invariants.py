@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from lenumbers import (
     InputError,
     SliceSetup,
     analyze_poly,
+    colength,
     compute_all,
     ideal,
     ideals_equal,
@@ -219,11 +221,13 @@ def test_whitney_umbrella_like_example():
 
 
 def test_le_invariants_serialization_roundtrip():
-    from lenumbers import LeInvariants
-
     inv = compute_all(setup_from("x^2 + y^2"))
     data = inv.to_dict()
-    assert LeInvariants.from_dict(data) == inv
+    assert json.loads(json.dumps(data)) == data
+    assert data == {"mu0": 1, "lambda0": 0, "lambda1": 1, "omega": 0,
+                    "genericity_ok": True, "warnings": list(inv.warnings), "z0": None}
+    sliced = analyze_poly(parse_poly("x*y*z", ["x", "y", "z"]), z0=["1/2", 1, 1])
+    assert sliced.invariants.to_dict()["z0"] == ["1/2", 1, 1]
 
 
 def test_teissier_lemma_oracle():
@@ -250,12 +254,16 @@ def test_teissier_lemma_oracle():
             assert inv.omega == inv.lambda0 + (inv.mu0 - inv.lambda1), (text, seed)
 
 
-@pytest.mark.parametrize("text,expected", [
+# cones over plane curves, with their (mu0, lambda0, lambda1, omega)
+CONES = [
     ("x^3 + y^3 + x*y*z", (4, 6, 1, 9)),
     ("x^3 + y^2*z", (4, 4, 2, 6)),
     ("x^4 + y^4 + x^2*y^2 + x*y*z^2", (9, 24, 1, 32)),
     ("(x^2 + y^2 - z^2)*x*y", (9, 12, 5, 16)),
-])
+]
+
+
+@pytest.mark.parametrize("text,expected", CONES)
 def test_bezout_for_cones_oracle(text, expected):
     # For f homogeneous of degree d in 3 variables, the generic slice is a
     # homogeneous plane curve singularity (mu0 = (d-1)^2) and the polar curve
@@ -274,3 +282,23 @@ def test_bezout_for_cones_oracle(text, expected):
     assert inv.lambda0 == (d - 1) * e
     assert inv.omega == d * e
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == expected
+
+
+@pytest.mark.parametrize("text", [text for text, _ in CONES] + [
+    "x^2 - y^2*z", "x*y*z", "x^2*y + z^2", "x*y*(x + y)"])
+def test_le_iomdine_on_the_pipelines_own_slice(text):
+    # Le-Iomdine: mu(f + w^N) = lambda0 + (N - 1) * lambda1 for N above the
+    # polar ratio, with w the slice form.  A cone of degree d has polar ratio
+    # d, and N = d + 1 and d + 2 (d the total degree) serve the other four
+    # germs too.  One colength each checks the lambda0 and lambda1 that
+    # analyze_poly computed, in the coordinates it chose.
+    f = parse_poly(text, ["x", "y", "z"])
+    d = f.total_degree()
+    result = analyze_poly(f)
+    inv = result.invariants
+    assert inv.genericity_ok
+    g = result.setup.f
+    for N in (d + 1, d + 2):
+        F = g + MultiPoly.variable(0, g.nvars) ** N
+        jacobian = ideal([F.partial(i) for i in range(F.nvars)], F.nvars)
+        assert colength(jacobian) == inv.lambda0 + (N - 1) * inv.lambda1, N

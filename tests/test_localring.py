@@ -378,6 +378,13 @@ def test_saturate_examples():
         saturate(ideal([P("x"), P("y")]), P("x^2 + y^2")), unit_ideal(2))
 
 
+def test_saturate_and_quotient_of_the_zero_ideal_are_zero():
+    zero = ideal([], 2)
+    for g in (P("x"), P("x + y^2"), P("1 + x")):
+        assert saturate(zero, g).is_zero_ideal
+        assert ideal_quotient(zero, g).is_zero_ideal
+
+
 def test_saturate_idempotent_random():
     rng = random.Random(47)
     done = 0

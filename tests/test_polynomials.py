@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lenumbers import InputError, MultiPoly, PolyParseError, UniPoly, parse_poly
-from lenumbers.polynomials import rational
+from lenumbers.polynomials import integer, rational
 from unipoly_oracle import primitive_positive, unipoly_gcd
 
 XY = ["x", "y"]
@@ -160,6 +160,25 @@ def test_rational_reads_ints_fractions_strings_and_floats_by_repr():
 def test_rational_rejects_bools_and_non_numbers(value):
     with pytest.raises(InputError, match="as a rational number"):
         rational(value)
+
+
+def test_integer_reads_ints_as_they_are():
+    assert integer(3, "k") == 3
+    assert integer(-2, "k") == -2
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True, "1", None, Fraction(2)])
+def test_integer_rejects_floats_bools_and_non_ints(value):
+    with pytest.raises(InputError) as info:
+        integer(value, "k")
+    assert str(info.value) == f"'k' must be an integer, not {value!r}"
+
+
+@pytest.mark.parametrize("mono", [(1.5, 0), (True, 0), ("1", 0)],
+                         ids=["float", "bool", "string"])
+def test_exponents_must_be_integers(mono):
+    with pytest.raises(InputError, match="'exponent' must be an integer"):
+        MultiPoly({mono: 1}, 2)
 
 
 def test_polynomial_entry_points_read_floats_by_repr():
