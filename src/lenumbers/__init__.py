@@ -3,7 +3,7 @@ with a one-dimensional critical locus.
 
 The package is organized bottom-up:
 
-* ``polynomials`` - exact multivariate (Q) and univariate (Z) arithmetic;
+* ``polynomials`` - exact polynomial arithmetic over Q, the one polynomial type;
 * ``cyclo`` - characteristic polynomials in factored cyclotomic form;
 * ``localring`` - Mora division, local standard bases, colengths, quotients;
 * ``invariants`` - the slice pipeline: mu0, polar curve, lambda0/1, omega;
@@ -30,7 +30,7 @@ from .errors import (
     PolyParseError,
     ResourceLimitError,
 )
-from .polynomials import Monomial, MultiPoly, UniPoly, parse_poly
+from .polynomials import Monomial, MultiPoly, parse_poly
 from .localring import (
     Budget,
     Ideal,

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .invariants import analyze_poly
 from .localring import Budget
-from .polynomials import integer, parse_poly
+from .polynomials import parse_poly
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -82,12 +82,6 @@ def _load_job(args) -> dict:
     return job
 
 
-def _budget(args) -> Budget:
-    if args.max_pairs < 1 or args.max_monomials < 1:
-        raise InputError("budgets must be positive")
-    return Budget(max_pairs=args.max_pairs, max_monomials=args.max_monomials)
-
-
 def _z0(job: dict) -> list | None:
     """The optional slice form ``z0``: a JSON list, its entries read by the library."""
     z0 = job.get("z0")
@@ -116,8 +110,10 @@ def _cmd_analyze(args) -> int:
         raise InputError(f"'variables' must be a list of names, not {variables!r}")
     f = parse_poly(poly_text, variables)
     z0 = _z0(job)
-    seed = args.seed if args.seed is not None else integer(job.get("seed", 0), "seed")
-    result = analyze_poly(f, z0=z0, seed=seed, budget=_budget(args), names=variables)
+    seed = args.seed if args.seed is not None else job.get("seed", 0)
+    result = analyze_poly(f, z0=z0, seed=seed, names=variables,
+                          budget=Budget(max_pairs=args.max_pairs,
+                                        max_monomials=args.max_monomials))
     le = result.invariants
     payload = {
         "command": "analyze",
@@ -175,17 +171,18 @@ def _cmd_cyclo(args) -> int:
     if op == "phi":
         if len(values) != 1:
             raise InputError("usage: cyclo phi K")
-        poly = cyclotomic(_int(values[0]))
-        payload = {"command": "cyclo", "operation": "phi", "polynomial": str(poly)}
-        _emit(payload, str(poly), args.format)
+        poly = cyclotomic(_int(values[0])).to_string(["t"])
+        payload = {"command": "cyclo", "operation": "phi", "polynomial": poly}
+        _emit(payload, poly, args.format)
         return EXIT_OK
     if op == "unity":
         if len(values) != 1:
             raise InputError("usage: cyclo unity D")
         product = factor_unity(_int(values[0]))
-        text = f"{product} ; expands to {product.expand()}"
+        expanded = product.expand().to_string(["t"])
+        text = f"{product} ; expands to {expanded}"
         payload = {"command": "cyclo", "operation": "unity",
-                   "factors": str(product), "expanded": str(product.expand())}
+                   "factors": str(product), "expanded": expanded}
         _emit(payload, text, args.format)
         return EXIT_OK
     if op == "homchar":

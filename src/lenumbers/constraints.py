@@ -78,7 +78,7 @@ class ComponentData:
             raise InputError(
                 f"charH has degree {self.char_h.degree()} but mu = {self.mu}")
         if self.tau is not None:
-            t = as_matrix([[integer(v, "tau") for v in row] for row in self.tau])
+            t = as_matrix(self.tau, "tau")
             if len(t) != self.mu or len(t[0]) != self.mu:
                 raise InputError("tau must be a square matrix of size mu")
             object.__setattr__(self, "tau", t)
@@ -272,7 +272,7 @@ def cyclic_kernel_rank(tau, k: int) -> int:
     tau^k; both sides are computed independently through Smith normal form
     and must agree, otherwise an invariant violation is raised.
     """
-    T = as_matrix(tau)
+    T = as_matrix(tau, "tau")
     rank_cyclic = fixed_space_rank(block_cycle_matrix(T, k))
     rank_power = fixed_space_rank(mat_pow(T, k))
     if rank_cyclic != rank_power:

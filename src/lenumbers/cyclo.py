@@ -2,19 +2,28 @@
 
 A ``CycloProduct`` is a finite product of cyclotomic polynomials Phi_k with
 positive integer exponents.  Divisibility and gcd are then plain exponent
-arithmetic, immune to coefficient growth; expansion to Z[t] happens only on
-demand.  Monodromy eigenvalues of the singularities handled here are roots
-of unity, so the representation is closed under everything we need.
+arithmetic, immune to coefficient growth.  Expansion happens only on demand:
+by Moebius inversion of t^n - 1 = prod_{d | n} Phi_d the product is a product
+of binomials t^d - 1 to integer powers, multiplied out into a one-variable
+``MultiPoly`` in t.  Monodromy eigenvalues of the singularities handled here
+are roots of unity, so the representation is closed under everything we need.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import InputError, InvariantViolationError
-from .polynomials import UniPoly
+from .polynomials import MultiPoly, integer
+
+
+def _positive(value, name: str) -> int:
+    """A positive integer read through ``integer``, else an ``InputError`` naming it."""
+    if integer(value, name) < 1:
+        raise InputError(f"{name!r} must be a positive integer, not {value!r}")
+    return value
+
 
 def _factorize(k: int) -> dict[int, int]:
     factors: dict[int, int] = {}
@@ -31,23 +40,20 @@ def _factorize(k: int) -> dict[int, int]:
 
 def mobius(k: int) -> int:
     """Moebius function by trial factorization."""
-    if k < 1:
-        raise InputError("mobius needs a positive integer")
-    factors = _factorize(k)
+    factors = _factorize(_positive(k, "k"))
     return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
 
 
 def totient(k: int) -> int:
     """Euler totient by trial factorization."""
-    if k < 1:
-        raise InputError("totient needs a positive integer")
-    value = k
+    value = _positive(k, "k")
     for p in _factorize(k):
         value = value // p * (p - 1)
     return value
 
 
 def divisors(k: int) -> list[int]:
+    _positive(k, "k")
     small, large = [], []
     d = 1
     while d * d <= k:
@@ -59,16 +65,9 @@ def divisors(k: int) -> list[int]:
     return small + large[::-1]
 
 
-@lru_cache(maxsize=None)
-def cyclotomic(k: int) -> UniPoly:
-    """The k-th cyclotomic polynomial, by exact division of t^k - 1."""
-    if k < 1:
-        raise InputError("cyclotomic index must be positive")
-    numerator = UniPoly.t_power_minus_one(k)
-    for d in divisors(k):
-        if d < k:
-            numerator = numerator.exact_div(cyclotomic(d))
-    return numerator
+def cyclotomic(k: int) -> MultiPoly:
+    """The k-th cyclotomic polynomial as a one-variable ``MultiPoly`` in t."""
+    return CycloProduct({k: 1}).expand()
 
 
 class CycloProduct:
@@ -80,10 +79,8 @@ class CycloProduct:
         items = factors.items() if isinstance(factors, Mapping) else factors
         clean: dict[int, int] = {}
         for k, c in items:
-            k, c = int(k), int(c)
-            if k < 1:
-                raise InputError(f"cyclotomic index {k} must be positive")
-            if c < 0:
+            k = _positive(k, "cyclotomic index")
+            if integer(c, "exponent") < 0:
                 raise InputError(f"negative exponent for Phi_{k}")
             if c:
                 clean[k] = clean.get(k, 0) + c
@@ -103,13 +100,24 @@ class CycloProduct:
         """Sum of all roots with multiplicity: sum_k c_k * mobius(k)."""
         return sum(c * mobius(k) for k, c in self._factors.items())
 
-    def expand(self) -> UniPoly:
-        result = UniPoly.one()
-        for k in sorted(self._factors):
-            phi = cyclotomic(k)
-            for _ in range(self._factors[k]):
-                result = result * phi
-        return result
+    def expand(self) -> MultiPoly:
+        """The product multiplied out, as a one-variable ``MultiPoly`` in t.
+
+        Phi_k = prod_{d | k} (t^d - 1)^mobius(k/d), so the product is
+        prod_d (t^d - 1)^e_d with e_d = sum_{d | k} c_k mobius(k/d).  The
+        binomials with e_d > 0 are multiplied in first, then those with
+        e_d < 0 are divided out; each division is exact because the partial
+        quotients are products of cyclotomic polynomials.
+        """
+        powers: dict[int, int] = {}
+        for k, c in self._factors.items():
+            for d in divisors(k):
+                powers[d] = powers.get(d, 0) + c * mobius(k // d)
+        coeffs = [1]  # lowest degree first
+        for d, e in sorted(powers.items(), key=lambda item: -item[1]):
+            for _ in range(abs(e)):
+                coeffs = _times_binomial(coeffs, d) if e > 0 else _over_binomial(coeffs, d)
+        return MultiPoly({(i,): c for i, c in enumerate(coeffs) if c}, 1)
 
     def gcd(self, other: "CycloProduct") -> "CycloProduct":
         """Pointwise minimum of exponents."""
@@ -168,6 +176,19 @@ class CycloProduct:
         return cls(factors)
 
 
+def _times_binomial(coeffs: list[int], d: int) -> list[int]:
+    """coeffs * (t^d - 1)."""
+    return [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
+
+
+def _over_binomial(coeffs: list[int], d: int) -> list[int]:
+    """coeffs / (t^d - 1) when the division is exact: q_i = q_{i-d} - c_i."""
+    q = [-c for c in coeffs[:d]]
+    for start in range(d, len(coeffs), d):
+        q.extend([a - b for a, b in zip(q[start - d:start], coeffs[start:start + d])])
+    return q[:-d]
+
+
 def cyclo_product(items: Iterable[CycloProduct]) -> CycloProduct:
     """Pointwise sum of exponents; the empty product is 1."""
     out = CycloProduct()
@@ -178,17 +199,14 @@ def cyclo_product(items: Iterable[CycloProduct]) -> CycloProduct:
 
 def factor_unity(d: int) -> CycloProduct:
     """t^d - 1 in factored form: exponent 1 at every divisor of d."""
-    if d < 1:
-        raise InputError("factor_unity needs a positive integer")
-    return CycloProduct({k: 1 for k in divisors(d)})
+    return CycloProduct({k: 1 for k in divisors(_positive(d, "d"))})
 
 
 def homogeneous_char_exponents(n: int, d: int) -> tuple[int, int]:
     """Exponent pair (a0, b0) of the monodromy characteristic polynomial of a
     homogeneous isolated singularity of degree d in n variables."""
-    if n < 1:
-        raise InputError("ambient dimension n must be positive")
-    if d < 2:
+    _positive(n, "ambient dimension n")
+    if integer(d, "degree") < 2:
         raise InputError("degree must be at least 2")
     sign = (-1) ** n
     numerator = (d - 1) ** n - sign

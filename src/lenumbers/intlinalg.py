@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from .errors import InputError
+from .polynomials import integer
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def as_matrix(rows) -> IntMatrix:
-    """Validate and freeze a rectangular integer matrix."""
-    mat = tuple(tuple(int(v) for v in row) for row in rows)
+def as_matrix(rows, name: str = "matrix") -> IntMatrix:
+    """Validate and freeze a rectangular integer matrix; errors name it ``name``."""
+    mat = tuple(tuple(integer(v, name) for v in row) for row in rows)
     if not mat or not mat[0]:
         raise InputError("matrix must have positive dimensions")
     width = len(mat[0])
@@ -50,7 +51,7 @@ def smith_normal_form(mat) -> list[int]:
     Unimodular row and column operations only, so the nonzero count is the
     rank and the nontrivial entries describe the torsion of the cokernel.
     """
-    A = [[int(v) for v in row] for row in mat]
+    A = [[integer(v, "matrix") for v in row] for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
     size = min(m, n)

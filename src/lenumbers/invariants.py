@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import GenericityError, InputError, InvariantViolationError, ResourceLimitError
 from .localring import Budget, Ideal, colength, ideal, ideal_sum, saturate
-from .polynomials import MultiPoly, rational
+from .polynomials import MultiPoly, integer, rational
 
 LENGTH_IDENTIFICATION_WARNING = (
     "intersection numbers are computed as colengths; this identifies length "
@@ -279,8 +279,9 @@ def analyze_poly(f: MultiPoly, z0: Sequence | None = None, seed: int = 0,
     Candidate forms are the coordinate forms first, then twelve small
     pseudo-random integer forms drawn deterministically from the seed.  With
     an explicit ``z0`` no search happens; a failing form is reported, not
-    retried.
+    retried.  The seed must be an integer even then.
     """
+    integer(seed, "seed")
     forms = [z0] if z0 is not None else _candidate_forms(f.nvars, seed)
     for form in forms:
         setup, new_names = slice_with_form(f, form, names)

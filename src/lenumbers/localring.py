@@ -43,6 +43,7 @@ from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .polynomials import (
     Monomial,
     MultiPoly,
+    integer,
     mono_deg,
     mono_div,
     mono_divides,
@@ -59,6 +60,11 @@ class Budget:
     max_monomials: int = 1_000_000
     pairs_used: int = 0
     monomials_used: int = 0
+
+    def __post_init__(self):
+        for name in ("max_pairs", "max_monomials"):
+            if integer(getattr(self, name), name) < 1:
+                raise InputError(f"{name!r} must be positive, not {getattr(self, name)!r}")
 
     def tick_pair(self) -> None:
         self.pairs_used += 1

@@ -1,9 +1,9 @@
-"""Exact polynomial arithmetic over the rationals and the integers.
+"""Exact polynomial arithmetic over the rationals.
 
-Multivariate polynomials are immutable sparse maps from exponent tuples to
-nonzero ``Fraction`` coefficients.  Univariate integer polynomials are
-immutable coefficient tuples, lowest degree first.  No floating point is used
-anywhere: intersection multiplicities and divisibility are exact statements.
+A polynomial is an immutable sparse map from exponent tuples to nonzero
+``Fraction`` coefficients; the one-variable case also carries the expanded
+cyclotomic products of ``cyclo``.  No floating point is used anywhere:
+intersection multiplicities and divisibility are exact statements.
 
 The canonical term order for printing and equality is graded lexicographic,
 so printed forms are deterministic and ``parse_poly`` inverts ``to_string``.
@@ -334,106 +334,6 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
                 factor = a[r][col] * inv
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return det
-
-
-# ---------------------------------------------------------------------------
-# univariate integer polynomials
-# ---------------------------------------------------------------------------
-
-
-class UniPoly:
-    """Univariate polynomial over the integers, coefficients lowest first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def t_power_minus_one(cls, k: int) -> "UniPoly":
-        """t^k - 1."""
-        if k < 1:
-            raise InputError("exponent must be positive")
-        return cls((-1,) + (0,) * (k - 1) + (1,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    def exact_div(self, divisor: "UniPoly") -> "UniPoly":
-        """Exact quotient in Z[t]; raises InputError if division is inexact."""
-        if divisor.is_zero:
-            raise InputError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        lead = divisor.coeffs[-1]
-        dd = divisor.degree
-        out = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q, r = divmod(c, lead)
-            if r:
-                raise InputError("inexact division in Z[t]")
-            out[i - dd] = q
-            for j, b in enumerate(divisor.coeffs):
-                rem[i - dd + j] -= q * b
-        if any(rem):
-            raise InputError("inexact division in Z[t]")
-        return UniPoly(out)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        pieces: list[str] = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                body = str(abs(c))
-            elif e == 1:
-                body = "t" if abs(c) == 1 else f"{abs(c)}*t"
-            else:
-                body = f"t^{e}" if abs(c) == 1 else f"{abs(c)}*t^{e}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self})"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from lenumbers import (
     MultiPoly,
     SingularSetup,
     SliceSetup,
-    UniPoly,
     analyze_poly,
     non_splitting_verdict,
     rank_attained_cases,
@@ -24,6 +23,7 @@ from lenumbers import (
     compute_all,
     cyclic_kernel_rank,
     cyclo_product,
+    cyclotomic,
     factor_unity,
     full_report,
     homogeneous_char,
@@ -38,7 +38,8 @@ from lenumbers import (
 )
 from lenumbers.constraints import VERDICT_NON_SPLITTING
 from lenumbers.intlinalg import fixed_space_rank, mat_pow
-from unipoly_oracle import unipoly_gcd
+from lenumbers.cyclo import divisors
+from unipoly_oracle import t_poly, t_power_minus_one, unipoly_gcd
 
 
 def criterion(number, description, body):
@@ -67,7 +68,12 @@ def test_criterion_01_homogeneous_char_formula():
 def test_criterion_02_cyclotomic_algebra():
     def body():
         for d in range(1, 31):
-            assert factor_unity(d).expand() == UniPoly.t_power_minus_one(d)
+            unity = t_power_minus_one(d)
+            assert factor_unity(d).expand() == unity
+            product = t_poly((1,))
+            for k in divisors(d):
+                product = product * cyclotomic(k)
+            assert product == unity
         rng = random.Random(202)
         for _ in range(200):
             a = CycloProduct({rng.randint(1, 12): rng.randint(1, 3)

@@ -242,6 +242,15 @@ def test_analyze_seed_must_be_an_integer(capsys, seed):
     assert err.strip() == f"error: 'seed' must be an integer, not {seed!r}"
 
 
+@pytest.mark.parametrize("option", ["--max-pairs", "--max-monomials"])
+def test_budget_caps_must_be_positive(capsys, option):
+    code, out, err = run(capsys, "analyze", option, "0", "--input", XYZ_JOB)
+    assert code == 1
+    assert out == ""
+    name = option[2:].replace("-", "_")
+    assert err.strip() == f"error: '{name}' must be positive, not 0"
+
+
 def test_usage_error_exit_code(capsys):
     code, out, err = run(capsys, "analyze", "--format", "xml", "--input", "{}")
     assert code == 1

@@ -24,6 +24,7 @@ from lenumbers import (
     smith_normal_form,
     SliceSetup,
 )
+from lenumbers.intlinalg import as_matrix
 from lenumbers.constraints import (
     VERDICT_NON_SPLITTING,
     VERDICT_NOT_APPLICABLE,
@@ -102,6 +103,22 @@ def test_cyclic_kernel_randomized():
         # third, independent route: rational rank of id - tau^k
         oracle = m - rank_gauss(mat_sub(identity(m), mat_pow(tau, k)))
         assert result == oracle
+
+
+@pytest.mark.parametrize("call", [
+    lambda: as_matrix([[1.5]]), lambda: as_matrix([[True]]), lambda: as_matrix([["2"]]),
+    lambda: smith_normal_form([[2, 0], [0, 1.5]]),
+    lambda: cyclic_kernel_rank([[1.7, 0], [0, 1]], 2),
+], ids=["as-matrix-float", "as-matrix-bool", "as-matrix-string", "snf-float",
+        "cyclic-kernel-float"])
+def test_integer_matrices_are_read_not_truncated(call):
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
+
+
+def test_as_matrix_names_the_matrix_it_reads():
+    with pytest.raises(InputError, match="^'tau' must be an integer, not 1.5$"):
+        as_matrix([[1, 1.5]], "tau")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from lenumbers import (
     CycloProduct,
     InputError,
-    UniPoly,
     cyclo_product,
     cyclotomic,
     factor_unity,
@@ -14,7 +15,8 @@ from lenumbers import (
     mobius,
     totient,
 )
-from unipoly_oracle import unipoly_gcd
+from lenumbers.cyclo import divisors
+from unipoly_oracle import coefficients, t_poly, t_power_minus_one, unipoly_gcd
 
 
 def test_mobius_and_totient_values():
@@ -22,16 +24,66 @@ def test_mobius_and_totient_values():
     assert [totient(k) for k in (1, 2, 6, 12)] == [1, 1, 2, 4]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mobius(2.5), lambda: totient(2.5), lambda: factor_unity(2.5),
+    lambda: divisors(0), lambda: divisors(-4), lambda: divisors(6.0),
+    lambda: mobius(0), lambda: totient(True), lambda: cyclotomic(0),
+    lambda: homogeneous_char_exponents(2.0, 3), lambda: homogeneous_char_exponents(2, 2.5),
+    lambda: CycloProduct({1.5: 1}), lambda: CycloProduct({1: 1.5}),
+    lambda: CycloProduct({"3": 1}),
+], ids=["mobius-float", "totient-float", "factor-unity-float", "divisors-zero",
+        "divisors-negative", "divisors-float", "mobius-zero", "totient-bool",
+        "cyclotomic-zero", "homchar-float-n", "homchar-float-d", "cyclo-float-index",
+        "cyclo-float-exponent", "cyclo-string-index"])
+def test_integer_arguments_are_read_not_truncated(call):
+    with pytest.raises(InputError):
+        call()
+
+
 def test_cyclotomic_small():
-    assert cyclotomic(1) == UniPoly((-1, 1))
-    assert cyclotomic(2) == UniPoly((1, 1))
+    assert cyclotomic(1) == t_poly((-1, 1))
+    assert cyclotomic(2) == t_poly((1, 1))
     # divide t^6-1 by Phi_1*Phi_2*Phi_3 by hand: t^2 - t + 1
-    assert cyclotomic(6) == UniPoly((1, -1, 1))
+    assert cyclotomic(6) == t_poly((1, -1, 1))
 
 
 def test_cyclotomic_degree_is_totient():
     for k in range(1, 40):
-        assert cyclotomic(k).degree == totient(k)
+        assert cyclotomic(k).total_degree() == totient(k)
+
+
+def test_cyclotomics_over_the_divisors_multiply_to_unity():
+    # the product is taken with MultiPoly's own multiplication, not by expand()
+    for d in range(1, 31):
+        product = t_poly((1,))
+        for k in divisors(d):
+            product = product * cyclotomic(k)
+        assert product == t_power_minus_one(d)
+
+
+@contextmanager
+def alarm_after(seconds: int):
+    def timeout(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_cyclotomic_30030_expands_quickly():
+    # 30030 = 2*3*5*7*11*13 has 64 divisors; the guard fails an expansion
+    # whose cost grows with the number of divisor pairs
+    with alarm_after(10):
+        phi = cyclotomic(30030)
+    coeffs = coefficients(phi)
+    assert phi.total_degree() == totient(30030) == 5760
+    assert phi.evaluate([1]) == 1  # 30030 is not a prime power
+    assert coeffs == coeffs[::-1]
 
 
 def test_factor_unity_examples():
@@ -42,7 +94,7 @@ def test_factor_unity_examples():
 
 def test_factor_unity_expands_to_unity():
     for d in range(1, 31):
-        assert factor_unity(d).expand() == UniPoly.t_power_minus_one(d)
+        assert factor_unity(d).expand() == t_power_minus_one(d)
 
 
 def test_homogeneous_char_worked_values():
@@ -100,10 +152,10 @@ def test_trace_examples():
 
 
 def test_expand_examples():
-    assert CycloProduct().expand() == UniPoly((1,))
-    assert CycloProduct({1: 1, 2: 1}).expand() == UniPoly((-1, 0, 1))
+    assert CycloProduct().expand() == t_poly((1,))
+    assert CycloProduct({1: 1, 2: 1}).expand() == t_poly((-1, 0, 1))
     # (t-1)^2 (t^2+t+1) multiplied out by hand
-    assert homogeneous_char(2, 3).expand() == UniPoly((1, -1, 0, -1, 1))
+    assert homogeneous_char(2, 3).expand() == t_poly((1, -1, 0, -1, 1))
 
 
 def _random_product(rng) -> CycloProduct:
@@ -131,7 +183,7 @@ def test_degree_matches_expansion():
     rng = random.Random(31)
     for _ in range(30):
         a = _random_product(rng)
-        assert a.degree() == a.expand().degree
+        assert a.degree() == a.expand().total_degree()
 
 
 def test_str_and_parse():

@@ -121,6 +121,14 @@ def test_triple_planes_full_pipeline():
     assert inv.lambda0 - inv.lambda1 == -1
 
 
+@pytest.mark.parametrize("seed", ["abc", 2.5, True], ids=["string", "float", "bool"])
+@pytest.mark.parametrize("z0", [None, [1, 0, 0]], ids=["search", "z0"])
+def test_analyze_poly_seed_must_be_an_integer(seed, z0):
+    f = parse_poly("x*y*z", ["x", "y", "z"])
+    with pytest.raises(InputError, match="^'seed' must be an integer"):
+        analyze_poly(f, z0=z0, seed=seed)
+
+
 def test_triple_planes_generic_search_and_seed_independence():
     f = parse_poly("x*y*z", ["x", "y", "z"])
     first = analyze_poly(f, seed=1).invariants

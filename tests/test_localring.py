@@ -443,6 +443,14 @@ def test_monomial_budget_enforced():
         standard_basis(ideal(gens), budget=Budget(max_monomials=2))
 
 
+@pytest.mark.parametrize("caps", [
+    {"max_pairs": 0}, {"max_pairs": 1.5}, {"max_monomials": -3}, {"max_monomials": True},
+], ids=["zero-pairs", "float-pairs", "negative-monomials", "bool-monomials"])
+def test_budget_caps_are_positive_integers(caps):
+    with pytest.raises(InputError):
+        Budget(**caps)
+
+
 def test_budget_is_cumulative():
     budget = Budget(max_pairs=10)
     standard_basis(ideal([P("x"), P("y")]), budget=budget)

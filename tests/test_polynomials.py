@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from lenumbers import InputError, MultiPoly, PolyParseError, UniPoly, parse_poly
+from lenumbers import InputError, MultiPoly, PolyParseError, parse_poly
 from lenumbers.polynomials import integer, rational
-from unipoly_oracle import primitive_positive, unipoly_gcd
+from unipoly_oracle import primitive_positive, remainder, t_poly, unipoly_gcd
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -237,45 +237,29 @@ def test_evaluate():
 
 
 # ---------------------------------------------------------------------------
-# univariate integer polynomials
+# univariate polynomials: one-variable MultiPoly in t
 # ---------------------------------------------------------------------------
-
-
-def test_unipoly_telescoping_product():
-    t_minus_1 = UniPoly((-1, 1))
-    quadratic = UniPoly((1, 1, 1))
-    assert t_minus_1 * quadratic == UniPoly((-1, 0, 0, 1))  # t^3 - 1
-
-
-def test_unipoly_exact_division():
-    a = UniPoly((-1, 0, 0, 1))
-    assert a.exact_div(UniPoly((-1, 1))) == UniPoly((1, 1, 1))
-    with pytest.raises(InputError, match="inexact"):
-        UniPoly((1, 1)).exact_div(UniPoly((0, 1)))
 
 
 def test_unipoly_gcd_examples():
     # t^2-1 = (t-1)(t+1), t^2+2t+1 = (t+1)^2 -> gcd t+1
-    assert unipoly_gcd(UniPoly((-1, 0, 1)), UniPoly((1, 2, 1))) == UniPoly((1, 1))
-    assert unipoly_gcd(UniPoly((2, 0, 4)), UniPoly((1,))) == UniPoly((1,))
-    assert unipoly_gcd(UniPoly(), UniPoly((2, 2))) == UniPoly((1, 1))
+    assert unipoly_gcd(t_poly((-1, 0, 1)), t_poly((1, 2, 1))) == t_poly((1, 1))
+    assert unipoly_gcd(t_poly((2, 0, 4)), t_poly((1,))) == t_poly((1,))
+    assert unipoly_gcd(t_poly(()), t_poly((2, 2))) == t_poly((1, 1))
 
 
 def test_unipoly_gcd_divides_and_scales():
     rng = random.Random(5)
 
     def rand_poly(max_deg):
-        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, max_deg + 1))]
-        return UniPoly(coeffs)
+        return t_poly([rng.randint(-4, 4) for _ in range(rng.randint(1, max_deg + 1))])
 
     for _ in range(50):
         a, b, c = rand_poly(4), rand_poly(4), rand_poly(3)
         g = unipoly_gcd(a, b)
         if not g.is_zero:
-            if not a.is_zero:
-                a.exact_div(g)  # raises if the gcd failed to divide
-            if not b.is_zero:
-                b.exact_div(g)
+            assert remainder(a, g).is_zero
+            assert remainder(b, g).is_zero
         if not (a.is_zero and b.is_zero) and not c.is_zero:
             lhs = unipoly_gcd(a * c, b * c)
             rhs = primitive_positive(c * unipoly_gcd(a, b))
@@ -283,7 +267,8 @@ def test_unipoly_gcd_divides_and_scales():
 
 
 def test_unipoly_str():
-    assert str(UniPoly((1, -1, 1))) == "t^2 - t + 1"
-    assert str(UniPoly((-1, 0, 0, 0, 0, 0, 1))) == "t^6 - 1"
-    assert str(UniPoly()) == "0"
-    assert str(UniPoly((3,))) == "3"
+    assert t_poly((1, -1, 1)).to_string(["t"]) == "t^2 - t + 1"
+    assert t_poly((-1, 0, 0, 0, 0, 0, 1)).to_string(["t"]) == "t^6 - 1"
+    assert t_poly(()).to_string(["t"]) == "0"
+    assert t_poly((3,)).to_string(["t"]) == "3"
+    assert t_poly((1, -2, 0, 5)).to_string(["t"]) == "5*t^3 - 2*t + 1"
