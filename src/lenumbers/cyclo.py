@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from .errors import InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError, ResourceLimitError
+from .localring import Budget
 from .polynomials import MultiPoly, integer
 
 
@@ -108,11 +109,18 @@ class CycloProduct:
         binomials with e_d > 0 are multiplied in first, then those with
         e_d < 0 are divided out; each division is exact because the partial
         quotients are products of cyclotomic polynomials.
+
+        The coefficient list grows to 1 + sum(d * e_d for e_d > 0) entries,
+        at least 1 + k for the largest index k, since e_k = c_k.  Before any
+        index is factored and again before the list is built, a length over
+        the default monomial budget raises ``ResourceLimitError``.
         """
+        _check_length(1 + max(self._factors, default=0))
         powers: dict[int, int] = {}
         for k, c in self._factors.items():
             for d in divisors(k):
                 powers[d] = powers.get(d, 0) + c * mobius(k // d)
+        _check_length(1 + sum(d * e for d, e in powers.items() if e > 0))
         coeffs = [1]  # lowest degree first
         for d, e in sorted(powers.items(), key=lambda item: -item[1]):
             for _ in range(abs(e)):
@@ -174,6 +182,15 @@ class CycloProduct:
             c = int(m.group(2) or 1)
             factors[k] = factors.get(k, 0) + c
         return cls(factors)
+
+
+def _check_length(length: int) -> None:
+    """Raise ``ResourceLimitError`` if a coefficient list of this length passes the
+    default monomial budget."""
+    cap = Budget().max_monomials
+    if length > cap:
+        raise ResourceLimitError(f"expanding a cyclotomic product needs {length} "
+                                 f"coefficients, over the monomial budget of {cap}")
 
 
 def _times_binomial(coeffs: list[int], d: int) -> list[int]:

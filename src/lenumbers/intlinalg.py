@@ -1,4 +1,4 @@
-"""Exact integer matrix utilities: Smith normal form and kernel ranks."""
+"""Exact integer matrix utilities: Smith normal form and fixed-space ranks."""
 
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    if k < 0:
+    if integer(k, "power") < 0:
         raise InputError("negative matrix power")
     result = identity(len(a))
     base = a
@@ -109,22 +109,14 @@ def smith_normal_form(mat) -> list[int]:
     return diag
 
 
-def integer_rank(mat) -> int:
-    return sum(1 for d in smith_normal_form(mat) if d)
-
-
-def kernel_rank(mat) -> int:
-    """Rank of the integer kernel: number of columns minus the matrix rank."""
-    A = as_matrix(mat)
-    return len(A[0]) - integer_rank(A)
-
-
 def fixed_space_rank(mat) -> int:
-    """Rank of ker(id - A) for a square integer matrix A."""
+    """Rank of ker(id - A) for a square integer matrix A: its size minus the
+    number of nonzero Smith invariants of id - A."""
     A = as_matrix(mat)
-    if len(A) != len(A[0]):
+    n = len(A)
+    if n != len(A[0]):
         raise InputError("matrix must be square")
-    return kernel_rank(mat_sub(identity(len(A)), A))
+    return n - sum(1 for d in smith_normal_form(mat_sub(identity(n), A)) if d)
 
 
 def block_cycle_matrix(tau, k: int) -> IntMatrix:
@@ -133,7 +125,7 @@ def block_cycle_matrix(tau, k: int) -> IntMatrix:
     m = len(T)
     if len(T[0]) != m:
         raise InputError("block must be square")
-    if k < 1:
+    if integer(k, "cycle length") < 1:
         raise InputError("cycle length must be positive")
     size = k * m
     rows = [[0] * size for _ in range(size)]

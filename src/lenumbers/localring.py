@@ -8,14 +8,16 @@ S-polynomial completion.  Colengths of zero-dimensional ideals realize
 intersection multiplicities and Milnor numbers; ``colength`` returns None for
 an ideal that is not zero-dimensional, whose colength is infinite.
 
-Standard-basis completion, ideal membership and Mora division run
-fraction-free on one kernel: the polynomials are dicts of integer
+Standard-basis completion, ideal membership and Mora division run one
+fraction-free Mora loop, ``_reduce``: the polynomials are dicts of integer
 coefficients, and each S-polynomial and each Mora step is a nonzero integer
-multiple of the same step over Q, with its content divided out.  Leading
-monomials, ecarts and reducer choices are then those of the computation over
-Q, and a new basis element, made primitive, equals the primitive form of the
-remainder over Q, so the bases are those of the computation over Q.  The
-polynomials that cross the module boundary have ``Fraction`` coefficients.
+multiple of the same step over Q, with its content divided out.  Division
+tracks its unit and quotient witnesses in the same loop, as further entries of
+the reduction state that every step updates alike.  Leading monomials, ecarts
+and reducer choices are then those of the computation over Q, and a new basis
+element, made primitive, equals the primitive form of the remainder over Q, so
+the bases are those of the computation over Q.  The polynomials that cross the
+module boundary have ``Fraction`` coefficients.
 
 Under a local degree order, a standard basis whose leading ideal becomes
 zero-dimensional is truncated at its highest corner: if every monomial of
@@ -174,11 +176,8 @@ def _shift(h: dict[Monomial, int], a: Monomial, cap: int | None) -> dict[Monomia
 
 
 def _combine(h: dict[Monomial, int], sh: int, r: dict[Monomial, int], a: Monomial,
-             sr: int, cap: int | None, content: bool = True) -> dict[Monomial, int]:
-    """sh·h − sr·x^a·r, over its content unless ``content`` is false.
-
-    Terms of x^a·r of degree >= cap are dropped; h has none.
-    """
+             sr: int, cap: int | None) -> dict[Monomial, int]:
+    """sh·h − sr·x^a·r; terms of x^a·r of degree >= cap are dropped, h has none."""
     out = dict(h) if sh == 1 else {m: sh * c for m, c in h.items()}
     for m, c in r.items():
         m = mono_mul(m, a)
@@ -189,38 +188,38 @@ def _combine(h: dict[Monomial, int], sh: int, r: dict[Monomial, int], a: Monomia
             out[m] = v
         else:
             del out[m]
-    if content:
-        d = gcd(*out.values())
-        if d > 1:
-            out = {m: c // d for m, c in out.items()}
     return out
 
 
-def _reducer(g: dict[Monomial, int], keys: _OrderKeys) -> tuple:
+def _reducer(polys: list[dict[Monomial, int]], keys: _OrderKeys) -> tuple:
+    """The record (lm, lc, ecart, polys) of polys[0]; the rest are its witnesses."""
+    g = polys[0]
     lm = max(g, key=keys.__getitem__)
-    return lm, g[lm], max(map(sum, g)) - sum(lm), g
+    return lm, g[lm], max(map(sum, g)) - sum(lm), polys
 
 
-def _reduce(h: dict[Monomial, int], reducers: list[tuple], keys: _OrderKeys,
-            budget: Budget, cap: int | None,
-            witness: list[dict[Monomial, int]] | None = None) -> dict[Monomial, int]:
-    """Mora weak normal form of h, up to a nonzero integer factor.
+def _reduce(state: list[dict[Monomial, int]], reducers: list[tuple], keys: _OrderKeys,
+            budget: Budget, cap: int | None) -> list[dict[Monomial, int]]:
+    """Mora weak normal form of state[0], up to a nonzero integer factor.
 
-    ``reducers`` holds (lm, lc, ecart, poly) tuples and is not modified.  Each
-    step is h ← sh·h − sr·x^a·r over its content, a nonzero integer multiple
-    of the step of Mora's algorithm over Q, so the choice of reducer, the
-    remembered remainders and the budget charges are those over Q.  With a
-    cap K, m^K lies in the ideal of the reducers and h has no term of degree
-    >= K; none is created.
-
-    Tracking (cap None): ``witness`` is [U, Q_1..Q_k] with U·f = Σ Q_i·g_i + h,
-    and each reducer carries the witness of its poly as a fifth entry.  Each
-    step applies the same combination to the witnesses, divides h and the
-    witness by their joint content, and replaces the witness in place.
+    The state is [h], or [h, U, Q_1..Q_k] with U·f = Σ Q_i·g_i + h when
+    dividing; each record (lm, lc, ecart, polys) in ``reducers``, which is not
+    modified, carries in polys a state of the same length.  Each step divides out
+    the state's joint content and applies h ← sh·h − sr·x^a·r to every entry
+    alike, a nonzero integer multiple of Mora's step over Q, so reducer
+    choices, remembered remainders and budget charges are those over Q.  With
+    a cap K (plain reduction only), m^K lies in the ideal of the reducers and
+    h has no term of degree >= K; none is created.  Returns the final state.
     """
     reducers = list(reducers)
     lead = keys.__getitem__
-    while h:
+    while state[0]:
+        content = 0
+        for p in state:
+            content = gcd(content, *p.values())
+        if content > 1:
+            state = [{m: c // content for m, c in p.items()} for p in state]
+        h = state[0]
         lm_h = max(h, key=lead)
         red = None
         for r in reducers:
@@ -232,18 +231,12 @@ def _reduce(h: dict[Monomial, int], reducers: list[tuple], keys: _OrderKeys,
         e_h = max(map(sum, h)) - sum(lm_h)
         if red[2] > e_h:
             # remember the current remainder so later reductions stay local
-            reducers.append((lm_h, lc_h, e_h, h, witness and list(witness)))
+            reducers.append((lm_h, lc_h, e_h, state))
         gamma = gcd(red[1], lc_h)
         sh, a, sr = red[1] // gamma, mono_div(lm_h, red[0]), lc_h // gamma
-        if witness is None:
-            h = _combine(h, sh, red[3], a, sr, cap)
-        else:
-            polys = [_combine(p, sh, pr, a, sr, cap, False)
-                     for p, pr in zip([h, *witness], [red[3], *red[4]])]
-            content = gcd(*(c for p in polys for c in p.values()))
-            h, *witness[:] = ({m: c // content for m, c in p.items()} for p in polys)
-        budget.tick_monomials(max(1, len(h)))
-    return h
+        state = [_combine(p, sh, pr, a, sr, cap) for p, pr in zip(state, red[3])]
+        budget.tick_monomials(max(1, len(state[0])))
+    return state
 
 
 def mora_reduce(f: MultiPoly, gens: Sequence[MultiPoly],
@@ -267,15 +260,15 @@ def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
     u is a local unit with constant term 1; the identity is exact and can be
     checked term by term.  A zero generator gets a zero quotient.
 
-    The division is ``_reduce`` with tracking, started from h = d·f, U = d,
-    Q = 0 for the d that clears f's denominators; g_i enters as D_i·g_i with
-    witness Q_i = −D_i, so the identity holds for the g_i themselves.  Each
-    tracked state (h, U, Q) is then c·(r, u, q) for the state of Mora's
-    division over Q and some integer c ≠ 0, with the same leading monomials,
-    ecarts, reducer choices and budget charges.  Over Q, u starts at 1 and a
-    step by a remembered remainder subtracts a multiple of x^a·u_r with a ≠ 0,
-    so u(0) = 1 throughout, and dividing by c = U(0) gives the division over Q
-    term for term.
+    The division is ``_reduce`` on the state [h, U, Q_1..Q_k], started from
+    h = d·f, U = d, Q = 0 for the d that clears f's denominators; g_i enters
+    as the record of [D_i·g_i, 0, .., −D_i, .., 0], so the identity holds for
+    the g_i themselves.  Each state is then c·(r, u, q) for the state of
+    Mora's division over Q and some integer c ≠ 0, with the same leading
+    monomials, ecarts, reducer choices and budget charges.  Over Q, u starts
+    at 1 and a step by a remembered remainder subtracts a multiple of x^a·u_r
+    with a ≠ 0, so u(0) = 1 throughout, and dividing by c = U(0) gives the
+    division over Q term for term.
     """
     gens = list(gens)
     if any(g.nvars != f.nvars for g in gens):
@@ -283,14 +276,14 @@ def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
     budget = budget if budget is not None else Budget()
     n, one = f.nvars, (0,) * f.nvars
     keys = _OrderKeys(order or LocalOrder())
-    reducers = [(*_reducer(_int_terms(g), keys),
-                 [{}] + [{one: -_denominator(g)} if j == i else {} for j in range(len(gens))])
+    reducers = [_reducer([_int_terms(g), {}] + [{one: -_denominator(g)} if j == i else {}
+                                               for j in range(len(gens))], keys)
                 for i, g in enumerate(gens) if not g.is_zero]
-    witness = [{one: _denominator(f)}] + [{} for _ in gens]
-    h = _reduce(_int_terms(f), reducers, keys, budget, None, witness)
-    c = witness[0][one]
-    u, *q = (_fraction_poly(w, n, c) for w in witness)
-    return _fraction_poly(h, n, c), u, q
+    start = [_int_terms(f), {one: _denominator(f)}] + [{} for _ in gens]
+    state = _reduce(start, reducers, keys, budget, None)
+    c = state[1][one]
+    r, u, *q = (_fraction_poly(p, n, c) for p in state)
+    return r, u, q
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +368,8 @@ class StandardBasis:
         """
         budget = budget if budget is not None else Budget()
         keys = _OrderKeys(self.order)
-        reducers = [_reducer(_int_terms(g), keys) for g in self.basis]
-        return not _reduce(_int_terms(f, self.cap), reducers, keys, budget, self.cap)
+        reducers = [_reducer([_int_terms(g)], keys) for g in self.basis]
+        return not _reduce([_int_terms(f, self.cap)], reducers, keys, budget, self.cap)[0]
 
 
 def _minimal_monomials(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -405,23 +398,22 @@ def _standard_monomials(lead: Sequence[Monomial], nvars: int,
             if not any(mono_divides(s, mono) for s in lead))
 
 
-def _lower_cap(G: list[dict[Monomial, int]], lms: list[Monomial], cap: int | None,
-               budget: Budget) -> tuple[int | None, list[dict[Monomial, int]]]:
-    """The highest-corner cap of L(G), and G truncated to it if it fell.
-
-    The cap is 1 + the largest degree of a monomial outside (lms), or None
-    while there are infinitely many such monomials.
-    """
+def _lower_cap(basis: list[tuple], cap: int | None, keys: _OrderKeys,
+               budget: Budget) -> tuple[int | None, list[tuple]]:
+    """The records' highest-corner cap (1 + the largest degree of a standard monomial,
+    None while there are infinitely many), and the records truncated to it if it fell."""
+    lms = [lm for lm, _, _, _ in basis]
     standard = _standard_monomials(lms, len(lms[0]), budget)
     if standard is None:
-        return cap, G
+        return cap, basis
     new_cap = 1 + max(map(mono_deg, standard), default=-1)
     if new_cap == cap:
-        return cap, G
-    budget.tick_monomials(sum(map(len, G)))
-    return new_cap, [{lm: 1} if mono_deg(lm) >= new_cap
-                     else _primitive({m: c for m, c in g.items() if mono_deg(m) < new_cap})
-                     for g, lm in zip(G, lms)]
+        return cap, basis
+    budget.tick_monomials(sum(len(polys[0]) for _, _, _, polys in basis))
+    return new_cap, [_reducer([{lm: 1} if mono_deg(lm) >= new_cap else
+                               _primitive({m: c for m, c in polys[0].items()
+                                           if mono_deg(m) < new_cap})], keys)
+                     for lm, _, _, polys in basis]
 
 
 def standard_basis(I: Ideal, order: LocalOrder | None = None,
@@ -446,9 +438,9 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     is a nonzero integer multiple of the same step over Q, so leading
     monomials, ecarts and reducer choices agree with Mora's algorithm over Q,
     and a remainder made primitive is the one Q would give.  The basis is
-    returned with ``Fraction`` coefficients, each new element primitive with
-    a positive grlex-leading coefficient.  Monomial order keys are computed
-    once per call.
+    one list of records (lm, lc, ecart, [poly]), returned with ``Fraction``
+    coefficients; every element is primitive, as ``ideal`` makes generators,
+    with a positive grlex-leading coefficient.  Order keys are computed once.
 
     Highest-corner truncation (Greuel–Pfister; Singular's ``highcorner``),
     under a local degree order only: once the leading monomials of the
@@ -464,52 +456,43 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     """
     order = order or LocalOrder()
     budget = budget if budget is not None else Budget()
-    given = [g for g in I.generators if not g.is_zero]
-    if not given:
-        return StandardBasis((), order, (), I.nvars)
     keys = _OrderKeys(order)
-    start = [_int_terms(g) for g in given]
-    G = list(start)
-    reducers = [_reducer(g, keys) for g in G]
-    lms = [r[0] for r in reducers]
+    basis = [_reducer([_int_terms(g)], keys) for g in I.generators if not g.is_zero]
+    if not basis:
+        return StandardBasis((), order, (), I.nvars)
     cap = None
     if order.ntags == 0:
-        cap, G = _lower_cap(G, lms, cap, budget)
-        reducers = [_reducer(g, keys) for g in G]
+        cap, basis = _lower_cap(basis, cap, keys, budget)
     # pending pairs (i, j), i < j -> degree of the lcm of their leading monomials
-    pairs = {(i, j): mono_deg(mono_lcm(lms[i], lms[j])) for j in range(len(G)) for i in range(j)}
+    pairs = {(i, j): mono_deg(mono_lcm(basis[i][0], basis[j][0]))
+             for j in range(len(basis)) for i in range(j)}
     while pairs:
         budget.tick_pair()
         i, j = min(pairs, key=lambda p: (pairs[p], p))
         del pairs[i, j]
-        (lm_f, lc_f, _, f), (lm_g, lc_g, _, g) = reducers[i], reducers[j]
+        (lm_f, lc_f, _, (f,)), (lm_g, lc_g, _, (g,)) = basis[i], basis[j]
         lcm_fg = mono_lcm(lm_f, lm_g)
         # chain criterion: the done pairs (i, k) and (j, k) generate this one
         if any(k != i and k != j and mono_divides(lm_k, lcm_fg)
                and (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs
-               for k, lm_k in enumerate(lms)):
+               for k, (lm_k, _, _, _) in enumerate(basis)):
             continue
         gamma = gcd(lc_f, lc_g)
         s = _combine(_shift(f, mono_div(lcm_fg, lm_f), cap), lc_g // gamma,
                      g, mono_div(lcm_fg, lm_g), lc_f // gamma, cap)
         if not s:
             continue
-        r = _reduce(s, reducers, keys, budget, cap)
+        r = _reduce([s], basis, keys, budget, cap)[0]
         if not r:
             continue
-        G.append(_primitive(r))
-        reducers.append(_reducer(G[-1], keys))
-        lms.append(reducers[-1][0])
+        basis.append(_reducer([_primitive(r)], keys))
         if order.ntags == 0:
-            capped, G = _lower_cap(G, lms, cap, budget)
-            if capped != cap:
-                cap, reducers = capped, [_reducer(g, keys) for g in G]
-        new = len(G) - 1
-        pairs.update(((k, new), mono_deg(mono_lcm(lms[k], lms[new]))) for k in range(new))
-    # a generator no truncation touched is returned as given
-    basis = [p if g is q else _fraction_poly(g, I.nvars) for p, q, g in zip(given, start, G)]
-    basis += [_fraction_poly(g, I.nvars) for g in G[len(given):]]
-    return StandardBasis(tuple(basis), order, _minimal_monomials(lms), I.nvars, cap)
+            cap, basis = _lower_cap(basis, cap, keys, budget)
+        new = len(basis) - 1
+        pairs.update(((k, new), mono_deg(mono_lcm(basis[k][0], basis[new][0])))
+                     for k in range(new))
+    return StandardBasis(tuple(_fraction_poly(polys[0], I.nvars) for _, _, _, polys in basis),
+                         order, _minimal_monomials(lm for lm, _, _, _ in basis), I.nvars, cap)
 
 
 def colength(I: Ideal | StandardBasis, budget: Budget | None = None) -> int | None:

@@ -8,6 +8,7 @@ import pytest
 
 from lenumbers import ConstraintReport
 from lenumbers.cli import main
+from test_cyclo import alarm_after
 
 XYZ_JOB = json.dumps({
     "polynomial": "x*y*z",
@@ -129,6 +130,16 @@ def test_resource_limit_message_names_the_stage(capsys):
     assert out == ""
     assert err.startswith("resource limit: stage polar: S-pair budget of 20 exhausted")
     assert "pairs_used=21" in err
+
+
+@pytest.mark.parametrize("operation, value", [
+    ("unity", "1000000000000"), ("phi", "1000000000039")])
+def test_cyclo_expansion_past_the_monomial_budget_exits_3(capsys, operation, value):
+    with alarm_after(2):
+        code, out, err = run(capsys, "cyclo", operation, value)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: expanding a cyclotomic product needs ")
 
 
 def test_constraints_command(capsys):

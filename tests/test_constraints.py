@@ -30,7 +30,7 @@ from lenumbers.constraints import (
     VERDICT_NOT_APPLICABLE,
     VERDICT_RANK_BELOW,
 )
-from lenumbers.intlinalg import identity, mat_pow, mat_sub
+from lenumbers.intlinalg import block_cycle_matrix, fixed_space_rank, identity, mat_pow, mat_sub
 
 
 def triple_planes_setup():
@@ -119,6 +119,30 @@ def test_integer_matrices_are_read_not_truncated(call):
 def test_as_matrix_names_the_matrix_it_reads():
     with pytest.raises(InputError, match="^'tau' must be an integer, not 1.5$"):
         as_matrix([[1, 1.5]], "tau")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cyclic_kernel_rank([[1]], 2.5), lambda: cyclic_kernel_rank([[1]], True),
+    lambda: block_cycle_matrix([[1]], 2.0), lambda: mat_pow(((1,),), 2.0),
+    lambda: mat_pow(((1,),), False),
+], ids=["cyclic-kernel-float", "cyclic-kernel-bool", "block-cycle-float", "mat-pow-float",
+        "mat-pow-bool"])
+def test_cycle_lengths_are_read_not_coerced(call):
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
+
+
+def test_fixed_space_rank_against_gaussian_elimination():
+    rng = random.Random(67)
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        a = tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(m))
+        assert fixed_space_rank(a) == m - rank_gauss(mat_sub(identity(m), a))
+    assert fixed_space_rank(identity(3)) == 3
+    with pytest.raises(InputError, match="square"):
+        fixed_space_rank([[1, 0]])
+    with pytest.raises(InputError, match="must be an integer"):
+        fixed_space_rank([[0.5]])
 
 
 # ---------------------------------------------------------------------------

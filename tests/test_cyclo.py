@@ -7,6 +7,7 @@ import pytest
 from lenumbers import (
     CycloProduct,
     InputError,
+    ResourceLimitError,
     cyclo_product,
     cyclotomic,
     factor_unity,
@@ -84,6 +85,16 @@ def test_cyclotomic_30030_expands_quickly():
     assert phi.total_degree() == totient(30030) == 5760
     assert phi.evaluate([1]) == 1  # 30030 is not a prime power
     assert coeffs == coeffs[::-1]
+
+
+@pytest.mark.parametrize("factors", [
+    {10**12: 1},            # the largest index alone forces 10^12 + 1 coefficients
+    {10**12 + 39: 1, 6: 2},
+    {1000: 2000},           # (t^1000 - 1)^2000 is multiplied out first
+])
+def test_expansion_past_the_monomial_budget_is_refused_before_allocating(factors):
+    with alarm_after(2), pytest.raises(ResourceLimitError, match="monomial budget of 1000000"):
+        CycloProduct(factors).expand()
 
 
 def test_factor_unity_examples():

@@ -311,6 +311,39 @@ def test_highest_corner_cap_is_certified():
                 assert not sb.contains(mono)
 
 
+def test_plain_and_tracked_reduction_agree_on_membership():
+    # contains() runs the Mora loop on [f] (truncated at the cap), mora_reduce
+    # on [f, U, Q_1..Q_k]; both must say whether f lies in the ideal
+    rng = random.Random(61)
+    seen = set()
+    for trial in range(40):
+        n = rng.randint(2, 3)
+        gens = [_rand_poly(rng, n, 1) for _ in range(rng.randint(1, 3))]
+        if trial % 2:
+            # pure powers of every variable make the ideal zero-dimensional
+            gens += [MultiPoly.variable(v, n) ** rng.randint(2, 4) + _rand_poly(rng, n, 2)
+                     for v in range(n)]
+        if all(g.is_zero for g in gens):
+            continue
+        sb = standard_basis(ideal(gens, n), budget=small_budget())
+        inside = MultiPoly.zero(n)
+        for g in gens:
+            inside = inside + _rand_poly(rng, n) * g
+        candidates = [inside, inside + _rand_poly(rng, n), _rand_poly(rng, n, 1)]
+        if sb.cap:
+            standard = [m for m in product(range(sb.cap), repeat=n)
+                        if not any(mono_divides(s, m) for s in sb.staircase)]
+            # a standard monomial is outside the ideal, and so is inside + it
+            candidates.append(inside + MultiPoly({rng.choice(standard): 1}, n))
+        for f in candidates:
+            member = sb.contains(f, small_budget())
+            assert mora_reduce(f, sb.basis, budget=small_budget()).is_zero == member
+            truncated = sb.cap is not None and any(mono_deg(m) >= sb.cap for m in f.terms)
+            seen.add((member, sb.cap is not None, truncated))
+    assert {(True, False, False), (False, False, False),
+            (True, True, True), (False, True, True)} <= seen
+
+
 def test_highest_corner_cap_edge_cases():
     unit = standard_basis(unit_ideal(2))
     assert unit.cap == 0
