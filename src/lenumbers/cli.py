@@ -50,8 +50,8 @@ def _build_parser() -> _Parser:
         command.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--seed", type=int, default=None,
                          help="seed for slice-form candidates (default 0)")
-    analyze.add_argument("--max-pairs", type=int, default=100_000)
-    analyze.add_argument("--max-monomials", type=int, default=1_000_000)
+    analyze.add_argument("--max-pairs", type=int, default=Budget.max_pairs)
+    analyze.add_argument("--max-monomials", type=int, default=Budget.max_monomials)
     cyclo.add_argument("operation", choices=("phi", "unity", "homchar", "gcd"))
     cyclo.add_argument("args", nargs="*")
     return parser
@@ -75,7 +75,7 @@ def _load_job(args) -> dict:
             raise InputError(f"cannot read input file: {exc}")
     try:
         job = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON input: {exc}")
     if not isinstance(job, dict):
         raise InputError("the JSON input must be an object")
@@ -165,52 +165,46 @@ def _cmd_arrangement(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cyclo(args) -> int:
-    op = args.operation
-    values = args.args
-    if op == "phi":
-        if len(values) != 1:
-            raise InputError("usage: cyclo phi K")
-        poly = cyclotomic(_int(values[0])).to_string(["t"])
-        payload = {"command": "cyclo", "operation": "phi", "polynomial": poly}
-        _emit(payload, poly, args.format)
-        return EXIT_OK
-    if op == "unity":
-        if len(values) != 1:
-            raise InputError("usage: cyclo unity D")
-        product = factor_unity(_int(values[0]))
-        expanded = product.expand().to_string(["t"])
-        text = f"{product} ; expands to {expanded}"
-        payload = {"command": "cyclo", "operation": "unity",
-                   "factors": str(product), "expanded": expanded}
-        _emit(payload, text, args.format)
-        return EXIT_OK
-    if op == "homchar":
-        if len(values) != 2:
-            raise InputError("usage: cyclo homchar N D")
-        product = homogeneous_char(_int(values[0]), _int(values[1]))
-        text = f"{product} ; degree {product.degree()} ; trace {product.trace()}"
-        payload = {"command": "cyclo", "operation": "homchar", "factors": str(product),
-                   "degree": product.degree(), "trace": product.trace()}
-        _emit(payload, text, args.format)
-        return EXIT_OK
-    if len(values) != 2:
-        raise InputError("usage: cyclo gcd 'Phi_...' 'Phi_...'")
-    a = CycloProduct.parse(values[0])
-    b = CycloProduct.parse(values[1])
-    g = a.gcd(b)
-    text = f"{g} ; degree {g.degree()} ; trace {g.trace()}"
-    payload = {"command": "cyclo", "operation": "gcd", "factors": str(g),
-               "degree": g.degree(), "trace": g.trace()}
-    _emit(payload, text, args.format)
-    return EXIT_OK
-
-
 def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
         raise InputError(f"expected an integer, got {text!r}")
+
+
+def _phi(k: str) -> tuple[dict, str]:
+    poly = cyclotomic(_int(k)).to_string(["t"])
+    return {"polynomial": poly}, poly
+
+
+def _unity(d: str) -> tuple[dict, str]:
+    product = factor_unity(_int(d))
+    expanded = product.expand().to_string(["t"])
+    return {"factors": str(product), "expanded": expanded}, f"{product} ; expands to {expanded}"
+
+
+def _summary(product: CycloProduct) -> tuple[dict, str]:
+    fields = {"factors": str(product), "degree": product.degree(), "trace": product.trace()}
+    return fields, "{factors} ; degree {degree} ; trace {trace}".format(**fields)
+
+
+# operation -> (usage of its arguments, the function from them to JSON fields and text)
+_CYCLO = {
+    "phi": ("K", _phi),
+    "unity": ("D", _unity),
+    "homchar": ("N D", lambda n, d: _summary(homogeneous_char(_int(n), _int(d)))),
+    "gcd": ("'Phi_...' 'Phi_...'",
+            lambda a, b: _summary(CycloProduct.parse(a).gcd(CycloProduct.parse(b)))),
+}
+
+
+def _cmd_cyclo(args) -> int:
+    usage, report = _CYCLO[args.operation]
+    if len(args.args) != len(usage.split()):
+        raise InputError(f"usage: cyclo {args.operation} {usage}")
+    fields, text = report(*args.args)
+    _emit({"command": "cyclo", "operation": args.operation, **fields}, text, args.format)
+    return EXIT_OK
 
 
 _COMMANDS = {

@@ -386,10 +386,10 @@ class ConstraintReport:
         bound = d.get("divisor_bound")
         s_bounds = d.get("s_bounds")
         return cls(
-            lambda1=int(d["lambda1"]),
+            lambda1=integer(d["lambda1"], "lambda1"),
             divisor_bound=None if bound is None else CycloProduct.parse(bound),
-            rank_bound=int(d["rank_bound"]),
-            s_bounds=None if s_bounds is None else tuple(int(s) for s in s_bounds),
+            rank_bound=integer(d["rank_bound"], "rank_bound"),
+            s_bounds=None if s_bounds is None else tuple(integer(s, "s_bounds") for s in s_bounds),
             verdicts=tuple(Finding.from_dict(v) for v in d.get("verdicts", [])),
             warnings=tuple(d.get("warnings", ())),
         )

@@ -12,11 +12,11 @@ are roots of unity, so the representation is closed under everything we need.
 from __future__ import annotations
 
 import re
+from math import isqrt
 from typing import Iterable, Mapping
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
-from .localring import Budget
-from .polynomials import MultiPoly, integer
+from .polynomials import MAX_MONOMIALS, MultiPoly, integer
 
 
 def _positive(value, name: str) -> int:
@@ -26,10 +26,17 @@ def _positive(value, name: str) -> int:
     return value
 
 
+def _check_divisor(d: int, k: int) -> None:
+    """Raise ``ResourceLimitError`` once trial division of k passes ``MAX_MONOMIALS``."""
+    if d > MAX_MONOMIALS:
+        raise ResourceLimitError(f"trial division of {k} passes the cap of {MAX_MONOMIALS}")
+
+
 def _factorize(k: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     d = 2
     while d * d <= k:
+        _check_divisor(d, k)
         while k % d == 0:
             factors[d] = factors.get(d, 0) + 1
             k //= d
@@ -54,7 +61,7 @@ def totient(k: int) -> int:
 
 
 def divisors(k: int) -> list[int]:
-    _positive(k, "k")
+    _check_divisor(isqrt(_positive(k, "k")), k)
     small, large = [], []
     d = 1
     while d * d <= k:
@@ -129,21 +136,13 @@ class CycloProduct:
 
     def gcd(self, other: "CycloProduct") -> "CycloProduct":
         """Pointwise minimum of exponents."""
-        out = {}
-        for k, c in self._factors.items():
-            m = min(c, other._factors.get(k, 0))
-            if m:
-                out[k] = m
-        return CycloProduct(out)
+        return CycloProduct({k: min(c, other.exponent(k)) for k, c in self._factors.items()})
 
     def divides(self, other: "CycloProduct") -> bool:
         return all(c <= other._factors.get(k, 0) for k, c in self._factors.items())
 
     def __mul__(self, other: "CycloProduct") -> "CycloProduct":
-        out = dict(self._factors)
-        for k, c in other._factors.items():
-            out[k] = out.get(k, 0) + c
-        return CycloProduct(out)
+        return cyclo_product((self, other))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloProduct):
@@ -185,12 +184,11 @@ class CycloProduct:
 
 
 def _check_length(length: int) -> None:
-    """Raise ``ResourceLimitError`` if a coefficient list of this length passes the
-    default monomial budget."""
-    cap = Budget().max_monomials
-    if length > cap:
+    """Raise ``ResourceLimitError`` if a coefficient list of this length passes
+    ``MAX_MONOMIALS``."""
+    if length > MAX_MONOMIALS:
         raise ResourceLimitError(f"expanding a cyclotomic product needs {length} "
-                                 f"coefficients, over the monomial budget of {cap}")
+                                 f"coefficients, over the monomial budget of {MAX_MONOMIALS}")
 
 
 def _times_binomial(coeffs: list[int], d: int) -> list[int]:
@@ -208,10 +206,7 @@ def _over_binomial(coeffs: list[int], d: int) -> list[int]:
 
 def cyclo_product(items: Iterable[CycloProduct]) -> CycloProduct:
     """Pointwise sum of exponents; the empty product is 1."""
-    out = CycloProduct()
-    for item in items:
-        out = out * item
-    return out
+    return CycloProduct([factor for item in items for factor in item._factors.items()])
 
 
 def factor_unity(d: int) -> CycloProduct:
@@ -236,8 +231,4 @@ def homogeneous_char_exponents(n: int, d: int) -> tuple[int, int]:
 def homogeneous_char(n: int, d: int) -> CycloProduct:
     """(t-1)^a0 * ((t^d-1)/(t-1))^b0 in factored form; degree (d-1)^n."""
     a0, b0 = homogeneous_char_exponents(n, d)
-    factors = {1: a0}
-    for k in divisors(d):
-        if k > 1:
-            factors[k] = b0
-    return CycloProduct(factors)
+    return CycloProduct({1: a0, **dict.fromkeys(divisors(d)[1:], b0)})

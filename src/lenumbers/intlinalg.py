@@ -40,8 +40,9 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     while k:
         if k & 1:
             result = mat_mul(result, base)
-        base = mat_mul(base, base)
         k >>= 1
+        if k:
+            base = mat_mul(base, base)
     return result
 
 

@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .polynomials import (
+    MAX_MONOMIALS,
     Monomial,
     MultiPoly,
     integer,
@@ -59,7 +60,7 @@ class Budget:
     """Hard caps on standard-basis work; exceeding one is an error."""
 
     max_pairs: int = 100_000
-    max_monomials: int = 1_000_000
+    max_monomials: int = MAX_MONOMIALS
     pairs_used: int = 0
     monomials_used: int = 0
 

@@ -13,12 +13,18 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, PolyParseError
+from .errors import InputError, PolyParseError, ResourceLimitError
 
 Monomial = tuple[int, ...]
+
+# The one default cap on work measured in monomials: the default monomial budget
+# of a standard basis, the most term pairs of one product, the longest expanded
+# cyclotomic product and the largest trial divisor of a cyclotomic index.
+MAX_MONOMIALS = 1_000_000
 
 
 def rational(value) -> Fraction:
@@ -77,7 +83,8 @@ class MultiPoly:
     the zero polynomial has an empty term map.  Coefficients, constants and
     scalars from outside are read by ``rational``, exponents by ``integer``.
     Arithmetic returns new objects; instances are safe to share between
-    threads.
+    threads.  A product of more than ``MAX_MONOMIALS`` term pairs raises
+    ``ResourceLimitError``.
     """
 
     __slots__ = ("_terms", "nvars")
@@ -176,16 +183,23 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             if self.nvars != other.nvars:
                 raise InputError("variable counts differ")
-            out: dict[Monomial, Fraction] = {}
-            for ma, ca in self._terms.items():
-                for mb, cb in other._terms.items():
+            if len(self._terms) * len(other._terms) > MAX_MONOMIALS:
+                raise ResourceLimitError(f"a product of {len(self._terms)} by {len(other._terms)} "
+                                         f"terms passes the monomial cap of {MAX_MONOMIALS}")
+            # integer products, then one division per term: several times faster than
+            # Fraction arithmetic, so a product at the cap takes well under a second
+            da, a = _scaled(self._terms)
+            db, b = _scaled(other._terms)
+            out: dict[Monomial, int] = {}
+            for ma, ca in a:
+                for mb, cb in b:
                     m = mono_mul(ma, mb)
-                    v = out.get(m, Fraction(0)) + ca * cb
+                    v = out.get(m, 0) + ca * cb
                     if v:
                         out[m] = v
                     else:
                         out.pop(m, None)
-            return MultiPoly._raw(out, self.nvars)
+            return MultiPoly._raw({m: Fraction(v, da * db) for m, v in out.items()}, self.nvars)
         c = rational(other)
         if not c:
             return MultiPoly.zero(self.nvars)
@@ -203,8 +217,9 @@ class MultiPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def term_mul(self, mono: Monomial, coeff: Fraction) -> "MultiPoly":
@@ -316,6 +331,12 @@ class MultiPoly:
         return f"MultiPoly({self.to_string()!r}, nvars={self.nvars})"
 
 
+def _scaled(terms: dict[Monomial, Fraction]) -> tuple[int, list[tuple[Monomial, int]]]:
+    """The lcm d of the denominators, and the terms of d times the polynomial."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+
+
 def _det(rows: list[list[Fraction]]) -> Fraction:
     n = len(rows)
     a = [row[:] for row in rows]
@@ -340,124 +361,93 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*^()/])")
-
-
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise PolyParseError(f"unexpected character {ch!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", int(m.group()), pos))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group(), pos))
-        else:
-            tokens.append((m.group(), m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _PolyParser:
-    """Recursive-descent parser for +, -, *, ^ expressions over named variables.
-
-    Rational literals are written p/q; '/' is not a general operator and
-    implicit multiplication is not accepted.
-    """
-
-    def __init__(self, text: str, names: Sequence[str]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.names = list(names)
-        self.index = {name: i for i, name in enumerate(self.names)}
-        if len(self.index) != len(self.names):
-            raise InputError("duplicate variable names")
-        self.nvars = len(self.names)
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.take()
-        if tok[0] != kind:
-            raise PolyParseError(f"expected {kind!r}", tok[2])
-        return tok
-
-    def parse(self) -> MultiPoly:
-        p = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise PolyParseError(f"unexpected token {tok[1]!r}", tok[2])
-        return p
-
-    def expr(self) -> MultiPoly:
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> MultiPoly:
-        value = self.unary()
-        while self.peek()[0] == "*":
-            self.take()
-            value = value * self.unary()
-        return value
-
-    def unary(self) -> MultiPoly:
-        tok = self.peek()
-        if tok[0] in ("+", "-"):
-            self.take()
-            inner = self.unary()
-            return inner if tok[0] == "+" else -inner
-        return self.factor()
-
-    def factor(self) -> MultiPoly:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            tok = self.take()
-            if tok[0] != "num":
-                raise PolyParseError("exponent must be a nonnegative integer", tok[2])
-            return base ** tok[1]
-        return base
-
-    def atom(self) -> MultiPoly:
-        tok = self.take()
-        if tok[0] == "num":
-            value = Fraction(tok[1])
-            if self.peek()[0] == "/":
-                self.take()
-                den = self.take()
-                if den[0] != "num" or den[1] == 0:
-                    raise PolyParseError("denominator must be a nonzero integer", den[2])
-                value /= den[1]
-            return MultiPoly.constant(value, self.nvars)
-        if tok[0] == "name":
-            idx = self.index.get(tok[1])
-            if idx is None:
-                raise PolyParseError(f"unknown variable {tok[1]!r}", tok[2])
-            return MultiPoly.variable(idx, self.nvars)
-        if tok[0] == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise PolyParseError(f"unexpected token {tok[1]!r}", tok[2])
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                    r"|(?P<op>[+\-*^()/])|(?P<bad>\S))")
 
 
 def parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
-    """Parse an expression over the named variables into canonical expanded form."""
-    return _PolyParser(text, names).parse()
+    """Parse an expression over the named variables into canonical expanded form.
+
+    The grammar, with no implicit multiplication and '/' only in a literal p/q::
+
+        sum     := product (('+' | '-') product)*
+        product := factor ('*' factor)*
+        factor  := ('+' | '-')* (int ['/' int] | name | '(' sum ')') ['^' int]
+
+    Malformed text, too-deep nesting included, is a ``PolyParseError`` at the
+    offending token; a bad character anywhere is reported first.  A product
+    past ``MAX_MONOMIALS`` term pairs raises ``ResourceLimitError``.
+    """
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, pos = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise PolyParseError(f"unexpected character {value!r}", pos)
+        tokens.append((value if kind == "op" else kind,
+                       int(value) if kind == "num" else value, pos))
+    tokens.append(("end", None, len(text)))
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise InputError("duplicate variable names")
+    i = 0
+
+    def take(*kinds):
+        """The next token, consumed; given kinds, only a token of one of them, else None."""
+        nonlocal i
+        tok = tokens[i]
+        if kinds and tok[0] not in kinds:
+            return None
+        i += 1
+        return tok
+
+    def sum_() -> MultiPoly:
+        value = product()
+        while op := take("+", "-"):
+            value = value + product() if op[0] == "+" else value - product()
+        return value
+
+    def product() -> MultiPoly:
+        value = factor()
+        while take("*"):
+            value = value * factor()
+        return value
+
+    def factor() -> MultiPoly:
+        negate = False
+        while sign := take("+", "-"):
+            negate ^= sign[0] == "-"
+        kind, value, pos = take()
+        if kind == "num":
+            number = Fraction(value)
+            if take("/"):
+                kind, den, pos = take()
+                if kind != "num" or den == 0:
+                    raise PolyParseError("denominator must be a nonzero integer", pos)
+                number /= den
+            base = MultiPoly.constant(number, len(index))
+        elif kind == "name":
+            if value not in index:
+                raise PolyParseError(f"unknown variable {value!r}", pos)
+            base = MultiPoly.variable(index[value], len(index))
+        elif kind == "(":
+            base = sum_()
+            kind, _, pos = take()
+            if kind != ")":
+                raise PolyParseError("expected ')'", pos)
+        else:
+            raise PolyParseError(f"unexpected token {value!r}", pos)
+        if take("^"):
+            kind, exponent, pos = take()
+            if kind != "num":
+                raise PolyParseError("exponent must be a nonnegative integer", pos)
+            base = base ** exponent
+        return -base if negate else base
+
+    try:
+        result = sum_()
+    except RecursionError:  # reported at the last token read
+        raise PolyParseError("parentheses nested too deeply", tokens[i - 1][2]) from None
+    if not take("end"):
+        raise PolyParseError(f"unexpected token {tokens[i][1]!r}", tokens[i][2])
+    return result

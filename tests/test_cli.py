@@ -142,6 +142,48 @@ def test_cyclo_expansion_past_the_monomial_budget_exits_3(capsys, operation, val
     assert err.startswith("resource limit: expanding a cyclotomic product needs ")
 
 
+def test_analyze_deep_nesting_is_an_input_error(capsys):
+    job = json.dumps({"polynomial": "(" * 10_000 + "x" + ")" * 10_000,
+                      "variables": ["x", "y", "z"]})
+    code, out, err = run(capsys, "analyze", "--input", job)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: parentheses nested too deeply (at position ")
+
+
+def test_deeply_nested_json_input_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "constraints", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid JSON input: maximum recursion depth exceeded")
+
+
+def test_analyze_expansion_past_the_monomial_cap_exits_3(capsys):
+    job = json.dumps({"polynomial": "(x+y+z)^400", "variables": ["x", "y", "z"]})
+    with alarm_after(2):
+        code, out, err = run(capsys, "analyze", "--input", job)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: a product of ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cyclo", "unity", "1000000000000000000"],
+    ["cyclo", "gcd", "Phi_1000000000000000003", "Phi_1000000000000000003"],
+    ["cyclo", "homchar", "2", "1000000000000000000"],
+    ["constraints", "--input", json.dumps({"n": 2, "mu0": 4, "d0": 3, "components": [
+        {"k": 1, "mu": 1, "charH": "Phi_1000000000000000003"}]})],
+], ids=["unity", "gcd", "homchar", "constraints-charH"])
+def test_factoring_past_the_monomial_cap_exits_3(capsys, argv):
+    with alarm_after(2):
+        code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: trial division of ")
+
+
 def test_constraints_command(capsys):
     job = json.dumps({"n": 2, "mu0": 4, "d0": 3,
                       "components": [{"k": 1, "mu": 1, "d": 2}] * 3})

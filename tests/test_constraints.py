@@ -30,6 +30,7 @@ from lenumbers.constraints import (
     VERDICT_NOT_APPLICABLE,
     VERDICT_RANK_BELOW,
 )
+from lenumbers import intlinalg
 from lenumbers.intlinalg import block_cycle_matrix, fixed_space_rank, identity, mat_pow, mat_sub
 
 
@@ -366,6 +367,33 @@ def test_report_json_roundtrip():
     assert ConstraintReport.from_dict(report.to_dict()) == report
     rendered = report.render_text()
     assert "Phi_1^2" in rendered
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lambda1", 2.9), ("rank_bound", True), ("s_bounds", ["3", 1]), ("s_bounds", [3, 1.5]),
+])
+def test_report_from_dict_reads_counts_not_truncates(key, value):
+    d = {"lambda1": 2, "rank_bound": 1, "s_bounds": [3, 1], "divisor_bound": None}
+    assert ConstraintReport.from_dict(d).s_bounds == (3, 1)
+    with pytest.raises(InputError, match=f"^'{key}' must be an integer"):
+        ConstraintReport.from_dict({**d, key: value})
+
+
+def test_mat_pow_uses_one_product_per_bit(monkeypatch):
+    # e.bit_length() - 1 squarings and popcount(e) multiplications
+    products = []
+    mul = intlinalg.mat_mul
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(intlinalg, "mat_mul", counted)
+    shift = ((1, 1), (0, 1))
+    for e in (1, 2, 3, 8, 40, 63):
+        products.clear()
+        assert mat_pow(shift, e) == ((1, e), (0, 1))
+        assert len(products) <= e.bit_length() + bin(e).count("1") - 1
 
 
 def test_finding_roundtrip():

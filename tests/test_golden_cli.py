@@ -7,7 +7,8 @@ whose components carry ``d``, ``charH``, ``tau`` and ``fixedRank``, and two
 explicit ``z0`` on which mu0 is infinite, and one where every searched slice
 form is rejected and the last is reported.  The ``cyclo`` jobs pin the
 expanded polynomials: Phi_1, Phi_105 (the first cyclotomic polynomial with a
-coefficient -2) and Phi_2310, and t^12 - 1 and t^30 - 1 with their factors.
+coefficient -2) and Phi_2310, t^12 - 1 and t^30 - 1 with their factors, the
+homogeneous characteristic polynomial for n = 2, d = 3, and one gcd.
 
 Running this module as a script rewrites the recorded outputs under
 ``tests/data/``; do that only when an output change is intended.
@@ -32,8 +33,8 @@ def input_job(command: str, job: dict, expected_code: int) -> tuple[list[str], i
     return [command, "--format", "json", "--input", json.dumps(job)], expected_code
 
 
-def cyclo_job(operation: str, value: int) -> tuple[list[str], int]:
-    return ["cyclo", "--format", "json", operation, str(value)], 0
+def cyclo_job(operation: str, *values) -> tuple[list[str], int]:
+    return ["cyclo", "--format", "json", operation, *map(str, values)], 0
 
 
 # name -> (argv, expected exit code)
@@ -75,6 +76,8 @@ JOBS = {
     }, 2),
     **{f"cyclo_phi_{k}": cyclo_job("phi", k) for k in (1, 105, 2310)},
     **{f"cyclo_unity_{d}": cyclo_job("unity", d) for d in (12, 30)},
+    "cyclo_homchar_2_3": cyclo_job("homchar", 2, 3),
+    "cyclo_gcd": cyclo_job("gcd", "Phi_1^2 * Phi_3", "Phi_1^3"),
 }
 
 

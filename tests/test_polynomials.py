@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from lenumbers import InputError, MultiPoly, PolyParseError, parse_poly
-from lenumbers.polynomials import integer, rational
+from lenumbers import InputError, MultiPoly, PolyParseError, ResourceLimitError, parse_poly
+from lenumbers.polynomials import MAX_MONOMIALS, integer, rational
 from unipoly_oracle import primitive_positive, remainder, t_poly, unipoly_gcd
 
 XY = ["x", "y"]
@@ -76,6 +77,137 @@ def test_parse_rejects_bare_slash():
 def test_parse_rejects_fractional_exponent():
     with pytest.raises(PolyParseError):
         P("x^(2)", XY)
+
+
+# text -> printed result over x, y, z, or (error message, position); each rule
+# of the grammar and each error message appears at least once
+PARSE_TABLE = [
+    ("x", "x"),
+    ("42", "42"),
+    ("0", "0"),
+    ("1/2", "1/2"),
+    ("-3/4*x", "-3/4*x"),
+    ("x + y - z", "x + y - z"),
+    ("x*y*z", "x*y*z"),
+    ("2*x^3", "2*x^3"),
+    ("x^0", "1"),
+    ("(x + y)^3", "x^3 + 3*x^2*y + 3*x*y^2 + y^3"),
+    ("-x^2", "-x^2"),
+    ("--x", "x"),
+    ("+-+x", "-x"),
+    ("-(x - y)^2", "-x^2 + 2*x*y - y^2"),
+    ("((x))", "x"),
+    ("(1/2*x + y)*(x - 2*y)", "1/2*x^2 - 2*y^2"),
+    ("x - -y", "x + y"),
+    ("2^10", "1024"),
+    ("1/2^3", "1/8"),
+    ("  x\t*\ny  ", "x*y"),
+    ("x*-y", "-x*y"),
+    ("x^2 - x^2", "0"),
+    ("007/010", "7/10"),
+    ("", ("unexpected token None", 0)),
+    ("   ", ("unexpected token None", 3)),
+    ("x +", ("unexpected token None", 3)),
+    ("x + * y", ("unexpected token '*'", 4)),
+    ("2x", ("unexpected token 'x'", 1)),
+    ("x y", ("unexpected token 'y'", 2)),
+    ("x 5", ("unexpected token 5", 2)),
+    ("x/2", ("unexpected token '/'", 1)),
+    ("1/0", ("denominator must be a nonzero integer", 2)),
+    ("1/x", ("denominator must be a nonzero integer", 2)),
+    ("1/", ("denominator must be a nonzero integer", 2)),
+    ("1/-2", ("denominator must be a nonzero integer", 2)),
+    ("x^", ("exponent must be a nonnegative integer", 2)),
+    ("x^y", ("exponent must be a nonnegative integer", 2)),
+    ("x^(2)", ("exponent must be a nonnegative integer", 2)),
+    ("x^-1", ("exponent must be a nonnegative integer", 2)),
+    ("x^2^3", ("unexpected token '^'", 3)),
+    ("(x + y", ("expected ')'", 6)),
+    ("(x", ("expected ')'", 2)),
+    ("(x + y))", ("unexpected token ')'", 7)),
+    ("()", ("unexpected token ')'", 1)),
+    (")", ("unexpected token ')'", 0)),
+    ("x ** 2", ("unexpected token '*'", 3)),
+    ("x + ( * y", ("unexpected token '*'", 6)),
+    ("q", ("unknown variable 'q'", 0)),
+    ("x + q", ("unknown variable 'q'", 4)),
+    ("x @ y", ("unexpected character '@'", 2)),
+    ("x + é", ("unexpected character 'é'", 4)),
+    ("x;", ("unexpected character ';'", 1)),
+    ("x * (y + @", ("unexpected character '@'", 9)),  # ahead of the unclosed '('
+]
+
+
+@pytest.mark.parametrize("text, expected", PARSE_TABLE)
+def test_parse_table(text, expected):
+    if isinstance(expected, str):
+        assert P(text).to_string(XYZ) == expected
+        return
+    message, position = expected
+    with pytest.raises(PolyParseError) as err:
+        P(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_parse_checks_names_after_characters():
+    with pytest.raises(InputError, match="duplicate variable names"):
+        parse_poly("x", ["x", "x"])
+    with pytest.raises(PolyParseError, match="unexpected character '@'"):
+        parse_poly("@", ["x", "x"])
+
+
+def test_parse_deep_nesting_is_a_parse_error():
+    assert P("(" * 100 + "x" + ")" * 100) == P("x")
+    with pytest.raises(PolyParseError, match="parentheses nested too deeply"):
+        P("(" * 10_000 + "x" + ")" * 10_000)
+
+
+def test_product_past_the_monomial_cap_is_refused_before_multiplying():
+    p = MultiPoly({(i,): 1 for i in range(1001)}, 1)
+    assert len(p.terms) * len(p.terms) > MAX_MONOMIALS
+    with pytest.raises(ResourceLimitError, match="monomial cap of 1000000"):
+        p * p
+
+
+def test_product_matches_the_fraction_loop_term_for_term():
+    # reference: accumulate Fraction products term by term, dropping zeros as they occur
+    def reference(p, q):
+        out = {}
+        for ma, ca in p.terms.items():
+            for mb, cb in q.terms.items():
+                m = tuple(a + b for a, b in zip(ma, mb))
+                v = out.get(m, Fraction(0)) + ca * cb
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+        return out
+
+    rng = random.Random(5)
+    for _ in range(500):
+        nvars = rng.randint(1, 3)
+        p, q = (MultiPoly([(tuple(rng.randint(0, 2) for _ in range(nvars)),
+                            Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 6])))
+                           for _ in range(rng.randint(0, 6))], nvars) for _ in range(2))
+        assert list((p * q).terms.items()) == list(reference(p, q).items())
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 7, 8, 40, 63, 64])
+def test_power_uses_one_product_per_bit(monkeypatch, e):
+    # e.bit_length() - 1 squarings and popcount(e) multiplications
+    base = P("x + 2", XY)
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    binomial = {(k, 0): comb(e, k) * 2 ** (e - k) for k in range(e + 1)}
+    assert base ** e == MultiPoly(binomial, 2)
+    assert len(products) <= e.bit_length() + bin(e).count("1") - 1
 
 
 def test_print_parse_roundtrip_random():
