@@ -25,7 +25,7 @@ from .constraints import (
     full_report,
 )
 from .cyclo import divisors, homogeneous_char_exponents
-from .errors import InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .polynomials import MultiPoly, rational
 
 
@@ -124,8 +124,12 @@ def to_setup(arr: CentralArrangement3) -> SingularSetup:
     return SingularSetup(n=2, mu0=(d0 - 1) ** 2, d0=d0, components=components)
 
 
+# largest coefficient magnitude of an automatically chosen slice form
+SLICE_FORM_BOUND = 19
+
+
 def _slice_candidates():
-    for bound in range(1, 20):
+    for bound in range(1, SLICE_FORM_BOUND + 1):
         box = range(-bound, bound + 1)
         candidates = [c for c in iter_product(box, box, box)
                       if any(c) and max(abs(v) for v in c) == bound]
@@ -135,12 +139,14 @@ def _slice_candidates():
 
 
 def pick_slice_form(arr: CentralArrangement3) -> tuple[int, int, int]:
-    """Deterministic small-integer form not vanishing on any critical line."""
+    """Deterministic small-integer form not vanishing on any critical line;
+    ``ResourceLimitError`` when none has coefficients up to ``SLICE_FORM_BOUND``."""
     lines = [p.line for p in multiple_points(arr)]
     for candidate in _slice_candidates():
         if all(_dot(candidate, line) for line in lines):
             return candidate
-    raise InvariantViolationError("no valid slice form found")  # unreachable: lines are finite
+    raise ResourceLimitError(f"no slice form with coefficients in [-{SLICE_FORM_BOUND}, "
+                             f"{SLICE_FORM_BOUND}] misses all {len(lines)} critical lines")
 
 
 def validate_slice_form(arr: CentralArrangement3, form: Sequence) -> tuple[int, int, int]:

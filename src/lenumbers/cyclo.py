@@ -61,16 +61,12 @@ def totient(k: int) -> int:
 
 
 def divisors(k: int) -> list[int]:
+    """The divisors of k in increasing order: products of its prime powers."""
     _check_divisor(isqrt(_positive(k, "k")), k)
-    small, large = [], []
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            small.append(d)
-            if d != k // d:
-                large.append(k // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    for p, e in _factorize(k).items():
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 def cyclotomic(k: int) -> MultiPoly:

@@ -51,63 +51,43 @@ def smith_normal_form(mat) -> list[int]:
 
     Unimodular row and column operations only, so the nonzero count is the
     rank and the nontrivial entries describe the torsion of the cokernel.
+    Each pass moves an entry of least absolute value p to the corner (ties
+    to the smallest (row, column), so a corner p stays) and reduces its row
+    and column modulo p.  A nonzero remainder is the next pass's pivot; a row
+    that p does not divide is added to the first.  Once p divides everything
+    left, |p| is a diagonal entry and its row and column are dropped.
+    Re-picking the least entry every pass keeps the entries of a dense
+    matrix from growing.
     """
-    A = [[integer(v, "matrix") for v in row] for row in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    size = min(m, n)
+    A = [list(row) for row in as_matrix(mat)]
+    size = min(len(A), len(A[0]))
     diag: list[int] = []
-    t = 0
-    while t < size:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    while A and A[0]:
+        pivots = [(abs(v), i, j) for i, row in enumerate(A) for j, v in enumerate(row) if v]
+        if not pivots:
             break
-        bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            restart = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    if A[i][t]:
-                        # the remainder is strictly smaller: promote it to pivot
-                        A[t], A[i] = A[i], A[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for row in A:
-                        row[j] -= q * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                if any(A[i][j] % A[t][t] for j in range(t + 1, n)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            A[t] = [x + y for x, y in zip(A[t], A[offender])]
-        diag.append(abs(A[t][t]))
-        t += 1
-    diag.extend(0 for _ in range(size - len(diag)))
-    return diag
+        _, i, j = min(pivots)
+        A[0], A[i] = A[i], A[0]
+        for row in A:
+            row[0], row[j] = row[j], row[0]
+        top = A[0]
+        p = top[0]
+        for row in A[1:]:
+            if q := row[0] // p:
+                row[:] = [x - q * y for x, y in zip(row, top)]
+        for j in range(1, len(top)):
+            if q := top[j] // p:
+                for row in A:
+                    row[j] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in A[1:]):
+            continue
+        offender = next((row for row in A[1:] if any(x % p for x in row)), None)
+        if offender is not None:
+            A[0] = [x + y for x, y in zip(top, offender)]
+            continue
+        diag.append(abs(p))
+        A = [row[1:] for row in A[1:]]
+    return diag + [0] * (size - len(diag))
 
 
 def fixed_space_rank(mat) -> int:

@@ -183,8 +183,9 @@ def _frac_out(c: Fraction):
 
 
 def compute_all(setup: SliceSetup, budget: Budget | None = None) -> LeInvariants:
-    """Run the whole pipeline, downgrading genericity failures to a verdict."""
-    result, _ = _pipeline(setup, budget)
+    """Run the whole pipeline on one budget, a default ``Budget`` when none is
+    given, downgrading genericity failures to a verdict."""
+    result, _ = _pipeline(setup, budget if budget is not None else Budget())
     return result
 
 
@@ -279,9 +280,11 @@ def analyze_poly(f: MultiPoly, z0: Sequence | None = None, seed: int = 0,
     Candidate forms are the coordinate forms first, then twelve small
     pseudo-random integer forms drawn deterministically from the seed.  With
     an explicit ``z0`` no search happens; a failing form is reported, not
-    retried.  The seed must be an integer even then.
+    retried.  The seed must be an integer even then.  Every form and stage
+    draws on the one ``budget``, a default ``Budget`` when none is given.
     """
     integer(seed, "seed")
+    budget = budget if budget is not None else Budget()
     forms = [z0] if z0 is not None else _candidate_forms(f.nvars, seed)
     for form in forms:
         setup, new_names = slice_with_form(f, form, names)

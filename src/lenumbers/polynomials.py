@@ -23,7 +23,8 @@ Monomial = tuple[int, ...]
 
 # The one default cap on work measured in monomials: the default monomial budget
 # of a standard basis, the most term pairs of one product, the longest expanded
-# cyclotomic product and the largest trial divisor of a cyclotomic index.
+# cyclotomic product and the largest trial divisor of a cyclotomic index.  It
+# also caps the coefficient bits of one power.
 MAX_MONOMIALS = 1_000_000
 
 
@@ -83,8 +84,8 @@ class MultiPoly:
     the zero polynomial has an empty term map.  Coefficients, constants and
     scalars from outside are read by ``rational``, exponents by ``integer``.
     Arithmetic returns new objects; instances are safe to share between
-    threads.  A product of more than ``MAX_MONOMIALS`` term pairs raises
-    ``ResourceLimitError``.
+    threads.  A product of more than ``MAX_MONOMIALS`` term pairs, or a power
+    of more than as many coefficient bits, raises ``ResourceLimitError``.
     """
 
     __slots__ = ("_terms", "nvars")
@@ -211,6 +212,13 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if exponent < 0:
             raise InputError("negative polynomial power")
+        # with D the lcm of the denominators, numerators and denominators of the
+        # power have up to exponent * log2(max(D, |D * self|_1)) bits (log rounded down)
+        d, scaled = _scaled(self._terms)
+        bits = exponent * (max(d, sum(abs(c) for _, c in scaled)).bit_length() - 1)
+        if bits > MAX_MONOMIALS:
+            raise ResourceLimitError(f"raising to the power {exponent} needs about {bits} "
+                                     f"coefficient bits, over the cap of {MAX_MONOMIALS}")
         result = MultiPoly.constant(1, self.nvars)
         base = self
         e = exponent
@@ -376,7 +384,8 @@ def parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
 
     Malformed text, too-deep nesting included, is a ``PolyParseError`` at the
     offending token; a bad character anywhere is reported first.  A product
-    past ``MAX_MONOMIALS`` term pairs raises ``ResourceLimitError``.
+    past ``MAX_MONOMIALS`` term pairs, or a power past as many coefficient
+    bits, raises ``ResourceLimitError``.
     """
     tokens = []
     for m in _TOKEN.finditer(text):

@@ -1,13 +1,17 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lenumbers import ConstraintReport
+from lenumbers import ConstraintReport, arrangements
 from lenumbers.cli import main
+from lenumbers.intlinalg import as_matrix, identity, mat_sub
+from test_constraints import rank_gauss
 from test_cyclo import alarm_after
 
 XYZ_JOB = json.dumps({
@@ -182,6 +186,30 @@ def test_factoring_past_the_monomial_cap_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("resource limit: trial division of ")
+
+
+def test_dense_tau_constraints_job_finishes(capsys):
+    # a dense 56 x 56 tau with entries in {-1, 0, 1}; the fixed-space rank
+    # is the rank bound, since it is below mu0 = 64 and mu = 56
+    rng = random.Random(1)
+    tau = [[rng.randint(-1, 1) for _ in range(56)] for _ in range(56)]
+    job = json.dumps({"n": 2, "mu0": 64, "components": [{"k": 1, "mu": 56, "tau": tau}]})
+    with alarm_after(5):
+        code, out, _ = run(capsys, "constraints", "--format", "json", "--input", job)
+    assert code == 0
+    expected = 56 - rank_gauss(mat_sub(identity(56), as_matrix(tau)))
+    assert json.loads(out)["report"]["rank_bound"] == expected
+
+
+def test_arrangement_without_a_slice_form_in_the_bound_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(arrangements, "SLICE_FORM_BOUND", 1)
+    normals = [v for v in itertools.product((-1, 0, 1), repeat=3)
+               if any(v) and next(c for c in v if c) > 0]
+    assert len(normals) == 13
+    code, out, err = run(capsys, "arrangement", "--input", json.dumps({"normals": normals}))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: no slice form with coefficients in [-1, 1] ")
 
 
 def test_constraints_command(capsys):

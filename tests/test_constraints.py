@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -80,6 +82,38 @@ def test_smith_normal_form_divisibility_and_rank():
         assert len(nonzero) == rank_gauss(mat)
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
+
+
+def _det(rows):
+    """Integer determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * v * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, v in enumerate(rows[0]) if v)
+
+
+def test_smith_normal_form_products_are_gcds_of_minors():
+    # d_1 * ... * d_i is the gcd of all i x i minors
+    rng = random.Random(67)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        mat = [[0 if rng.random() < 0.3 else rng.randint(-30, 30) for _ in range(cols)]
+               for _ in range(rows)]
+        diag = smith_normal_form(mat)
+        product = 1
+        for i, d in enumerate(diag, start=1):
+            product *= d
+            minors = [_det([[mat[r][c] for c in cs] for r in rs])
+                      for rs in combinations(range(rows), i)
+                      for cs in combinations(range(cols), i)]
+            assert product == gcd(*minors), (mat, diag)
+
+
+@pytest.mark.parametrize("mat", [[[1], [2, 3]], [[1, 2], [3]], [], [[]]],
+                         ids=["short-second-row", "short-last-row", "no-rows", "empty-row"])
+def test_smith_normal_form_rejects_ragged_and_empty_matrices(mat):
+    with pytest.raises(InputError, match="^matrix "):
+        smith_normal_form(mat)
 
 
 # ---------------------------------------------------------------------------

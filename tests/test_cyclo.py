@@ -25,6 +25,11 @@ def test_mobius_and_totient_values():
     assert [totient(k) for k in (1, 2, 6, 12)] == [1, 1, 2, 4]
 
 
+def test_divisors_match_the_definition():
+    for k in range(1, 500):
+        assert divisors(k) == [d for d in range(1, k + 1) if k % d == 0]
+
+
 @pytest.mark.parametrize("call", [
     lambda: mobius(2.5), lambda: totient(2.5), lambda: factor_unity(2.5),
     lambda: divisors(0), lambda: divisors(-4), lambda: divisors(6.0),

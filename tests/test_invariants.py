@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lenumbers import (
+    Budget,
     GenericityError,
     InputError,
     SliceSetup,
@@ -310,3 +311,16 @@ def test_le_iomdine_on_the_pipelines_own_slice(text):
         F = g + MultiPoly.variable(0, g.nvars) ** N
         jacobian = ideal([F.partial(i) for i in range(F.nvars)], F.nvars)
         assert colength(jacobian) == inv.lambda0 + (N - 1) * inv.lambda1, N
+
+
+def test_analyze_poly_draws_on_one_default_budget(monkeypatch):
+    built = []
+    post_init = Budget.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Budget, "__post_init__", counted)
+    analyze_poly(parse_poly("x^2 - y^2*z", ["x", "y", "z"]))
+    assert len(built) == 1

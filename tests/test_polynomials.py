@@ -6,6 +6,7 @@ import pytest
 
 from lenumbers import InputError, MultiPoly, PolyParseError, ResourceLimitError, parse_poly
 from lenumbers.polynomials import MAX_MONOMIALS, integer, rational
+from test_cyclo import alarm_after
 from unipoly_oracle import primitive_positive, remainder, t_poly, unipoly_gcd
 
 XY = ["x", "y"]
@@ -208,6 +209,20 @@ def test_power_uses_one_product_per_bit(monkeypatch, e):
     binomial = {(k, 0): comb(e, k) * 2 ** (e - k) for k in range(e + 1)}
     assert base ** e == MultiPoly(binomial, 2)
     assert len(products) <= e.bit_length() + bin(e).count("1") - 1
+
+
+@pytest.mark.parametrize("text", ["3^10000000", "(1/2)^10000000"])
+def test_power_past_the_coefficient_bit_cap_is_refused(text):
+    with alarm_after(2):
+        with pytest.raises(ResourceLimitError, match="coefficient bits, over the cap of 1000000"):
+            P(text)
+
+
+@pytest.mark.parametrize("text,bits", [("3^1000000", 1584963), ("2^999999", 1000000),
+                                       ("x^10000000", 1)])
+def test_power_at_the_coefficient_bit_cap_parses(text, bits):
+    value = P(text)
+    assert max(c.numerator.bit_length() for c in value.terms.values()) == bits
 
 
 def test_print_parse_roundtrip_random():
