@@ -49,6 +49,9 @@ class CentralArrangement3:
     normals: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     def __post_init__(self):
+        if not isinstance(self.normals, (list, tuple)) or not all(
+                isinstance(n, (list, tuple)) for n in self.normals):
+            raise InputError("'normals' must be a list of triples")
         normals = tuple(tuple(rational(v) for v in n) for n in self.normals)
         object.__setattr__(self, "normals", normals)
         if len(normals) < 2:
@@ -184,19 +187,17 @@ def arrangement_report(arr: CentralArrangement3,
     report = full_report(setup)
     a0, b0 = homogeneous_char_exponents(2, arr.d0)
     product = setup.component_product
+    bound = report.divisor_bound
     ceilings = {}
     for k in divisors(arr.d0):
-        cap = a0 if k == 1 else b0
-        ceilings[str(k)] = min(cap, product.exponent(k))
-    bound = report.divisor_bound
-    for k in divisors(arr.d0):
-        if bound.exponent(k) != ceilings[str(k)]:
+        ceiling = ceilings[str(k)] = min(a0 if k == 1 else b0, product.exponent(k))
+        if bound.exponent(k) != ceiling:
             raise InvariantViolationError("exponent ceilings disagree with the gcd bound")
     points = multiple_points(arr)
     extra = Finding(
         VERDICT_EXPONENTS,
         f"admissible cyclotomic exponents over the divisors of d0 = {arr.d0}: "
-        + ", ".join(f"Phi_{k} <= {ceilings[str(k)]}" for k in divisors(arr.d0)),
+        + ", ".join(f"Phi_{k} <= {ceiling}" for k, ceiling in ceilings.items()),
         {
             "a0": a0,
             "b0": b0,

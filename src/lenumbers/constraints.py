@@ -87,16 +87,9 @@ class ComponentData:
             raise InputError("fixed_rank must lie between 0 and mu")
 
     def to_dict(self) -> dict:
-        out: dict = {"k": self.k, "mu": self.mu}
-        if self.d is not None:
-            out["d"] = self.d
-        if self.char_h is not None:
-            out["charH"] = str(self.char_h)
-        if self.tau is not None:
-            out["tau"] = [list(row) for row in self.tau]
-        if self.fixed_rank is not None:
-            out["fixedRank"] = self.fixed_rank
-        return out
+        tau = None if self.tau is None else [list(row) for row in self.tau]
+        return _json_fields(k=self.k, mu=self.mu, d=self.d, charH=self.char_h, tau=tau,
+                            fixedRank=self.fixed_rank)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ComponentData":
@@ -104,6 +97,12 @@ class ComponentData:
             raise InputError("every component needs both 'k' and 'mu'")
         return cls(k=d["k"], mu=d["mu"], d=d.get("d"), char_h=_char_in(d.get("charH")),
                    tau=d.get("tau"), fixed_rank=d.get("fixedRank"))
+
+
+def _json_fields(**fields) -> dict:
+    """The fields that are set, in order, with a ``CycloProduct`` written as text."""
+    return {key: str(value) if isinstance(value, CycloProduct) else value
+            for key, value in fields.items() if value is not None}
 
 
 def _char_in(value) -> CycloProduct | None:
@@ -178,31 +177,25 @@ class SingularSetup:
         object.__setattr__(self, "component_ranks", tuple(ranks))
 
     def to_dict(self) -> dict:
-        out: dict = {"n": self.n, "mu0": self.mu0}
-        if self.d0 is not None:
-            out["d0"] = self.d0
-        if self.char_h0 is not None:
-            out["charH0"] = str(self.char_h0)
-        out["components"] = [c.to_dict() for c in self.components]
-        if self.lambda0 is not None:
-            out["lambda0"] = self.lambda0
-        if self.omega is not None:
-            out["omega"] = self.omega
-        if self.lambda1 is not None:
-            out["lambda1"] = self.lambda1
-        return out
+        return _json_fields(n=self.n, mu0=self.mu0, d0=self.d0, charH0=self.char_h0,
+                            components=[c.to_dict() for c in self.components],
+                            lambda0=self.lambda0, omega=self.omega, lambda1=self.lambda1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SingularSetup":
         for key in ("n", "mu0"):
             if key not in d:
                 raise InputError(f"setup is missing the required key {key!r}")
+        components = d.get("components", [])
+        if not isinstance(components, (list, tuple)) or not all(
+                isinstance(c, dict) for c in components):
+            raise InputError("'components' must be a list of objects")
         return cls(
             n=d["n"],
             mu0=d["mu0"],
             char_h0=_char_in(d.get("charH0")),
             d0=d.get("d0"),
-            components=tuple(ComponentData.from_dict(c) for c in d.get("components", [])),
+            components=tuple(ComponentData.from_dict(c) for c in components),
             lambda0=d.get("lambda0"),
             omega=d.get("omega"),
             lambda1=d.get("lambda1"),
@@ -281,6 +274,16 @@ def cyclic_kernel_rank(tau, k: int) -> int:
     return rank_cyclic
 
 
+def _mu0_minus_lambda1(mu0: int, lambda1: int) -> int:
+    """mu0 - lambda1 for two counts; the law mu0 >= lambda1 failing is inconsistent input."""
+    if min(integer(mu0, "mu0"), integer(lambda1, "lambda1")) < 0:
+        raise InputError("mu0 and lambda1 must be nonnegative")
+    if mu0 < lambda1:
+        raise InputError(
+            f"mu0 = {mu0} < lambda1 = {lambda1} is impossible: inconsistent input")
+    return mu0 - lambda1
+
+
 def non_splitting_verdict(mu0: int, lambda1: int) -> Finding:
     """Non-splitting verdict: mu0 == lambda1 forces a single smooth component.
 
@@ -288,12 +291,7 @@ def non_splitting_verdict(mu0: int, lambda1: int) -> Finding:
     point, the polar numbers vanish, the top reduced cohomology of the Milnor
     fiber is zero and the middle one is free of rank mu0.
     """
-    if mu0 < 0 or lambda1 < 0:
-        raise InputError("mu0 and lambda1 must be nonnegative")
-    if mu0 < lambda1:
-        raise InputError(
-            f"mu0 = {mu0} < lambda1 = {lambda1} is impossible: inconsistent input")
-    if mu0 == lambda1:
+    if _mu0_minus_lambda1(mu0, lambda1) == 0:
         data = {
             "s": 1,
             "omega": 0,
@@ -322,10 +320,7 @@ def rank_attained_cases(mu0: int, lambda1: int) -> Finding:
     mu0 == lambda1.  Attaining the upper bound forces mu0 - lambda1 slice
     monodromy eigenvalues in the opposite parity class (-1)^(n+1).
     """
-    if mu0 < lambda1:
-        raise InputError(
-            f"mu0 = {mu0} < lambda1 = {lambda1} is impossible: inconsistent input")
-    diff = mu0 - lambda1
+    diff = _mu0_minus_lambda1(mu0, lambda1)
     feasible = [1] if diff == 0 else list(range(2, diff + 2))
     message = ("if the middle cohomology rank equals lambda1, every component is "
                "smooth and transverse (k = 1) and the number of slice points s "
@@ -344,20 +339,12 @@ def rank_attained_cases(mu0: int, lambda1: int) -> Finding:
 def acampo_validate(setup: SingularSetup) -> list[Finding]:
     """Trace check: every monodromy characteristic polynomial has trace (-1)^n."""
     expected = (-1) ** setup.n
-    violations: list[Finding] = []
-    char0 = setup.char0
-    if char0 is not None and char0.trace() != expected:
-        violations.append(Finding(
-            VERDICT_ACAMPO,
-            f"charH0 = {char0} has trace {char0.trace()}, expected {expected}",
-            {"which": "charH0", "trace": char0.trace(), "expected": expected}))
-    for i, c in enumerate(setup.component_chars):
-        if c is not None and c.trace() != expected:
-            violations.append(Finding(
-                VERDICT_ACAMPO,
-                f"component {i} charH = {c} has trace {c.trace()}, expected {expected}",
-                {"which": f"component {i}", "trace": c.trace(), "expected": expected}))
-    return violations
+    # (which, name in the message, characteristic polynomial)
+    labelled = [("charH0", "charH0", setup.char0)] + [
+        (f"component {i}", f"component {i} charH", c) for i, c in enumerate(setup.component_chars)]
+    return [Finding(VERDICT_ACAMPO, f"{name} = {c} has trace {c.trace()}, expected {expected}",
+                    {"which": which, "trace": c.trace(), "expected": expected})
+            for which, name, c in labelled if c is not None and c.trace() != expected]
 
 
 @dataclass(frozen=True)
@@ -439,12 +426,12 @@ def full_report(setup: SingularSetup) -> ConstraintReport:
         s_bounds = tuple(verdict2.data["s_feasible"])
         if setup.components:
             s_actual = sum(c.k for c in setup.components)
+            sum_mu = sum(c.mu for c in setup.components)
             verdicts.append(Finding(
                 VERDICT_COMPONENTS,
                 f"{len(setup.components)} component(s), s = {s_actual}, "
-                f"sum of transverse Milnor numbers = {sum(c.mu for c in setup.components)}",
-                {"count": len(setup.components), "s": s_actual,
-                 "sum_mu": sum(c.mu for c in setup.components)}))
+                f"sum of transverse Milnor numbers = {sum_mu}",
+                {"count": len(setup.components), "s": s_actual, "sum_mu": sum_mu}))
             if verdict1.tag == VERDICT_NON_SPLITTING and (
                     len(setup.components) != 1 or s_actual != 1):
                 warnings.append("non-splitting verdict contradicts the supplied "

@@ -168,15 +168,13 @@ class CycloProduct:
         text = text.strip()
         if text == "1":
             return cls()
-        factors: dict[int, int] = {}
+        pairs = []
         for chunk in text.split("*"):
             m = cls._FACTOR_RE.match(chunk.strip())
             if m is None:
                 raise InputError(f"cannot parse cyclotomic factor {chunk.strip()!r}")
-            k = int(m.group(1))
-            c = int(m.group(2) or 1)
-            factors[k] = factors.get(k, 0) + c
-        return cls(factors)
+            pairs.append((int(m.group(1)), int(m.group(2) or 1)))
+        return cls(pairs)
 
 
 def _check_length(length: int) -> None:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from .errors import InputError
-from .polynomials import integer
+from .polynomials import integer, square_and_multiply
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def as_matrix(rows, name: str = "matrix") -> IntMatrix:
     """Validate and freeze a rectangular integer matrix; errors name it ``name``."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise InputError(f"{name!r} must be a list of rows, each a list of integers")
     mat = tuple(tuple(integer(v, name) for v in row) for row in rows)
     if not mat or not mat[0]:
         raise InputError("matrix must have positive dimensions")
@@ -35,15 +37,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     if integer(k, "power") < 0:
         raise InputError("negative matrix power")
-    result = identity(len(a))
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
+    return square_and_multiply(a, k, identity(len(a)), mat_mul)
 
 
 def smith_normal_form(mat) -> list[int]:

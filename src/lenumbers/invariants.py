@@ -250,10 +250,9 @@ def slice_with_form(f: MultiPoly, coefficients: Sequence,
     rest = [i for i in range(n) if i != pivot]
     # new coordinates: (w, untouched originals); old pivot variable solved from w
     matrix = [[Fraction(0)] * n for _ in range(n)]
-    for col, i in enumerate(rest, start=1):
-        matrix[i][col] = Fraction(1)
     matrix[pivot][0] = 1 / coeffs[pivot]
     for col, i in enumerate(rest, start=1):
+        matrix[i][col] = Fraction(1)
         matrix[pivot][col] = -coeffs[i] / coeffs[pivot]
     transformed = f.linear_change(matrix)
     new_names = ("w",) + tuple(names[i] for i in rest)

@@ -35,10 +35,10 @@ instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
@@ -52,6 +52,7 @@ from .polynomials import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    scaled_terms,
 )
 
 
@@ -61,8 +62,8 @@ class Budget:
 
     max_pairs: int = 100_000
     max_monomials: int = MAX_MONOMIALS
-    pairs_used: int = 0
-    monomials_used: int = 0
+    pairs_used: int = field(default=0, init=False)
+    monomials_used: int = field(default=0, init=False)
 
     def __post_init__(self):
         for name in ("max_pairs", "max_monomials"):
@@ -145,16 +146,10 @@ class _OrderKeys(dict):
         return k
 
 
-def _denominator(p: MultiPoly) -> int:
-    """The lcm of the denominators of p's coefficients."""
-    return lcm(*(c.denominator for c in p.terms.values()))
-
-
 def _int_terms(p: MultiPoly, cap: int | None = None) -> dict[Monomial, int]:
     """p times the lcm of its denominators, without its terms of degree >= cap."""
-    den = _denominator(p)
-    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()
-            if cap is None or mono_deg(m) < cap}
+    h = scaled_terms(p.terms)[1]
+    return h if cap is None else {m: c for m, c in h.items() if mono_deg(m) < cap}
 
 
 def _fraction_poly(h: dict[Monomial, int], nvars: int, den: int = 1) -> MultiPoly:
@@ -168,12 +163,6 @@ def _primitive(h: dict[Monomial, int]) -> dict[Monomial, int]:
     if h[max(h, key=lambda m: (mono_deg(m), m))] < 0:
         content = -content
     return h if content == 1 else {m: c // content for m, c in h.items()}
-
-
-def _shift(h: dict[Monomial, int], a: Monomial, cap: int | None) -> dict[Monomial, int]:
-    """x^a * h, without its terms of degree >= cap."""
-    shifted = ((mono_mul(m, a), c) for m, c in h.items())
-    return {m: c for m, c in shifted if cap is None or mono_deg(m) < cap}
 
 
 def _combine(h: dict[Monomial, int], sh: int, r: dict[Monomial, int], a: Monomial,
@@ -277,10 +266,11 @@ def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
     budget = budget if budget is not None else Budget()
     n, one = f.nvars, (0,) * f.nvars
     keys = _OrderKeys(order or LocalOrder())
-    reducers = [_reducer([_int_terms(g), {}] + [{one: -_denominator(g)} if j == i else {}
-                                               for j in range(len(gens))], keys)
-                for i, g in enumerate(gens) if not g.is_zero]
-    start = [_int_terms(f), {one: _denominator(f)}] + [{} for _ in gens]
+    cleared = [scaled_terms(g.terms) for g in gens]
+    reducers = [_reducer([h, {}] + [{one: -d} if j == i else {} for j in range(len(gens))], keys)
+                for i, (d, h) in enumerate(cleared) if h]
+    d, h = scaled_terms(f.terms)
+    start = [h, {one: d}] + [{} for _ in gens]
     state = _reduce(start, reducers, keys, budget, None)
     c = state[1][one]
     r, u, *q = (_fraction_poly(p, n, c) for p in state)
@@ -479,8 +469,8 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
                for k, (lm_k, _, _, _) in enumerate(basis)):
             continue
         gamma = gcd(lc_f, lc_g)
-        s = _combine(_shift(f, mono_div(lcm_fg, lm_f), cap), lc_g // gamma,
-                     g, mono_div(lcm_fg, lm_g), lc_f // gamma, cap)
+        s = _combine({}, 1, f, mono_div(lcm_fg, lm_f), -(lc_g // gamma), cap)
+        s = _combine(s, 1, g, mono_div(lcm_fg, lm_g), lc_f // gamma, cap)
         if not s:
             continue
         r = _reduce([s], basis, keys, budget, cap)[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, PolyParseError, ResourceLimitError
@@ -189,11 +189,11 @@ class MultiPoly:
                                          f"terms passes the monomial cap of {MAX_MONOMIALS}")
             # integer products, then one division per term: several times faster than
             # Fraction arithmetic, so a product at the cap takes well under a second
-            da, a = _scaled(self._terms)
-            db, b = _scaled(other._terms)
+            da, a = scaled_terms(self._terms)
+            db, b = scaled_terms(other._terms)
             out: dict[Monomial, int] = {}
-            for ma, ca in a:
-                for mb, cb in b:
+            for ma, ca in a.items():
+                for mb, cb in b.items():
                     m = mono_mul(ma, mb)
                     v = out.get(m, 0) + ca * cb
                     if v:
@@ -210,25 +210,16 @@ class MultiPoly:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if exponent < 0:
+        if integer(exponent, "exponent") < 0:
             raise InputError("negative polynomial power")
         # with D the lcm of the denominators, numerators and denominators of the
         # power have up to exponent * log2(max(D, |D * self|_1)) bits (log rounded down)
-        d, scaled = _scaled(self._terms)
-        bits = exponent * (max(d, sum(abs(c) for _, c in scaled)).bit_length() - 1)
+        d, scaled = scaled_terms(self._terms)
+        bits = exponent * (max(d, sum(map(abs, scaled.values()))).bit_length() - 1)
         if bits > MAX_MONOMIALS:
             raise ResourceLimitError(f"raising to the power {exponent} needs about {bits} "
                                      f"coefficient bits, over the cap of {MAX_MONOMIALS}")
-        result = MultiPoly.constant(1, self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return square_and_multiply(self, exponent, MultiPoly.constant(1, self.nvars), mul)
 
     def term_mul(self, mono: Monomial, coeff: Fraction) -> "MultiPoly":
         """Multiply by the single term coeff * x^mono."""
@@ -339,10 +330,23 @@ class MultiPoly:
         return f"MultiPoly({self.to_string()!r}, nvars={self.nvars})"
 
 
-def _scaled(terms: dict[Monomial, Fraction]) -> tuple[int, list[tuple[Monomial, int]]]:
-    """The lcm d of the denominators, and the terms of d times the polynomial."""
+def scaled_terms(terms: dict[Monomial, Fraction]) -> tuple[int, dict[Monomial, int]]:
+    """The lcm d of the denominators, and the integer terms of d times the polynomial."""
     d = lcm(*(c.denominator for c in terms.values()))
-    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def square_and_multiply(base, exponent: int, one, times):
+    """base ** exponent for a nonnegative int exponent, by repeated squaring: one
+    ``times`` per bit after the first for the squares, one per set bit for the result."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = times(result, base)
+        exponent >>= 1
+        if exponent:
+            base = times(base, base)
+    return result
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:

@@ -388,3 +388,21 @@ def test_z0_and_variables_must_be_json_lists_of_values(capsys, command, job):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command,job,key", [
+    ("constraints", {"n": 2, "mu0": 4, "components": {"k": 1, "mu": 1}}, "components"),
+    ("constraints", {"n": 2, "mu0": 4, "components": "kmu"}, "components"),
+    ("constraints", {"n": 2, "mu0": 4, "components": ["kmu"]}, "components"),
+    ("constraints", {"n": 2, "mu0": 4, "components": [{"k": 1, "mu": 1, "tau": 5}]}, "tau"),
+    ("constraints", {"n": 2, "mu0": 4, "components": [{"k": 1, "mu": 1, "tau": [5]}]}, "tau"),
+    ("arrangement", {"normals": 5}, "normals"),
+    ("arrangement", {"normals": [5, 6]}, "normals"),
+], ids=["components-object", "components-string", "component-string", "tau-int",
+        "tau-row-int", "normals-int", "normal-int"])
+def test_json_shape_errors_name_the_key(capsys, command, job, key):
+    code, out, err = run(capsys, command, "--input", json.dumps(job))
+    assert code == 1
+    assert out == ""
+    assert f"'{key}' must be a list" in err
+    assert "malformed input" not in err

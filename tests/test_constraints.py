@@ -447,3 +447,15 @@ def test_setup_derived_data_stays_out_of_eq_repr_and_json():
     assert set(setup.to_dict()) == {"n", "mu0", "d0", "components"}
     full = SingularSetup(n=2, mu0=4, d0=3, components=comps[:1] * 3)
     assert full.component_product == CycloProduct({1: 3})
+
+
+@pytest.mark.parametrize("verdict,mu0,lambda1,message", [
+    (rank_attained_cases, 4.0, 3, "'mu0' must be an integer"),
+    (rank_attained_cases, -1, -2, "mu0 and lambda1 must be nonnegative"),
+    (non_splitting_verdict, True, 1, "'mu0' must be an integer"),
+    (non_splitting_verdict, 1.5, 1.5, "'mu0' must be an integer"),
+    (rank_attained_cases, 2, 3, "mu0 = 2 < lambda1 = 3 is impossible: inconsistent input"),
+], ids=["float-rank", "negative-rank", "bool-splitting", "float-splitting", "rank-below"])
+def test_mu0_and_lambda1_are_read_as_counts(verdict, mu0, lambda1, message):
+    with pytest.raises(InputError, match=message):
+        verdict(mu0, lambda1)

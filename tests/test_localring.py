@@ -526,3 +526,10 @@ def test_budget_error_reports_counters():
             standard_basis(ideal(gens), budget=budget)
         assert (f"pairs_used={budget.pairs_used}, monomials_used={budget.monomials_used}"
                 in str(info.value))
+
+
+def test_budget_counters_are_not_constructor_arguments():
+    with pytest.raises(TypeError):
+        Budget(pairs_used=1)
+    with pytest.raises(TypeError):
+        Budget(monomials_used=1)

@@ -419,3 +419,9 @@ def test_unipoly_str():
     assert t_poly(()).to_string(["t"]) == "0"
     assert t_poly((3,)).to_string(["t"]) == "3"
     assert t_poly((1, -2, 0, 5)).to_string(["t"]) == "5*t^3 - 2*t + 1"
+
+
+@pytest.mark.parametrize("exponent", [2.5, True], ids=["float", "bool"])
+def test_power_reads_its_exponent_as_an_integer(exponent):
+    with pytest.raises(InputError, match="'exponent' must be an integer"):
+        P("x + 1", XY) ** exponent
