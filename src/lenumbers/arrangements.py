@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product as iter_product
 from math import comb, gcd, lcm
 from typing import Sequence
 
@@ -25,7 +24,8 @@ from .constraints import (
     full_report,
 )
 from .cyclo import divisors, homogeneous_char_exponents
-from .errors import InputError, InvariantViolationError, ResourceLimitError
+from .errors import InputError, InvariantViolationError
+from .invariants import moment_forms
 from .polynomials import MultiPoly, rational
 
 
@@ -127,29 +127,14 @@ def to_setup(arr: CentralArrangement3) -> SingularSetup:
     return SingularSetup(n=2, mu0=(d0 - 1) ** 2, d0=d0, components=components)
 
 
-# largest coefficient magnitude of an automatically chosen slice form
-SLICE_FORM_BOUND = 19
-
-
-def _slice_candidates():
-    for bound in range(1, SLICE_FORM_BOUND + 1):
-        box = range(-bound, bound + 1)
-        candidates = [c for c in iter_product(box, box, box)
-                      if any(c) and max(abs(v) for v in c) == bound]
-        candidates.sort(key=lambda c: (sum(abs(v) for v in c),
-                                       tuple(-v for v in c)))
-        yield from candidates
-
-
 def pick_slice_form(arr: CentralArrangement3) -> tuple[int, int, int]:
-    """Deterministic small-integer form not vanishing on any critical line;
-    ``ResourceLimitError`` when none has coefficients up to ``SLICE_FORM_BOUND``."""
+    """The first form (1, t, t^2), t = 0, 1, ..., not vanishing on any critical line.
+
+    A line v meets (1, t, t^2) only where v0 + v1*t + v2*t^2 = 0, which has at
+    most two roots, so at most 2L + 1 forms are tried for L critical lines.
+    """
     lines = [p.line for p in multiple_points(arr)]
-    for candidate in _slice_candidates():
-        if all(_dot(candidate, line) for line in lines):
-            return candidate
-    raise ResourceLimitError(f"no slice form with coefficients in [-{SLICE_FORM_BOUND}, "
-                             f"{SLICE_FORM_BOUND}] misses all {len(lines)} critical lines")
+    return next(form for form in moment_forms(3) if all(_dot(form, line) for line in lines))
 
 
 def validate_slice_form(arr: CentralArrangement3, form: Sequence) -> tuple[int, int, int]:

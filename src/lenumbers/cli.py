@@ -49,7 +49,8 @@ def _build_parser() -> _Parser:
     for command in (analyze, constraints, arrangement, cyclo):
         command.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--seed", type=int, default=None,
-                         help="seed for slice-form candidates (default 0)")
+                         help="first t of the slice forms (1, t, t^2, ...) "
+                              "tried when z0 is absent (default 0)")
     analyze.add_argument("--max-pairs", type=int, default=Budget.max_pairs)
     analyze.add_argument("--max-monomials", type=int, default=Budget.max_monomials)
     cyclo.add_argument("operation", choices=("phi", "unity", "homchar", "gcd"))

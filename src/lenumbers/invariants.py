@@ -12,10 +12,10 @@ saturation here; reports carry a warning naming that identification.
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Sequence
 
 from .errors import GenericityError, InputError, InvariantViolationError, ResourceLimitError
@@ -32,8 +32,8 @@ GENERICITY_SCOPE_WARNING = (
     "lambda0, omega and lambda1; full genericity is not certified"
 )
 
-# pseudo-random forms tried by the slice-form search after the coordinate forms
-_RANDOM_SLICE_FORMS = 12
+# moment-curve forms analyze_poly tries without an explicit z0
+_SLICE_FORMS_TRIED = 15
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,9 @@ def slice_with_form(f: MultiPoly, coefficients: Sequence,
                     names: Sequence[str] | None = None) -> tuple[SliceSetup, tuple[str, ...]]:
     """Change coordinates so the given linear form becomes variable 0.
 
-    Returns the setup and the new variable names (the slice variable is
-    called ``w`` unless the form already is the first coordinate).
+    Returns the setup and the new variable names.  Unless the form already
+    is the first coordinate, the slice variable is called ``w``, or the first
+    of ``w0``, ``w1``, ... when a kept variable is called ``w``.
     """
     n = f.nvars
     coeffs = tuple(rational(c) for c in coefficients)
@@ -255,20 +256,15 @@ def slice_with_form(f: MultiPoly, coefficients: Sequence,
         matrix[i][col] = Fraction(1)
         matrix[pivot][col] = -coeffs[i] / coeffs[pivot]
     transformed = f.linear_change(matrix)
-    new_names = ("w",) + tuple(names[i] for i in rest)
-    return SliceSetup(transformed, coeffs), new_names
+    kept = tuple(names[i] for i in rest)
+    slice_name = next(name for name in ("w", *(f"w{k}" for k in range(n)))
+                      if name not in kept)
+    return SliceSetup(transformed, coeffs), (slice_name,) + kept
 
 
-def _candidate_forms(nvars: int, seed: int):
-    for i in range(nvars):
-        yield tuple(Fraction(1 if j == i else 0) for j in range(nvars))
-    rng = random.Random(seed)
-    produced = 0
-    while produced < _RANDOM_SLICE_FORMS:
-        form = tuple(Fraction(rng.randint(-5, 5)) for _ in range(nvars))
-        if any(form):
-            produced += 1
-            yield form
+def moment_forms(nvars: int, start: int = 0):
+    """The integer forms (1, t, ..., t^(nvars-1)) for t = start, start + 1, ..."""
+    return (tuple(t ** i for i in range(nvars)) for t in count(start))
 
 
 def analyze_poly(f: MultiPoly, z0: Sequence | None = None, seed: int = 0,
@@ -276,15 +272,17 @@ def analyze_poly(f: MultiPoly, z0: Sequence | None = None, seed: int = 0,
                  names: Sequence[str] | None = None) -> AnalysisResult:
     """Analyze f, choosing a slice form when none is given.
 
-    Candidate forms are the coordinate forms first, then twelve small
-    pseudo-random integer forms drawn deterministically from the seed.  With
-    an explicit ``z0`` no search happens; a failing form is reported, not
-    retried.  The seed must be an integer even then.  Every form and stage
-    draws on the one ``budget``, a default ``Budget`` when none is given.
+    Without ``z0`` the first 15 forms of ``moment_forms(f.nvars, seed)`` are
+    tried and the first on which every stage finishes is kept; when all fail,
+    the last is reported.  The search is bounded, not a certificate: a
+    non-generic set such as a0*a2 = a1^2 can hold the whole moment curve.
+    With an explicit ``z0`` no search happens; a failing form is reported,
+    not retried.  The seed must be an integer even then.  Every form and
+    stage draws on the one ``budget``, a default ``Budget`` when none is given.
     """
     integer(seed, "seed")
     budget = budget if budget is not None else Budget()
-    forms = [z0] if z0 is not None else _candidate_forms(f.nvars, seed)
+    forms = [z0] if z0 is not None else islice(moment_forms(f.nvars, seed), _SLICE_FORMS_TRIED)
     for form in forms:
         setup, new_names = slice_with_form(f, form, names)
         inv, polar = _pipeline(setup, budget)

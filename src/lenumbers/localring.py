@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import product
 from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -385,7 +385,7 @@ def _standard_monomials(lead: Sequence[Monomial], nvars: int,
             return None
         bounds.append(min(pure))
     budget.tick_monomials(prod(bounds))
-    return (mono for mono in iter_product(*(range(b) for b in bounds))
+    return (mono for mono in product(*(range(b) for b in bounds))
             if not any(mono_divides(s, mono) for s in lead))
 
 

@@ -373,7 +373,8 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<name>{_NAME})"
                     r"|(?P<op>[+\-*^()/])|(?P<bad>\S))")
 
 
@@ -387,9 +388,10 @@ def parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
         factor  := ('+' | '-')* (int ['/' int] | name | '(' sum ')') ['^' int]
 
     Malformed text, too-deep nesting included, is a ``PolyParseError`` at the
-    offending token; a bad character anywhere is reported first.  A product
-    past ``MAX_MONOMIALS`` term pairs, or a power past as many coefficient
-    bits, raises ``ResourceLimitError``.
+    offending token; a bad character anywhere is reported first, then the
+    first of ``names`` that is not a name, or a repeated name (``InputError``).
+    A product past ``MAX_MONOMIALS`` term pairs, or a power past as many
+    coefficient bits, raises ``ResourceLimitError``.
     """
     tokens = []
     for m in _TOKEN.finditer(text):
@@ -400,6 +402,9 @@ def parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
         tokens.append((value if kind == "op" else kind,
                        int(value) if kind == "num" else value, pos))
     tokens.append(("end", None, len(text)))
+    for name in names:
+        if not isinstance(name, str) or not re.fullmatch(_NAME, name):
+            raise InputError(f"variable names must be identifiers, not {name!r}")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise InputError("duplicate variable names")

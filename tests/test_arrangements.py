@@ -286,7 +286,11 @@ def _check_random_arrangement(normals):
     assume(all(any(n) for n in normals))
     assume(all(any(_cross_int(a, b)) for a, b in combinations(normals, 2)))
     arr = CentralArrangement3(normals)
-    inv = analyze_poly(defining_polynomial(arr), z0=pick_slice_form(arr)).invariants
+    form = pick_slice_form(arr)
+    t = form[1]
+    # each line vanishes on at most two forms (1, t, t^2)
+    assert form == (1, t, t * t) and 0 <= t <= 2 * len(multiple_points(arr))
+    inv = analyze_poly(defining_polynomial(arr), z0=form).invariants
     assert inv.genericity_ok
     assert (inv.mu0, inv.lambda1, inv.lambda0) == _pair_count_oracle(normals)
 

@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from lenumbers import ConstraintReport, arrangements
+from lenumbers import CentralArrangement3, ConstraintReport, parse_poly
+from lenumbers.arrangements import validate_slice_form
 from lenumbers.cli import main
 from lenumbers.intlinalg import as_matrix, identity, mat_sub
 from test_constraints import rank_gauss
@@ -100,6 +102,22 @@ def test_analyze_deterministic_output(capsys):
     _, second, _ = run(capsys, "analyze", "--format", "json", "--seed", "0",
                        "--input", XYZ_JOB)
     assert first == second
+
+
+def test_slice_variable_is_not_named_like_a_kept_variable(capsys):
+    # the umbrella over (x, y, w) is the umbrella over (x, y, z) with z
+    # renamed: the same polar curve, its slice variable called w0
+    def analyze(text, names):
+        job = json.dumps({"polynomial": text, "variables": names})
+        code, out, _ = run(capsys, "analyze", "--format", "json", "--input", job)
+        assert code == 0
+        payload = json.loads(out)
+        slice_names = payload["slice_variables"]
+        return slice_names, [parse_poly(g, slice_names) for g in payload["polar_ideal"]]
+
+    names, polar = analyze("x^2 - y^2*w", ["x", "y", "w"])
+    assert names == ["w0", "y", "w"]
+    assert (["w", "y", "z"], polar) == analyze("x^2 - y^2*z", ["x", "y", "z"])
 
 
 def test_analyze_malformed_polynomial(capsys):
@@ -201,15 +219,21 @@ def test_dense_tau_constraints_job_finishes(capsys):
     assert json.loads(out)["report"]["rank_bound"] == expected
 
 
-def test_arrangement_without_a_slice_form_in_the_bound_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(arrangements, "SLICE_FORM_BOUND", 1)
-    normals = [v for v in itertools.product((-1, 0, 1), repeat=3)
-               if any(v) and next(c for c in v if c) > 0]
-    assert len(normals) == 13
-    code, out, err = run(capsys, "arrangement", "--input", json.dumps({"normals": normals}))
-    assert code == 3
-    assert out == ""
-    assert err.startswith("resource limit: no slice form with coefficients in [-1, 1] ")
+def test_arrangement_of_many_planes_finds_its_slice_form(capsys):
+    # the 145 planes with primitive normals in {-3..3}^3 meet in 3,217 lines;
+    # (1, 7, 49) is the first form (1, t, t^2) that vanishes on none of them
+    normals = [v for v in itertools.product(range(-3, 4), repeat=3)
+               if gcd(*v) == 1 and next(c for c in v if c) > 0]
+    assert len(normals) == 145
+    with alarm_after(5):
+        code, out, _ = run(capsys, "arrangement", "--format", "json",
+                           "--input", json.dumps({"normals": normals}))
+    assert code == 0
+    ceilings = next(v for v in json.loads(out)["report"]["verdicts"]
+                    if v["tag"] == "EXPONENT_CEILINGS")
+    assert len(ceilings["data"]["lines"]) == 3217
+    assert ceilings["data"]["slice_form"] == [1, 7, 49]
+    assert validate_slice_form(CentralArrangement3(normals), [1, 7, 49]) == (1, 7, 49)
 
 
 def test_constraints_command(capsys):
@@ -381,8 +405,9 @@ def test_arrangement_z0_entries_read_like_normals(capsys):
     ("analyze", {"polynomial": "x*y*z", "variables": ["x", "y", "z"], "z0": [True, 1, 1]}),
     ("analyze", {"polynomial": "x*y*z", "variables": ["x", "y", "z"], "z0": "111"}),
     ("analyze", {"polynomial": "x*y*z", "variables": "zxy"}),
+    ("analyze", {"polynomial": "x^2", "variables": ["x", 2, "z"]}),
 ], ids=["arrangement-bool-z0", "arrangement-string-z0", "analyze-bool-z0",
-        "analyze-string-z0", "analyze-string-variables"])
+        "analyze-string-z0", "analyze-string-variables", "analyze-number-variable"])
 def test_z0_and_variables_must_be_json_lists_of_values(capsys, command, job):
     code, out, err = run(capsys, command, "--input", json.dumps(job))
     assert code == 1

@@ -140,6 +140,31 @@ def test_triple_planes_generic_search_and_seed_independence():
         assert getattr(first, field) == getattr(second, field)
 
 
+# hand values of (mu0, lambda0, lambda1, omega) for a generic slice form
+GENERIC_LE_NUMBERS = {
+    "x^2 - y^2*z": (2, 2, 1, 3),
+    "x^2*y + z^2": (2, 2, 1, 3),
+    "x*y*z": (4, 2, 3, 3),
+    "x^2 + y^3": (2, 0, 2, 0),
+    "x^2 + y^2": (1, 0, 1, 0),
+    "x*y*(x + y)": (4, 0, 4, 0),
+}
+
+
+@pytest.mark.parametrize("text", GENERIC_LE_NUMBERS)
+def test_slice_form_search_finds_generic_forms(text):
+    # a form the finiteness checks accept can still be special: the search
+    # must not stop on one that gives other Lê numbers
+    f = parse_poly(text, ["x", "y", "z"])
+    wrong = {}
+    for seed in range(40):
+        inv = analyze_poly(f, seed=seed).invariants
+        got = (inv.mu0, inv.lambda0, inv.lambda1, inv.omega)
+        if not inv.genericity_ok or got != GENERIC_LE_NUMBERS[text]:
+            wrong[seed] = (got, inv.z0)
+    assert wrong == {}
+
+
 def test_brieskorn_family_isolated_singularities():
     # f = x^a + y^b + z0^c has an isolated singularity; for the coordinate
     # slice the classical product formulas give mu0 and lambda0 exactly.

@@ -158,6 +158,20 @@ def test_parse_checks_names_after_characters():
         parse_poly("@", ["x", "x"])
 
 
+@pytest.mark.parametrize("names,bad", [
+    (["x", 2, "z"], "2"),
+    (["x", "2y"], "'2y'"),
+    (["x", "y z"], "'y z'"),
+    (["x", ""], "''"),
+    (["x", None], "None"),
+], ids=["number", "leading-digit", "space", "empty", "none"])
+def test_variable_names_must_be_identifiers(names, bad):
+    # names are read by the tokenizer's name rule, so a printed polynomial re-parses
+    with pytest.raises(InputError) as info:
+        parse_poly("x^2", names)
+    assert str(info.value) == f"variable names must be identifiers, not {bad}"
+
+
 def test_parse_deep_nesting_is_a_parse_error():
     assert P("(" * 100 + "x" + ")" * 100) == P("x")
     with pytest.raises(PolyParseError, match="parentheses nested too deeply"):

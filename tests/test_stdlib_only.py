@@ -1,4 +1,5 @@
-"""The package is pure standard-library Python with no floating point."""
+"""The package is pure standard-library Python with no floating point and no
+pseudo-random numbers."""
 
 import ast
 import sys
@@ -18,17 +19,27 @@ def test_the_package_has_modules():
     assert len(MODULES) > 5
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_absolute_imports_are_standard_library(path):
+def _absolute_imports(path: Path) -> set[str]:
     imported = set()
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module)
-    outside = sorted(name for name in imported
+    return imported
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_absolute_imports_are_standard_library(path):
+    outside = sorted(name for name in _absolute_imports(path)
                      if name.split(".")[0] not in sys.stdlib_module_names)
     assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_random(path):
+    # so that every output depends only on the job and the seed
+    assert "random" not in {name.split(".")[0] for name in _absolute_imports(path)}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
