@@ -50,7 +50,9 @@ def _build_parser() -> _Parser:
         command.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--seed", type=int, default=None,
                          help="first t of the slice forms (1, t, t^2, ...) "
-                              "tried when z0 is absent (default 0)")
+                              "tried after the coordinate forms when z0 is "
+                              "absent (default 0); coefficients reach "
+                              "seed^(k-1) for k variables, so keep it small")
     analyze.add_argument("--max-pairs", type=int, default=Budget.max_pairs)
     analyze.add_argument("--max-monomials", type=int, default=Budget.max_monomials)
     cyclo.add_argument("operation", choices=("phi", "unity", "homchar", "gcd"))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Sequence
 
 from .errors import GenericityError, InputError, InvariantViolationError, ResourceLimitError
@@ -32,8 +32,8 @@ GENERICITY_SCOPE_WARNING = (
     "lambda0, omega and lambda1; full genericity is not certified"
 )
 
-# moment-curve forms analyze_poly tries without an explicit z0
-_SLICE_FORMS_TRIED = 15
+# moment-curve forms analyze_poly tries after the coordinate forms
+_MOMENT_FORMS_TRIED = 12
 
 
 @dataclass(frozen=True)
@@ -272,17 +272,23 @@ def analyze_poly(f: MultiPoly, z0: Sequence | None = None, seed: int = 0,
                  names: Sequence[str] | None = None) -> AnalysisResult:
     """Analyze f, choosing a slice form when none is given.
 
-    Without ``z0`` the first 15 forms of ``moment_forms(f.nvars, seed)`` are
-    tried and the first on which every stage finishes is kept; when all fail,
-    the last is reported.  The search is bounded, not a certificate: a
-    non-generic set such as a0*a2 = a1^2 can hold the whole moment curve.
-    With an explicit ``z0`` no search happens; a failing form is reported,
-    not retried.  The seed must be an integer even then.  Every form and
-    stage draws on the one ``budget``, a default ``Budget`` when none is given.
+    Without ``z0`` the coordinate forms are tried, then the first 12 forms
+    of ``moment_forms(f.nvars, seed)``, skipping repeats, and the first on
+    which every stage finishes is kept; when all fail the last is reported.
+    The coordinate forms come first because a non-generic set can hold the
+    whole moment curve: every (1, t, t^2) is tangent to y^2 = 4xz.  With an
+    explicit ``z0`` no search happens; a failing form is reported, not
+    retried.  The seed must be an integer even then.  Every form and stage
+    draws on the one ``budget``, a default ``Budget`` when none is given.
     """
     integer(seed, "seed")
     budget = budget if budget is not None else Budget()
-    forms = [z0] if z0 is not None else islice(moment_forms(f.nvars, seed), _SLICE_FORMS_TRIED)
+    if z0 is not None:
+        forms = [z0]
+    else:
+        units = (tuple(int(i == j) for j in range(f.nvars)) for i in range(f.nvars))
+        forms = dict.fromkeys(chain(
+            units, islice(moment_forms(f.nvars, seed), _MOMENT_FORMS_TRIED)))
     for form in forms:
         setup, new_names = slice_with_form(f, form, names)
         inv, polar = _pipeline(setup, budget)

@@ -148,13 +148,16 @@ GENERIC_LE_NUMBERS = {
     "x^2 + y^3": (2, 0, 2, 0),
     "x^2 + y^2": (1, 0, 1, 0),
     "x*y*(x + y)": (4, 0, 4, 0),
+    "y^2 - 4*x*z": (1, 1, 0, 2),
 }
 
 
 @pytest.mark.parametrize("text", GENERIC_LE_NUMBERS)
 def test_slice_form_search_finds_generic_forms(text):
     # a form the finiteness checks accept can still be special: the search
-    # must not stop on one that gives other Lê numbers
+    # must not stop on one that gives other Lê numbers.  Every moment form
+    # (1, t, t^2) is tangent to the cone y^2 = 4xz, so only a coordinate
+    # form finds its A1.
     f = parse_poly(text, ["x", "y", "z"])
     wrong = {}
     for seed in range(40):
