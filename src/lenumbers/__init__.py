@@ -14,10 +14,8 @@ The package is organized bottom-up:
 
 from .cyclo import (
     CycloProduct,
-    cyclo_product,
     cyclotomic,
     factor_unity,
-    homogeneous_char,
     homogeneous_char_exponents,
     mobius,
     totient,
@@ -31,24 +29,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .polynomials import Monomial, MultiPoly, parse_poly
-from .localring import (
-    Budget,
-    Ideal,
-    LocalOrder,
-    StandardBasis,
-    colength,
-    ideal,
-    ideal_quotient,
-    ideal_sum,
-    ideals_equal,
-    mora_divide,
-    mora_reduce,
-    saturate,
-    standard_basis,
-)
+from .localring import Budget, colength, ideal
 from .invariants import (
-    AnalysisResult,
-    LeInvariants,
     SliceSetup,
     analyze_poly,
     compute_all,
@@ -63,25 +45,11 @@ from .intlinalg import smith_normal_form
 from .constraints import (
     ComponentData,
     ConstraintReport,
-    Finding,
     SingularSetup,
-    acampo_validate,
     non_splitting_verdict,
     rank_attained_cases,
-    cyclic_kernel_rank,
-    divisibility_bound,
     full_report,
-    lambda1_from_components,
-    rank_bound,
 )
-from .arrangements import (
-    CentralArrangement3,
-    MultiplePoint,
-    arrangement_report,
-    defining_polynomial,
-    multiple_points,
-    pick_slice_form,
-    to_setup,
-)
+from .arrangements import CentralArrangement3, defining_polynomial, pick_slice_form
 
 __version__ = "0.1.0"

@@ -12,11 +12,11 @@ are roots of unity, so the representation is closed under everything we need.
 from __future__ import annotations
 
 import re
-from math import isqrt
+from math import prod
 from typing import Iterable, Mapping
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
-from .polynomials import MAX_MONOMIALS, MultiPoly, integer
+from .polynomials import MAX_MONOMIALS, MultiPoly, check_power_bits, integer
 
 
 def _positive(value, name: str) -> int:
@@ -26,17 +26,12 @@ def _positive(value, name: str) -> int:
     return value
 
 
-def _check_divisor(d: int, k: int) -> None:
-    """Raise ``ResourceLimitError`` once trial division of k passes ``MAX_MONOMIALS``."""
-    if d > MAX_MONOMIALS:
-        raise ResourceLimitError(f"trial division of {k} passes the cap of {MAX_MONOMIALS}")
-
-
 def _factorize(k: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     d = 2
     while d * d <= k:
-        _check_divisor(d, k)
+        if d > MAX_MONOMIALS:
+            raise ResourceLimitError(f"trial division of {k} passes the cap of {MAX_MONOMIALS}")
         while k % d == 0:
             factors[d] = factors.get(d, 0) + 1
             k //= d
@@ -61,10 +56,17 @@ def totient(k: int) -> int:
 
 
 def divisors(k: int) -> list[int]:
-    """The divisors of k in increasing order: products of its prime powers."""
-    _check_divisor(isqrt(_positive(k, "k")), k)
+    """The divisors of k in increasing order: products of its prime powers.
+
+    More than ``MAX_MONOMIALS`` of them, counted from the factorization before
+    the list is built, raises ``ResourceLimitError``.
+    """
+    factors = _factorize(_positive(k, "k"))
+    count = prod(e + 1 for e in factors.values())
+    if count > MAX_MONOMIALS:
+        raise ResourceLimitError(f"{k} has {count} divisors, over the cap of {MAX_MONOMIALS}")
     divs = [1]
-    for p, e in _factorize(k).items():
+    for p, e in factors.items():
         divs = [d * p ** i for d in divs for i in range(e + 1)]
     return sorted(divs)
 
@@ -215,6 +217,7 @@ def homogeneous_char_exponents(n: int, d: int) -> tuple[int, int]:
     if integer(d, "degree") < 2:
         raise InputError("degree must be at least 2")
     sign = (-1) ** n
+    check_power_bits(d - 1, n)
     numerator = (d - 1) ** n - sign
     if numerator % d:
         raise InvariantViolationError(f"b0 is not an integer for n={n}, d={d}")

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .errors import InputError
-from .polynomials import integer, square_and_multiply
+from .errors import InputError, ResourceLimitError
+from .polynomials import MAX_MONOMIALS, integer, square_and_multiply
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -95,7 +95,11 @@ def fixed_space_rank(mat) -> int:
 
 
 def block_cycle_matrix(tau, k: int) -> IntMatrix:
-    """The k-fold cyclic block matrix sending (v_1,..,v_k) to (T v_k, T v_1, ..)."""
+    """The k-fold cyclic block matrix sending (v_1,..,v_k) to (T v_k, T v_1, ..).
+
+    A matrix of more than ``MAX_MONOMIALS`` entries raises ``ResourceLimitError``
+    before it is allocated.
+    """
     T = as_matrix(tau)
     m = len(T)
     if len(T[0]) != m:
@@ -103,6 +107,9 @@ def block_cycle_matrix(tau, k: int) -> IntMatrix:
     if integer(k, "cycle length") < 1:
         raise InputError("cycle length must be positive")
     size = k * m
+    if size * size > MAX_MONOMIALS:
+        raise ResourceLimitError(f"a block-cycle matrix of size {size} has {size * size} "
+                                 f"entries, over the cap of {MAX_MONOMIALS}")
     rows = [[0] * size for _ in range(size)]
     for block in range(k):
         src = (block - 1) % k

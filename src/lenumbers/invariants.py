@@ -62,16 +62,16 @@ class SliceSetup:
         """Ambient dimension parameter: f lives on C^{n+1}."""
         return self.f.nvars - 1
 
-    def sliced(self) -> MultiPoly:
-        return self.f.restrict_first_var()
-
-    def jacobian_rest(self) -> Ideal:
-        """Ideal of all partials except the slice-direction partial."""
-        return ideal([self.f.partial(i) for i in range(1, self.f.nvars)],
-                     self.f.nvars)
-
     def slice_ideal(self) -> Ideal:
         return ideal([MultiPoly.variable(0, self.f.nvars)], self.f.nvars)
+
+
+def _finite_colength(I: Ideal, budget: Budget | None, message: str) -> int:
+    """The colength of I, or ``GenericityError(message)`` when it is infinite."""
+    value = colength(I, budget)
+    if value is None:
+        raise GenericityError(message)
+    return value
 
 
 def mu0(setup: SliceSetup, budget: Budget | None = None) -> int:
@@ -81,12 +81,9 @@ def mu0(setup: SliceSetup, budget: Budget | None = None) -> int:
     does not cut the critical locus down to the origin, i.e. the slice form is
     not generic.
     """
-    f0 = setup.sliced()
-    value = colength(ideal([f0.partial(i) for i in range(f0.nvars)], f0.nvars), budget)
-    if value is None:
-        raise GenericityError(
-            "mu0 is infinite: the sliced function has a non-isolated singularity")
-    return value
+    f0 = setup.f.restrict_first_var()
+    return _finite_colength(ideal([f0.partial(i) for i in range(f0.nvars)], f0.nvars), budget,
+                            "mu0 is infinite: the sliced function has a non-isolated singularity")
 
 
 def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> Ideal:
@@ -95,15 +92,14 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> Ideal:
     The critical locus lies inside V(f), so saturating by f itself removes
     exactly the critical components and keeps every polar component.
     """
-    return saturate(setup.jacobian_rest(), setup.f, budget)
+    f = setup.f
+    return saturate(ideal([f.partial(i) for i in range(1, f.nvars)], f.nvars), f, budget)
 
 
 def lambda0(setup: SliceSetup, polar: Ideal, budget: Budget | None = None) -> int:
     """The 0-dimensional Le number: polar curve against the slice-direction partial."""
-    value = colength(ideal_sum(polar, ideal([setup.f.partial(0)], setup.f.nvars)), budget)
-    if value is None:
-        raise GenericityError("lambda0 is infinite: the slice form is not generic")
-    return value
+    return _finite_colength(ideal_sum(polar, ideal([setup.f.partial(0)], setup.f.nvars)), budget,
+                            "lambda0 is infinite: the slice form is not generic")
 
 
 def omega_law_holds(omega_value: int, lambda0_value: int) -> bool:
@@ -118,9 +114,8 @@ def omega(setup: SliceSetup, polar: Ideal, lambda0_value: int,
     Validates omega >= lambda0 with equality only when both vanish; a
     violation indicates a bug rather than bad input.
     """
-    value = colength(ideal_sum(polar, ideal([setup.f], setup.f.nvars)), budget)
-    if value is None:
-        raise GenericityError("omega is infinite: the slice form is not generic")
+    value = _finite_colength(ideal_sum(polar, ideal([setup.f], setup.f.nvars)), budget,
+                             "omega is infinite: the slice form is not generic")
     if not omega_law_holds(value, lambda0_value):
         raise InvariantViolationError(
             f"omega={value}, lambda0={lambda0_value}: the inequality omega >= lambda0 "
@@ -138,10 +133,8 @@ def lambda1(setup: SliceSetup, polar: Ideal, mu0_value: int,
     The first colength is mu0, since (d_1 f, ..., d_n f, z0) is
     (z0) + Jac(f|V(z0)), so the caller passes in the mu0 it already has.
     """
-    polar_part = colength(ideal_sum(polar, setup.slice_ideal()), budget)
-    if polar_part is None:
-        raise GenericityError("polar curve meets the slice in positive dimension")
-    return mu0_value - polar_part
+    return mu0_value - _finite_colength(ideal_sum(polar, setup.slice_ideal()), budget,
+                                        "polar curve meets the slice in positive dimension")
 
 
 @dataclass(frozen=True)

@@ -502,13 +502,6 @@ def colength(I: Ideal | StandardBasis, budget: Budget | None = None) -> int | No
     return None if standard is None else sum(1 for _ in standard)
 
 
-def _unit_collapse(gens: list[MultiPoly], nvars: int) -> Ideal:
-    # in the local ring a nonzero constant term makes a generator a unit
-    if any(g.constant_term() for g in gens):
-        return ideal([MultiPoly.constant(1, nvars)], nvars)
-    return ideal(gens, nvars)
-
-
 def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     """The colon ideal (I : g) in the local ring.
 
@@ -540,7 +533,16 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
         if not r.is_zero:
             raise InvariantViolationError("intersection element failed to divide by g")
         quotient_gens.append(quots[0])
-    return _unit_collapse(quotient_gens, n)
+    # in the local ring a nonzero constant term makes a generator a unit
+    if any(q.constant_term() for q in quotient_gens):
+        return ideal([MultiPoly.constant(1, n)], n)
+    return ideal(quotient_gens, n)
+
+
+def _contains_all(I: Ideal, gens: Iterable[MultiPoly], budget: Budget) -> bool:
+    """Whether every element of gens lies in I, by membership in a standard basis of I."""
+    sb = standard_basis(I, budget=budget)
+    return all(sb.contains(g, budget) for g in gens)
 
 
 # colon steps before a saturation that has not stabilized gives up
@@ -560,8 +562,7 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     current = ideal(I.generators, I.nvars)
     for _ in range(_SATURATION_ROUNDS):
         nxt = ideal_quotient(current, g, budget)
-        sb = standard_basis(current, budget=budget)
-        if all(sb.contains(q, budget) for q in nxt.generators):
+        if _contains_all(current, nxt.generators, budget):
             return current
         current = nxt
     raise ResourceLimitError(
@@ -571,7 +572,5 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
 def ideals_equal(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
     """Equality as ideals of the local ring, by mutual membership."""
     budget = budget if budget is not None else Budget()
-    sa = standard_basis(a, budget=budget)
-    sb = standard_basis(b, budget=budget)
-    return (all(sa.contains(g, budget) for g in b.generators)
-            and all(sb.contains(g, budget) for g in a.generators))
+    return (_contains_all(a, b.generators, budget)
+            and _contains_all(b, a.generators, budget))

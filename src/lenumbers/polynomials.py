@@ -23,8 +23,9 @@ Monomial = tuple[int, ...]
 
 # The one default cap on work measured in monomials: the default monomial budget
 # of a standard basis, the most term pairs of one product, the longest expanded
-# cyclotomic product and the largest trial divisor of a cyclotomic index.  It
-# also caps the coefficient bits of one power.
+# cyclotomic product, the largest trial divisor and the most divisors of a
+# cyclotomic index, and the entries of a block-cycle matrix.  It also caps the
+# bits of one power, through ``check_power_bits``.
 MAX_MONOMIALS = 1_000_000
 
 
@@ -213,12 +214,9 @@ class MultiPoly:
         if integer(exponent, "exponent") < 0:
             raise InputError("negative polynomial power")
         # with D the lcm of the denominators, numerators and denominators of the
-        # power have up to exponent * log2(max(D, |D * self|_1)) bits (log rounded down)
+        # power have up to exponent * log2(max(D, |D * self|_1)) bits
         d, scaled = scaled_terms(self._terms)
-        bits = exponent * (max(d, sum(map(abs, scaled.values()))).bit_length() - 1)
-        if bits > MAX_MONOMIALS:
-            raise ResourceLimitError(f"raising to the power {exponent} needs about {bits} "
-                                     f"coefficient bits, over the cap of {MAX_MONOMIALS}")
+        check_power_bits(max(d, sum(map(abs, scaled.values()))), exponent)
         return square_and_multiply(self, exponent, MultiPoly.constant(1, self.nvars), mul)
 
     def term_mul(self, mono: Monomial, coeff: Fraction) -> "MultiPoly":
@@ -254,19 +252,6 @@ class MultiPoly:
             raise InputError("bad insertion position")
         out = {m[:position] + (0,) + m[position:]: c for m, c in self._terms.items()}
         return MultiPoly._raw(out, self.nvars + 1)
-
-    def evaluate(self, values: Sequence) -> Fraction:
-        vals = [rational(v) for v in values]
-        if len(vals) != self.nvars:
-            raise InputError("wrong number of values")
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            term = c
-            for e, v in zip(m, vals):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
 
     def linear_change(self, matrix: Sequence[Sequence]) -> "MultiPoly":
         """Compose with the substitution z -> M z.
@@ -334,6 +319,15 @@ def scaled_terms(terms: dict[Monomial, Fraction]) -> tuple[int, dict[Monomial, i
     """The lcm d of the denominators, and the integer terms of d times the polynomial."""
     d = lcm(*(c.denominator for c in terms.values()))
     return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def check_power_bits(base: int, exponent: int) -> None:
+    """Raise ``ResourceLimitError`` when base ** exponent, for a positive int base,
+    needs more than ``MAX_MONOMIALS`` bits: exponent * floor(log2(base)) of them."""
+    bits = exponent * (base.bit_length() - 1)
+    if bits > MAX_MONOMIALS:
+        raise ResourceLimitError(f"raising to the power {exponent} needs about {bits} "
+                                 f"coefficient bits, over the cap of {MAX_MONOMIALS}")
 
 
 def square_and_multiply(base, exponent: int, one, times):

@@ -18,27 +18,21 @@ from lenumbers import (
     analyze_poly,
     non_splitting_verdict,
     rank_attained_cases,
-    arrangement_report,
     colength,
     compute_all,
-    cyclic_kernel_rank,
-    cyclo_product,
     cyclotomic,
     factor_unity,
     full_report,
-    homogeneous_char,
     homogeneous_char_exponents,
     ideal,
-    ideals_equal,
-    lambda1_from_components,
-    multiple_points,
     parse_poly,
-    saturate,
-    standard_basis,
 )
-from lenumbers.constraints import VERDICT_NON_SPLITTING
+from lenumbers.arrangements import arrangement_report, multiple_points
+from lenumbers.localring import ideals_equal, saturate, standard_basis
+from lenumbers.constraints import (VERDICT_NON_SPLITTING, cyclic_kernel_rank,
+                                   lambda1_from_components)
 from lenumbers.intlinalg import fixed_space_rank, mat_pow
-from lenumbers.cyclo import divisors
+from lenumbers.cyclo import cyclo_product, divisors, homogeneous_char
 from unipoly_oracle import t_poly, t_power_minus_one, unipoly_gcd
 
 

@@ -17,16 +17,14 @@ from lenumbers import (
     InputError,
     ResourceLimitError,
     analyze_poly,
-    arrangement_report,
     defining_polynomial,
-    homogeneous_char,
-    multiple_points,
     pick_slice_form,
-    to_setup,
 )
-from lenumbers.arrangements import validate_slice_form
+from lenumbers.arrangements import (arrangement_report, multiple_points, to_setup,
+                                    validate_slice_form)
 from lenumbers.cli import main
 from lenumbers.constraints import VERDICT_EXPONENTS, VERDICT_NON_SPLITTING
+from lenumbers.cyclo import homogeneous_char
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 COORDINATE_PLANES = (E1, E2, E3)

@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -191,10 +191,11 @@ def test_analyze_expansion_past_the_monomial_cap_exits_3(capsys):
     assert err.startswith("resource limit: a product of ")
 
 
+# 1000036000099 = 1000003 * 1000033: trial division passes 10^6 before a factor turns up
 @pytest.mark.parametrize("argv", [
-    ["cyclo", "unity", "1000000000000000000"],
+    ["cyclo", "unity", "1000036000099"],
     ["cyclo", "gcd", "Phi_1000000000000000003", "Phi_1000000000000000003"],
-    ["cyclo", "homchar", "2", "1000000000000000000"],
+    ["cyclo", "homchar", "2", "1000036000099"],
     ["constraints", "--input", json.dumps({"n": 2, "mu0": 4, "d0": 3, "components": [
         {"k": 1, "mu": 1, "charH": "Phi_1000000000000000003"}]})],
 ], ids=["unity", "gcd", "homchar", "constraints-charH"])
@@ -204,6 +205,42 @@ def test_factoring_past_the_monomial_cap_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("resource limit: trial division of ")
+
+
+@pytest.mark.parametrize("d", [2**50, 10**18])
+def test_homchar_of_a_degree_with_small_prime_factors(capsys, d):
+    # both degrees factor at once, though their square roots pass the cap
+    with alarm_after(2):
+        code, out, _ = run(capsys, "cyclo", "--format", "json", "homchar", "2", str(d))
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["degree"], summary["trace"]) == ((d - 1) ** 2, 1)
+
+
+# the product of the first 30 primes factors at once and has 2^30 divisors
+PRIMORIAL_30 = prod(p for p in range(2, 114) if all(p % q for q in range(2, p)))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cyclo", "homchar", "1000000000", "1000000"], "coefficient bits, over the cap of 1000000"),
+    (["constraints", "--input", json.dumps({"n": 10**9, "mu0": 4, "d0": 10**6})],
+     "coefficient bits, over the cap of 1000000"),
+    (["constraints", "--input", json.dumps({"n": 2, "mu0": 100000, "components": [
+        {"k": 100000, "mu": 1, "tau": [[1]]}]})],
+     "a block-cycle matrix of size 100000 has 10000000000 entries"),
+    (["cyclo", "unity", str(PRIMORIAL_30)], "has 1073741824 divisors, over the cap of 1000000"),
+    (["cyclo", "homchar", "2", str(PRIMORIAL_30)],
+     "has 1073741824 divisors, over the cap of 1000000"),
+    (["constraints", "--input", json.dumps({"n": 2, "mu0": 4, "d0": PRIMORIAL_30})],
+     "has 1073741824 divisors, over the cap of 1000000"),
+], ids=["homchar", "constraints-d0", "constraints-block-cycle",
+        "unity-primorial", "homchar-primorial", "constraints-d0-primorial"])
+def test_sizes_past_the_monomial_cap_exit_3(capsys, argv, message):
+    with alarm_after(2):
+        code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: ") and message in err
 
 
 def test_dense_tau_constraints_job_finishes(capsys):

@@ -9,28 +9,28 @@ from lenumbers import (
     ComponentData,
     ConstraintReport,
     CycloProduct,
-    Finding,
     InputError,
     SingularSetup,
-    acampo_validate,
     non_splitting_verdict,
     rank_attained_cases,
     compute_all,
-    cyclic_kernel_rank,
-    divisibility_bound,
     full_report,
-    homogeneous_char,
-    lambda1_from_components,
     parse_poly,
-    rank_bound,
     smith_normal_form,
     SliceSetup,
 )
+from lenumbers.cyclo import homogeneous_char
 from lenumbers.intlinalg import as_matrix
 from lenumbers.constraints import (
     VERDICT_NON_SPLITTING,
     VERDICT_NOT_APPLICABLE,
     VERDICT_RANK_BELOW,
+    Finding,
+    acampo_validate,
+    cyclic_kernel_rank,
+    divisibility_bound,
+    lambda1_from_components,
+    rank_bound,
 )
 from lenumbers import intlinalg
 from lenumbers.intlinalg import block_cycle_matrix, fixed_space_rank, identity, mat_pow, mat_sub

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import pytest
 
-from lenumbers import LocalOrder, MultiPoly, ideal, parse_poly, standard_basis
-from lenumbers.localring import EliminationOrder
+from lenumbers import MultiPoly, ideal, parse_poly
+from lenumbers.localring import EliminationOrder, LocalOrder, standard_basis
 from lenumbers.polynomials import mono_deg, mono_div, mono_lcm
 
 DATA = Path(__file__).resolve().parent / "data" / "standard_bases.json"

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from lenumbers import Budget, LocalOrder, MultiPoly, mora_divide, mora_reduce
-from lenumbers.localring import EliminationOrder
+from lenumbers import Budget, MultiPoly
+from lenumbers.localring import EliminationOrder, LocalOrder, mora_divide, mora_reduce
 
 DATA = Path(__file__).resolve().parent / "data" / "mora_divisions.json"
 LOCAL_CASES = 36

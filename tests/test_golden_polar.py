@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from lenumbers import ideal, ideals_equal, parse_poly
+from lenumbers import ideal, parse_poly
+from lenumbers.localring import ideals_equal
 from lenumbers.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "polar_ideals.json"

@@ -7,22 +7,25 @@ import pytest
 from lenumbers import (
     Budget,
     InputError,
-    LocalOrder,
     MultiPoly,
     ResourceLimitError,
     colength,
     ideal,
+    parse_poly,
+    slice_with_form,
+)
+from lenumbers.localring import (
+    EliminationOrder,
+    LocalOrder,
     ideal_quotient,
     ideal_sum,
     ideals_equal,
+    leading,
     mora_divide,
     mora_reduce,
-    parse_poly,
     saturate,
-    slice_with_form,
     standard_basis,
 )
-from lenumbers.localring import EliminationOrder, leading
 from lenumbers.polynomials import mono_deg, mono_divides
 
 XY = ["x", "y"]

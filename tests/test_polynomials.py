@@ -348,7 +348,6 @@ def test_polynomial_entry_points_read_floats_by_repr():
     assert MultiPoly.constant(0.1, 2).constant_term() == Fraction(1, 10)
     assert (x * 0.1).terms == {(1, 0): Fraction(1, 10)}
     assert (0.1 * x).terms == {(1, 0): Fraction(1, 10)}
-    assert P("x*y", XY).evaluate([0.1, 0.2]) == Fraction(1, 50)
     assert P("x", XY).linear_change([[0.1, 0], [0, 1]]) == Fraction(1, 10) * x
 
 
@@ -359,8 +358,6 @@ def test_polynomial_entry_points_reject_bools():
         MultiPoly.constant(True, 2)
     with pytest.raises(InputError):
         MultiPoly.variable(0, 2) * True
-    with pytest.raises(InputError):
-        P("x", XY).evaluate([True, 1])
     with pytest.raises(InputError):
         P("x", XY).linear_change([[True, 0], [0, 1]])
 
@@ -390,11 +387,6 @@ def test_restrict_first_var():
     assert P("z^2 + x^3", ["z", "x"]) .restrict_first_var() == P("x^3", ["x"])
     assert P("z*x", ["z", "x"]).restrict_first_var().is_zero
     assert P("(x+z)^2 - x^2", ["z", "x"]).restrict_first_var().is_zero
-
-
-def test_evaluate():
-    f = P("x^2*y - 3", XY)
-    assert f.evaluate([2, Fraction(1, 2)]) == Fraction(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,16 @@
+"""The package exports only names that README.md documents."""
+
+from pathlib import Path
+from types import ModuleType
+
+import lenumbers
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_export_is_named_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    exported = [name for name, value in vars(lenumbers).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)]
+    assert exported
+    assert [name for name in exported if f"`{name}`" not in text] == []
