@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from .arrangements import CentralArrangement3, arrangement_report
 from .constraints import SingularSetup, full_report
-from .cyclo import CycloProduct, cyclotomic, factor_unity, homogeneous_char
+from .cyclo import CycloProduct, check_printable, cyclotomic, factor_unity, homogeneous_char
 from .errors import (
     GenericityError,
     InputError,
@@ -187,7 +187,9 @@ def _unity(d: str) -> tuple[dict, str]:
 
 
 def _summary(product: CycloProduct) -> tuple[dict, str]:
-    fields = {"factors": str(product), "degree": product.degree(), "trace": product.trace()}
+    degree = product.degree()
+    check_printable(degree, "the degree")  # it bounds every exponent and the trace
+    fields = {"factors": str(product), "degree": degree, "trace": product.trace()}
     return fields, "{factors} ; degree {degree} ; trace {trace}".format(**fields)
 
 

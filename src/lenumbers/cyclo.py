@@ -19,6 +19,20 @@ from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .polynomials import MAX_MONOMIALS, MultiPoly, check_power_bits, integer
 
 
+# An exponent, degree or trace the package prints has at most 14,000 bits
+# (4,215 decimal digits): below the 4,300 digits that Python converts between
+# int and str by default.
+MAX_PRINTED_BITS = 14_000
+
+
+def check_printable(value: int, what: str) -> None:
+    """Raise ``ResourceLimitError`` when value has more than ``MAX_PRINTED_BITS`` bits."""
+    bits = abs(value).bit_length()
+    if bits > MAX_PRINTED_BITS:
+        raise ResourceLimitError(f"{what} has {bits} bits, over the cap of "
+                                 f"{MAX_PRINTED_BITS} bits on printed integers")
+
+
 def _positive(value, name: str) -> int:
     """A positive integer read through ``integer``, else an ``InputError`` naming it."""
     if integer(value, name) < 1:
@@ -212,13 +226,19 @@ def factor_unity(d: int) -> CycloProduct:
 
 def homogeneous_char_exponents(n: int, d: int) -> tuple[int, int]:
     """Exponent pair (a0, b0) of the monodromy characteristic polynomial of a
-    homogeneous isolated singularity of degree d in n variables."""
+    homogeneous isolated singularity of degree d in n variables.
+
+    The Milnor number (d-1)^n bounds a0, b0, the degree and the trace; it
+    must pass ``check_printable``.
+    """
     _positive(n, "ambient dimension n")
     if integer(d, "degree") < 2:
         raise InputError("degree must be at least 2")
     sign = (-1) ** n
     check_power_bits(d - 1, n)
-    numerator = (d - 1) ** n - sign
+    milnor = (d - 1) ** n
+    check_printable(milnor, "the Milnor number (d-1)^n")
+    numerator = milnor - sign
     if numerator % d:
         raise InvariantViolationError(f"b0 is not an integer for n={n}, d={d}")
     b0 = numerator // d

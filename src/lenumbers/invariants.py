@@ -8,6 +8,23 @@ intersection number omega, together with the checkable genericity verdicts.
 Intersection numbers are realized as colengths of ideal sums.  Length equals
 intersection multiplicity for the Cohen-Macaulay curve ideals produced by
 saturation here; reports carry a warning naming that identification.
+
+The polar curve is (I : f^infinity) for I the non-slice partials.  It is
+computed with one colon step J = (I : f), accepted when this certificate
+holds for A = O/J:
+
+* A is one-dimensional, and colength(J + (z0)) = e(m; A).  For the
+  parameter z0, length(A/z0 A) = e(z0; A) + length(0 :_A z0) and
+  e(z0; A) >= e(m; A), so length(0 :_A z0) = 0: z0 is a nonzerodivisor and
+  A is Cohen-Macaulay (Matsumura, Commutative Ring Theory, section 14).
+* omega = colength(J + (f)) is finite.  Then f is a parameter of the
+  Cohen-Macaulay ring A, so it lies in no associated prime and is a
+  nonzerodivisor (section 17); hence (J : f) = J = (I : f^infinity).
+
+e(m; A) is read from the staircase of J's local standard basis
+(``localring.multiplicity``).  The two colengths are the ones lambda1 and
+omega need, so the certified curve carries them to those stages.  When the
+certificate fails, the saturation loop continues from J.
 """
 
 from __future__ import annotations
@@ -19,7 +36,8 @@ from itertools import chain, count, islice
 from typing import Sequence
 
 from .errors import GenericityError, InputError, InvariantViolationError, ResourceLimitError
-from .localring import Budget, Ideal, colength, ideal, ideal_sum, saturate
+from .localring import (Budget, Ideal, colength, ideal, ideal_quotient, ideal_sum, multiplicity,
+                        saturate, standard_basis)
 from .polynomials import MultiPoly, integer, rational
 
 LENGTH_IDENTIFICATION_WARNING = (
@@ -86,14 +104,54 @@ def mu0(setup: SliceSetup, budget: Budget | None = None) -> int:
                             "mu0 is infinite: the sliced function has a non-isolated singularity")
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class _CertifiedPolar(Ideal):
+    """A polar curve of f accepted after one colon step, with the colengths
+    of Γ + (z0) and Γ + (f) that its certificate computed; it equals the
+    ``Ideal`` with the same generators."""
+
+    f: MultiPoly
+    slice_colength: int
+    f_colength: int
+
+    def __eq__(self, other):
+        return isinstance(other, Ideal) and (self.generators, self.nvars) == (
+            other.generators, other.nvars)
+
+    __hash__ = Ideal.__hash__
+
+
+def _certified_colength(setup: SliceSetup, polar: Ideal, name: str) -> int | None:
+    """The colength ``name`` that the certificate of polar computed for setup's f, if any."""
+    if isinstance(polar, _CertifiedPolar) and polar.f == setup.f:
+        return getattr(polar, name)
+    return None
+
+
 def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> Ideal:
     """The relative polar curve: the non-slice partials saturated by f.
 
     The critical locus lies inside V(f), so saturating by f itself removes
-    exactly the critical components and keeps every polar component.
+    exactly the critical components and keeps every polar component.  The
+    colon J = (I : f) is returned at once when it is the unit ideal, and
+    without a second colon round when the module's certificate holds:
+    O/J one-dimensional, colength(J + (z0)) = e(m; O/J) and
+    colength(J + (f)) finite, so that z0 and then f are nonzerodivisors on
+    the Cohen-Macaulay ring O/J.  Otherwise ``saturate`` continues from J.
     """
-    f = setup.f
-    return saturate(ideal([f.partial(i) for i in range(1, f.nvars)], f.nvars), f, budget)
+    f, n = setup.f, setup.f.nvars
+    budget = budget if budget is not None else Budget()
+    J = ideal_quotient(ideal([f.partial(i) for i in range(1, n)], n), f, budget)
+    if any(g.constant_term() for g in J.generators):
+        return J
+    e = multiplicity(standard_basis(J, budget=budget), budget)
+    if e is not None:
+        slice_colength = colength(ideal_sum(J, setup.slice_ideal()), budget)
+        if slice_colength == e:
+            f_colength = colength(ideal_sum(J, ideal([f], n)), budget)
+            if f_colength is not None:
+                return _CertifiedPolar(J.generators, n, f, slice_colength, f_colength)
+    return saturate(J, f, budget)
 
 
 def lambda0(setup: SliceSetup, polar: Ideal, budget: Budget | None = None) -> int:
@@ -114,8 +172,10 @@ def omega(setup: SliceSetup, polar: Ideal, lambda0_value: int,
     Validates omega >= lambda0 with equality only when both vanish; a
     violation indicates a bug rather than bad input.
     """
-    value = _finite_colength(ideal_sum(polar, ideal([setup.f], setup.f.nvars)), budget,
-                             "omega is infinite: the slice form is not generic")
+    value = _certified_colength(setup, polar, "f_colength")
+    if value is None:
+        value = _finite_colength(ideal_sum(polar, ideal([setup.f], setup.f.nvars)), budget,
+                                 "omega is infinite: the slice form is not generic")
     if not omega_law_holds(value, lambda0_value):
         raise InvariantViolationError(
             f"omega={value}, lambda0={lambda0_value}: the inequality omega >= lambda0 "
@@ -133,8 +193,11 @@ def lambda1(setup: SliceSetup, polar: Ideal, mu0_value: int,
     The first colength is mu0, since (d_1 f, ..., d_n f, z0) is
     (z0) + Jac(f|V(z0)), so the caller passes in the mu0 it already has.
     """
-    return mu0_value - _finite_colength(ideal_sum(polar, setup.slice_ideal()), budget,
-                                        "polar curve meets the slice in positive dimension")
+    value = _certified_colength(setup, polar, "slice_colength")
+    if value is None:
+        value = _finite_colength(ideal_sum(polar, setup.slice_ideal()), budget,
+                                 "polar curve meets the slice in positive dimension")
+    return mu0_value - value
 
 
 @dataclass(frozen=True)

@@ -502,6 +502,32 @@ def colength(I: Ideal | StandardBasis, budget: Budget | None = None) -> int | No
     return None if standard is None else sum(1 for _ in standard)
 
 
+def multiplicity(sb: StandardBasis, budget: Budget | None = None) -> int | None:
+    """The multiplicity e(m; A) of A = O/I for a one-dimensional A, else None.
+
+    ``sb`` is a standard basis of I under ``LocalOrder``, a degree order, so
+    the leading ideal L has the Hilbert–Samuel function of I and
+    e(m; A) = e(m; O/L) (Greuel–Pfister, ch. 5).  O/L is one-dimensional iff
+    some variable x_v has no pure power in L and, for each such v, L with
+    x_v set to 1 has finitely many standard monomials u.  The standard
+    monomials of a large degree k are then exactly the u·x_v^(k − deg u), so
+    the Hilbert function of degree k is the sum of those counts: that sum is e.
+    """
+    budget = budget if budget is not None else Budget()
+    # the unit monomial counts as a pure power of every variable
+    free = [v for v in range(sb.nvars) if not any(mono_deg(m) == m[v] for m in sb.staircase)]
+    if not free:
+        return None
+    e = 0
+    for v in free:
+        standard = _standard_monomials([m[:v] + m[v + 1:] for m in sb.staircase],
+                                       sb.nvars - 1, budget)
+        if standard is None:
+            return None
+        e += sum(1 for _ in standard)
+    return e
+
+
 def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     """The colon ideal (I : g) in the local ring.
 
@@ -555,6 +581,14 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     Stability is certified by standard-basis membership of every new
     generator; the chain (I : g) ⊆ (I : g^2) ⊆ ... stabilizes because the
     local ring is Noetherian.
+
+    Each round is an elimination, and a caller can prove stability after one
+    colon step instead: if A = O/(I : g) is one-dimensional and Cohen–Macaulay
+    and A/gA has finite length, then g lies in no associated prime of A, so it
+    is a nonzerodivisor on A and (I : g^2) = (I : g).  The polar stage of
+    ``invariants`` certifies this by ``multiplicity`` and two colengths, and
+    calls ``saturate`` on (I : g) when the certificate fails, which continues
+    this loop from its second round.
     """
     if g.is_zero:
         raise InputError("saturation by the zero element")

@@ -318,6 +318,18 @@ def test_six_generic_planes_fit_the_default_budget():
     assert (le["mu0"], le["lambda1"], le["lambda0"]) == _pair_count_oracle(normals)
 
 
+def test_seven_planes_fit_the_default_budget():
+    # the polar curve is certified after one colon step, which keeps the
+    # 7-plane job well inside the default Budget()
+    normals = (E1, E2, E3, (1, 1, 1), (1, 2, 3), (1, -1, 2), (2, 1, -1))
+    arr = CentralArrangement3(normals)
+    inv = analyze_poly(defining_polynomial(arr), z0=pick_slice_form(arr),
+                       budget=Budget()).invariants
+    assert inv.genericity_ok
+    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (36, 90, 21, 105)
+    assert (inv.mu0, inv.lambda1, inv.lambda0) == _pair_count_oracle(normals)
+
+
 def test_resource_limit_names_the_polar_stage():
     arr = CentralArrangement3((E1, E2, E3, (1, 1, 1), (1, 2, 3)))
     with pytest.raises(ResourceLimitError, match=r"^stage polar: S-pair budget of 20 "

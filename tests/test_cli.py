@@ -243,6 +243,33 @@ def test_sizes_past_the_monomial_cap_exit_3(capsys, argv, message):
     assert err.startswith("resource limit: ") and message in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cyclo_past_the_printable_integer_cap_exits_3(capsys, fmt):
+    # (3 - 1)^20000 has 6,021 decimal digits, past Python's default
+    # 4,300-digit int-to-str limit; the cap fires before any conversion
+    code, out, err = run(capsys, "cyclo", "--format", fmt, "homchar", "20000", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: the Milnor number (d-1)^n has 20001 bits, "
+                          "over the cap of 14000 bits on printed integers")
+    # so does a constraints job whose degree d0 forces that Milnor number
+    job = json.dumps({"n": 20000, "mu0": 4, "d0": 3})
+    code, out, err = run(capsys, "constraints", "--format", fmt, "--input", job)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: the Milnor number (d-1)^n has 20001 bits")
+    # a gcd of products read from text is capped by its degree alike
+    factor = "Phi_1000003^" + "9" * 4299
+    code, out, err = run(capsys, "cyclo", "--format", fmt, "gcd", factor, factor)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: the degree has 14301 bits, over the cap of 14000 ")
+    # the largest Milnor number under the cap, 2^13999, is printed in full
+    code, out, _ = run(capsys, "cyclo", "--format", "json", "homchar", "13999", "3")
+    assert code == 0
+    assert json.loads(out)["degree"] == 2 ** 13999
+
+
 def test_dense_tau_constraints_job_finishes(capsys):
     # a dense 56 x 56 tau with entries in {-1, 0, 1}; the fixed-space rank
     # is the rank bound, since it is below mu0 = 64 and mu = 56

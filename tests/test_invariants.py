@@ -5,23 +5,28 @@ import pytest
 
 from lenumbers import (
     Budget,
+    CentralArrangement3,
     GenericityError,
     InputError,
     SliceSetup,
     analyze_poly,
     colength,
     compute_all,
+    defining_polynomial,
     ideal,
     lambda0,
     lambda1,
     mu0,
     omega,
     parse_poly,
+    pick_slice_form,
     polar_ideal,
     slice_with_form,
     MultiPoly,
 )
-from lenumbers.localring import ideals_equal
+from lenumbers import invariants
+from lenumbers.localring import (ideal_quotient, ideal_sum, ideals_equal, multiplicity,
+                                 saturate, standard_basis)
 
 ZXY = ["z", "x", "y"]
 
@@ -353,3 +358,107 @@ def test_analyze_poly_draws_on_one_default_budget(monkeypatch):
     monkeypatch.setattr(Budget, "__post_init__", counted)
     analyze_poly(parse_poly("x^2 - y^2*z", ["x", "y", "z"]))
     assert len(built) == 1
+
+
+# a d-plane arrangement below takes the first d of these normals
+PLANES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2), (2, 1, -1))
+XYZ = ["x", "y", "z"]
+
+
+@pytest.fixture
+def colon_calls(monkeypatch):
+    """The ideals that the polar stage hands to ideal_quotient and to saturate."""
+    calls = {"ideal_quotient": [], "saturate": []}
+
+    def spy(name, fn):
+        def wrapper(I, g, budget=None):
+            calls[name].append(I)
+            return fn(I, g, budget)
+        return wrapper
+
+    monkeypatch.setattr(invariants, "ideal_quotient", spy("ideal_quotient", ideal_quotient))
+    monkeypatch.setattr(invariants, "saturate", spy("saturate", saturate))
+    return calls
+
+
+def _nonslice_jacobian(setup):
+    f = setup.f
+    return ideal([f.partial(i) for i in range(1, f.nvars)], f.nvars)
+
+
+def _check_certified(setup, polar, calls):
+    # one colon step and no saturation round, yet saturate's ideal
+    assert len(calls["ideal_quotient"]) == 1 and calls["saturate"] == []
+    assert not ideals_equal(polar, ideal([MultiPoly.constant(1, setup.f.nvars)]))
+    assert ideals_equal(polar, saturate(_nonslice_jacobian(setup), setup.f))
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_polar_curve_of_planes_is_certified_in_one_colon_step(colon_calls, d):
+    arr = CentralArrangement3(PLANES[:d])
+    setup, _ = slice_with_form(defining_polynomial(arr), pick_slice_form(arr))
+    _check_certified(setup, polar_ideal(setup), colon_calls)
+
+
+@pytest.mark.parametrize("text", ["x^2 - y^2*z", "x^2*y + z^2"], ids=["umbrella", "dinf"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 11])
+def test_polar_curve_of_golden_germs_is_certified(colon_calls, text, seed):
+    # the slice search rejects the coordinate forms before the polar stage
+    result = analyze_poly(parse_poly(text, XYZ), seed=seed)
+    assert result.invariants.genericity_ok
+    _check_certified(result.setup, result.polar, colon_calls)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("x^2 - y^2*z", (3, 2, 1, 4)),
+    ("x^2 + y^2*z + z^3*y", (3, 6, 0, 9)),
+], ids=["umbrella", "cubic"])
+def test_tangent_slice_falls_back_to_saturation_from_the_colon(colon_calls, text, expected):
+    # z0 = (1, 0, 1) meets the polar curve with more than its multiplicity,
+    # so the certificate fails and the saturation loop continues from J
+    result = analyze_poly(parse_poly(text, XYZ), z0=(1, 0, 1))
+    inv = result.invariants
+    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == expected
+    assert inv.genericity_ok
+    jacobian = _nonslice_jacobian(result.setup)
+    assert colon_calls["ideal_quotient"][0] == jacobian
+    J = ideal_quotient(jacobian, result.setup.f)
+    assert colon_calls["saturate"] == [J]
+    assert ideals_equal(result.polar, saturate(jacobian, result.setup.f))
+
+
+def test_infinite_omega_on_the_colon_falls_back(monkeypatch):
+    # here J = (I : f) is a curve that z0 cuts in e(m; O/J) = 4 points, but
+    # f vanishes on a component of J: omega is infinite, so J is not
+    # accepted and the saturation loop (stubbed here) continues from J
+    setup, _ = slice_with_form(parse_poly("y^4 - y^3*z^2 + 2*x*y*z^4", XYZ), (1, 1, -5))
+    J = ideal_quotient(_nonslice_jacobian(setup), setup.f)
+    assert multiplicity(standard_basis(J)) == colength(ideal_sum(J, setup.slice_ideal())) == 4
+    assert colength(ideal_sum(J, ideal([setup.f]))) is None
+    handed = []
+    monkeypatch.setattr(invariants, "saturate", lambda I, g, budget=None: handed.append(I) or I)
+    polar_ideal(setup)
+    assert handed == [J]
+
+
+def test_unit_colon_is_the_polar_curve_at_once(colon_calls):
+    # f = x^2 + y^3 lies in (d_x f, d_y f) = (x, y^2), so (I : f) = (1)
+    setup, _ = slice_with_form(parse_poly("x^2 + y^3", XYZ), (0, 0, 1))
+    polar = polar_ideal(setup)
+    assert polar == ideal([MultiPoly.constant(1, 3)])
+    assert len(colon_calls["ideal_quotient"]) == 1 and colon_calls["saturate"] == []
+
+
+def test_certified_polar_curve_serves_its_own_setup_only():
+    # omega and lambda1 read back the colengths the certificate computed for
+    # the same f; for another f, omega computes colength(polar + (f)) afresh
+    arr = CentralArrangement3(PLANES[:4])
+    setup, names = slice_with_form(defining_polynomial(arr), pick_slice_form(arr))
+    polar = polar_ideal(setup)
+    plain = ideal(polar.generators, polar.nvars)
+    assert polar == plain and hash(polar) == hash(plain)
+    l0 = lambda0(setup, polar)
+    assert omega(setup, polar, l0) == omega(setup, plain, l0) == 12
+    assert lambda1(setup, polar, 9) == lambda1(setup, plain, 9) == 6
+    other = SliceSetup(setup.f + parse_poly(f"{names[1]}^2", names))
+    assert omega(other, polar, 0) == omega(other, plain, 0) == 6

@@ -23,6 +23,7 @@ from lenumbers.localring import (
     leading,
     mora_divide,
     mora_reduce,
+    multiplicity,
     saturate,
     standard_basis,
 )
@@ -406,6 +407,33 @@ def test_quotient_sandwich_random():
         assert all(sb_quot.contains(h) for h in base.generators)
         assert all(sb_base.contains(q * g) for q in quotient.generators)
         done += 1
+
+
+@pytest.mark.parametrize("gens,expected", [
+    (["x", "y"], 1),                # the z-axis
+    (["x", "y^2"], 2),              # a double line
+    (["x^2", "x*y", "y^2"], 3),     # the z-axis with the square of its ideal
+    (["x*y", "z"], 2),              # two lines
+    (["x", "y", "z^2"], None),      # zero-dimensional
+    (["z"], None),                  # two-dimensional
+    (["1"], None),                  # the unit ideal
+], ids=["line", "double-line", "fat-line", "two-lines", "dim0", "dim2", "unit"])
+def test_multiplicity_of_monomial_staircases(gens, expected):
+    # monomials are their own standard basis, so the staircase is gens
+    sb = standard_basis(ideal([P(g, XYZ) for g in gens], 3))
+    assert multiplicity(sb) == expected
+
+
+def test_multiplicity_is_the_hilbert_samuel_slope():
+    # the cusp y^2 = x^3, z = x*y has multiplicity 2: for large k,
+    # colength(I + m^(k+1)) - colength(I + m^k) = e
+    I = ideal([P("y^2 - x^3", XYZ), P("z - x*y", XYZ)], 3)
+
+    def colength_mod_power(k):
+        power = [MultiPoly({m: 1}, 3) for m in product(range(k + 1), repeat=3) if sum(m) == k]
+        return colength(ideal_sum(I, ideal(power, 3)))
+
+    assert multiplicity(standard_basis(I)) == colength_mod_power(7) - colength_mod_power(6) == 2
 
 
 def test_saturate_examples():
