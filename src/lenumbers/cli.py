@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from .arrangements import CentralArrangement3, arrangement_report
 from .constraints import SingularSetup, full_report
-from .cyclo import CycloProduct, check_printable, cyclotomic, factor_unity, homogeneous_char
+from .cyclo import CycloProduct, cyclotomic, factor_unity, homogeneous_char
 from .errors import (
     GenericityError,
     InputError,
@@ -126,7 +126,7 @@ def _cmd_analyze(args) -> int:
         "slice_variables": list(result.slice_names),
         "le": le.to_dict(),
         "polar_ideal": (None if result.polar is None
-                        else result.polar.to_strings(result.slice_names)),
+                        else result.polar.ideal.to_strings(result.slice_names)),
         "constraints": None,
     }
     lines = [le.render_text()]
@@ -187,8 +187,7 @@ def _unity(d: str) -> tuple[dict, str]:
 
 
 def _summary(product: CycloProduct) -> tuple[dict, str]:
-    degree = product.degree()
-    check_printable(degree, "the degree")  # it bounds every exponent and the trace
+    degree = product.degree()  # capped before str(product): it bounds every exponent
     fields = {"factors": str(product), "degree": degree, "trace": product.trace()}
     return fields, "{factors} ; degree {degree} ; trace {trace}".format(**fields)
 

@@ -114,7 +114,11 @@ class CycloProduct:
         return self._factors.get(k, 0)
 
     def degree(self) -> int:
-        return sum(c * totient(k) for k, c in self._factors.items())
+        """The degree, which bounds every exponent and the trace; it must pass
+        ``check_printable``, so any message or report may print it."""
+        degree = sum(c * totient(k) for k, c in self._factors.items())
+        check_printable(degree, "the degree")
+        return degree
 
     def trace(self) -> int:
         """Sum of all roots with multiplicity: sum_k c_k * mobius(k)."""

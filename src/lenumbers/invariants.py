@@ -23,8 +23,8 @@ holds for A = O/J:
 
 e(m; A) is read from the staircase of J's local standard basis
 (``localring.multiplicity``).  The two colengths are the ones lambda1 and
-omega need, so the certified curve carries them to those stages.  When the
-certificate fails, the saturation loop continues from J.
+omega need: ``polar_ideal`` returns the curve with both, computed on the
+saturation when the certificate fails, and those stages read them.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ class SliceSetup:
         return ideal([MultiPoly.variable(0, self.f.nvars)], self.f.nvars)
 
 
-def _finite_colength(I: Ideal, budget: Budget | None, message: str) -> int:
-    """The colength of I, or ``GenericityError(message)`` when it is infinite."""
-    value = colength(I, budget)
+def _finite(value: int | None, message: str) -> int:
+    """value, or ``GenericityError(message)`` when it is None (infinite)."""
     if value is None:
         raise GenericityError(message)
     return value
@@ -100,64 +99,51 @@ def mu0(setup: SliceSetup, budget: Budget | None = None) -> int:
     not generic.
     """
     f0 = setup.f.restrict_first_var()
-    return _finite_colength(ideal([f0.partial(i) for i in range(f0.nvars)], f0.nvars), budget,
-                            "mu0 is infinite: the sliced function has a non-isolated singularity")
+    return _finite(colength(ideal([f0.partial(i) for i in range(f0.nvars)], f0.nvars), budget),
+                   "mu0 is infinite: the sliced function has a non-isolated singularity")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class _CertifiedPolar(Ideal):
-    """A polar curve of f accepted after one colon step, with the colengths
-    of Γ + (z0) and Γ + (f) that its certificate computed; it equals the
-    ``Ideal`` with the same generators."""
+@dataclass(frozen=True)
+class PolarCurve:
+    """The relative polar curve Γ with its intersection numbers
+    colength(Γ + (z0)) and colength(Γ + (f)); None means infinite."""
 
-    f: MultiPoly
-    slice_colength: int
-    f_colength: int
-
-    def __eq__(self, other):
-        return isinstance(other, Ideal) and (self.generators, self.nvars) == (
-            other.generators, other.nvars)
-
-    __hash__ = Ideal.__hash__
+    ideal: Ideal
+    slice_colength: int | None
+    f_colength: int | None
 
 
-def _certified_colength(setup: SliceSetup, polar: Ideal, name: str) -> int | None:
-    """The colength ``name`` that the certificate of polar computed for setup's f, if any."""
-    if isinstance(polar, _CertifiedPolar) and polar.f == setup.f:
-        return getattr(polar, name)
-    return None
-
-
-def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> Ideal:
+def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
     """The relative polar curve: the non-slice partials saturated by f.
 
     The critical locus lies inside V(f), so saturating by f itself removes
     exactly the critical components and keeps every polar component.  The
-    colon J = (I : f) is returned at once when it is the unit ideal, and
-    without a second colon round when the module's certificate holds:
-    O/J one-dimensional, colength(J + (z0)) = e(m; O/J) and
-    colength(J + (f)) finite, so that z0 and then f are nonzerodivisors on
-    the Cohen-Macaulay ring O/J.  Otherwise ``saturate`` continues from J.
+    colon J = (I : f) is returned at once, meeting nothing, when it is the
+    unit ideal, and with the two colengths its certificate computed when the
+    module's certificate holds.  Otherwise ``saturate`` continues from J and
+    both colengths are computed on its result.
     """
     f, n = setup.f, setup.f.nvars
     budget = budget if budget is not None else Budget()
     J = ideal_quotient(ideal([f.partial(i) for i in range(1, n)], n), f, budget)
     if any(g.constant_term() for g in J.generators):
-        return J
+        return PolarCurve(J, 0, 0)
     e = multiplicity(standard_basis(J, budget=budget), budget)
     if e is not None:
         slice_colength = colength(ideal_sum(J, setup.slice_ideal()), budget)
         if slice_colength == e:
             f_colength = colength(ideal_sum(J, ideal([f], n)), budget)
             if f_colength is not None:
-                return _CertifiedPolar(J.generators, n, f, slice_colength, f_colength)
-    return saturate(J, f, budget)
+                return PolarCurve(J, slice_colength, f_colength)
+    polar = saturate(J, f, budget)
+    return PolarCurve(polar, colength(ideal_sum(polar, setup.slice_ideal()), budget),
+                      colength(ideal_sum(polar, ideal([f], n)), budget))
 
 
-def lambda0(setup: SliceSetup, polar: Ideal, budget: Budget | None = None) -> int:
+def lambda0(setup: SliceSetup, polar: PolarCurve, budget: Budget | None = None) -> int:
     """The 0-dimensional Le number: polar curve against the slice-direction partial."""
-    return _finite_colength(ideal_sum(polar, ideal([setup.f.partial(0)], setup.f.nvars)), budget,
-                            "lambda0 is infinite: the slice form is not generic")
+    meets = ideal_sum(polar.ideal, ideal([setup.f.partial(0)], setup.f.nvars))
+    return _finite(colength(meets, budget), "lambda0 is infinite: the slice form is not generic")
 
 
 def omega_law_holds(omega_value: int, lambda0_value: int) -> bool:
@@ -165,17 +151,13 @@ def omega_law_holds(omega_value: int, lambda0_value: int) -> bool:
     return omega_value > lambda0_value or omega_value == lambda0_value == 0
 
 
-def omega(setup: SliceSetup, polar: Ideal, lambda0_value: int,
-          budget: Budget | None = None) -> int:
+def omega(polar: PolarCurve, lambda0_value: int) -> int:
     """The polar intersection number with V(f) itself.
 
     Validates omega >= lambda0 with equality only when both vanish; a
     violation indicates a bug rather than bad input.
     """
-    value = _certified_colength(setup, polar, "f_colength")
-    if value is None:
-        value = _finite_colength(ideal_sum(polar, ideal([setup.f], setup.f.nvars)), budget,
-                                 "omega is infinite: the slice form is not generic")
+    value = _finite(polar.f_colength, "omega is infinite: the slice form is not generic")
     if not omega_law_holds(value, lambda0_value):
         raise InvariantViolationError(
             f"omega={value}, lambda0={lambda0_value}: the inequality omega >= lambda0 "
@@ -183,8 +165,7 @@ def omega(setup: SliceSetup, polar: Ideal, lambda0_value: int,
     return value
 
 
-def lambda1(setup: SliceSetup, polar: Ideal, mu0_value: int,
-            budget: Budget | None = None) -> int:
+def lambda1(polar: PolarCurve, mu0_value: int) -> int:
     """The 1-dimensional Le number, as a colength difference.
 
     Both the full non-slice Jacobian scheme and the polar curve are cut by
@@ -193,11 +174,8 @@ def lambda1(setup: SliceSetup, polar: Ideal, mu0_value: int,
     The first colength is mu0, since (d_1 f, ..., d_n f, z0) is
     (z0) + Jac(f|V(z0)), so the caller passes in the mu0 it already has.
     """
-    value = _certified_colength(setup, polar, "slice_colength")
-    if value is None:
-        value = _finite_colength(ideal_sum(polar, setup.slice_ideal()), budget,
-                                 "polar curve meets the slice in positive dimension")
-    return mu0_value - value
+    return mu0_value - _finite(polar.slice_colength,
+                               "polar curve meets the slice in positive dimension")
 
 
 @dataclass(frozen=True)
@@ -265,10 +243,8 @@ def _pipeline(setup: SliceSetup, budget: Budget | None):
             polar = polar_ideal(setup, budget)
         with _stage("lambda0"):
             l0 = lambda0(setup, polar, budget)
-        with _stage("omega"):
-            om = omega(setup, polar, l0, budget)
-        with _stage("lambda1"):
-            l1 = lambda1(setup, polar, m, budget)
+        om = omega(polar, l0)
+        l1 = lambda1(polar, m)
     except GenericityError as exc:
         warnings.append(str(exc))
         return LeInvariants(m, None, None, None, False, tuple(warnings), z0), polar
@@ -281,7 +257,7 @@ class AnalysisResult:
 
     invariants: LeInvariants
     setup: SliceSetup
-    polar: Ideal | None
+    polar: PolarCurve | None
     slice_names: tuple[str, ...]
 
 

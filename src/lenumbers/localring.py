@@ -581,14 +581,6 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     Stability is certified by standard-basis membership of every new
     generator; the chain (I : g) ⊆ (I : g^2) ⊆ ... stabilizes because the
     local ring is Noetherian.
-
-    Each round is an elimination, and a caller can prove stability after one
-    colon step instead: if A = O/(I : g) is one-dimensional and Cohen–Macaulay
-    and A/gA has finite length, then g lies in no associated prime of A, so it
-    is a nonzerodivisor on A and (I : g^2) = (I : g).  The polar stage of
-    ``invariants`` certifies this by ``multiplicity`` and two colengths, and
-    calls ``saturate`` on (I : g) when the certificate fails, which continues
-    this loop from its second round.
     """
     if g.is_zero:
         raise InputError("saturation by the zero element")

@@ -270,6 +270,19 @@ def test_cyclo_past_the_printable_integer_cap_exits_3(capsys, fmt):
     assert json.loads(out)["degree"] == 2 ** 13999
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("job", [
+    {"n": 2, "mu0": 4, "charH0": "Phi_1000003^" + "9" * 4299},
+    {"n": 2, "mu0": 4, "components": [{"k": 1, "mu": 1, "charH": "Phi_1000003^" + "9" * 4299}]},
+], ids=["charH0", "component-charH"])
+def test_constraints_charh_past_the_printable_integer_cap_exits_3(capsys, fmt, job):
+    # the degree-mismatch message would print a degree of 4,306 decimal digits
+    code, out, err = run(capsys, "constraints", "--format", fmt, "--input", json.dumps(job))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: the degree has 14301 bits, over the cap of 14000 ")
+
+
 def test_dense_tau_constraints_job_finishes(capsys):
     # a dense 56 x 56 tau with entries in {-1, 0, 1}; the fixed-space rank
     # is the rank bound, since it is below mu0 = 64 and mu = 56

@@ -55,26 +55,26 @@ def test_mu0_examples():
 def test_polar_ideal_examples():
     # f in the non-slice Jacobian forces an empty polar curve
     empty = polar_ideal(setup_from("x^2 + y^2"))
-    assert ideals_equal(empty, ideal([MultiPoly.constant(1, 3)], 3))
+    assert ideals_equal(empty.ideal, ideal([MultiPoly.constant(1, 3)], 3))
     # A1 point: the polar curve is the slice axis
     axis = polar_ideal(setup_from("z^2 + x^2 + y^2"))
     x = MultiPoly.variable(1, 3)
     y = MultiPoly.variable(2, 3)
-    assert ideals_equal(axis, ideal([x, y]))
+    assert ideals_equal(axis.ideal, ideal([x, y]))
 
 
 def test_lambda0_omega_lambda1_on_a1_singularities():
     smooth_cylinder = setup_from("x^2 + y^2")
     polar = polar_ideal(smooth_cylinder)
     assert lambda0(smooth_cylinder, polar) == 0
-    assert omega(smooth_cylinder, polar, lambda0(smooth_cylinder, polar)) == 0
-    assert lambda1(smooth_cylinder, polar, mu0(smooth_cylinder)) == 1
+    assert omega(polar, lambda0(smooth_cylinder, polar)) == 0
+    assert lambda1(polar, mu0(smooth_cylinder)) == 1
 
     cone = setup_from("z^2 + x^2 + y^2")
     polar = polar_ideal(cone)
     assert lambda0(cone, polar) == 1
-    assert omega(cone, polar, lambda0(cone, polar)) == 2
-    assert lambda1(cone, polar, mu0(cone)) == 0
+    assert omega(polar, lambda0(cone, polar)) == 2
+    assert lambda1(polar, mu0(cone)) == 0
 
 
 def test_compute_all_worked_examples():
@@ -197,7 +197,7 @@ def test_nontransverse_slice_counts_with_multiplicity():
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (3, 1, 2, 2)
     x = MultiPoly.variable(1, 3)
     z = MultiPoly.variable(2, 3)
-    assert ideals_equal(result.polar, ideal([x, z]))
+    assert ideals_equal(result.polar.ideal, ideal([x, z]))
 
 
 def test_omega_dominates_lambda0_across_corpus():
@@ -235,7 +235,7 @@ def test_polar_curve_chain_rule_identity():
         inv = result.invariants
         assert inv.genericity_ok
         slice_meets_polar = colength(
-            ideal_sum(result.polar, result.setup.slice_ideal()))
+            ideal_sum(result.polar.ideal, result.setup.slice_ideal()))
         assert slice_meets_polar is not None
         assert inv.omega == inv.lambda0 + slice_meets_polar
 
@@ -389,8 +389,16 @@ def _nonslice_jacobian(setup):
 def _check_certified(setup, polar, calls):
     # one colon step and no saturation round, yet saturate's ideal
     assert len(calls["ideal_quotient"]) == 1 and calls["saturate"] == []
-    assert not ideals_equal(polar, ideal([MultiPoly.constant(1, setup.f.nvars)]))
-    assert ideals_equal(polar, saturate(_nonslice_jacobian(setup), setup.f))
+    assert not ideals_equal(polar.ideal, ideal([MultiPoly.constant(1, setup.f.nvars)]))
+    assert ideals_equal(polar.ideal, saturate(_nonslice_jacobian(setup), setup.f))
+
+
+def _stage_by_stage(setup):
+    """(mu0, lambda0, lambda1, omega) from the stage functions called one by one."""
+    m = mu0(setup)
+    polar = polar_ideal(setup)
+    l0 = lambda0(setup, polar)
+    return m, l0, lambda1(polar, m), omega(polar, l0)
 
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
@@ -405,8 +413,10 @@ def test_polar_curve_of_planes_is_certified_in_one_colon_step(colon_calls, d):
 def test_polar_curve_of_golden_germs_is_certified(colon_calls, text, seed):
     # the slice search rejects the coordinate forms before the polar stage
     result = analyze_poly(parse_poly(text, XYZ), seed=seed)
-    assert result.invariants.genericity_ok
+    inv = result.invariants
+    assert inv.genericity_ok
     _check_certified(result.setup, result.polar, colon_calls)
+    assert _stage_by_stage(result.setup) == (inv.mu0, inv.lambda0, inv.lambda1, inv.omega)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -424,7 +434,11 @@ def test_tangent_slice_falls_back_to_saturation_from_the_colon(colon_calls, text
     assert colon_calls["ideal_quotient"][0] == jacobian
     J = ideal_quotient(jacobian, result.setup.f)
     assert colon_calls["saturate"] == [J]
-    assert ideals_equal(result.polar, saturate(jacobian, result.setup.f))
+    gamma = saturate(jacobian, result.setup.f)
+    assert ideals_equal(result.polar.ideal, gamma)
+    # the curve's two numbers are those of the saturation, computed afresh
+    assert result.polar.slice_colength == colength(ideal_sum(gamma, result.setup.slice_ideal()))
+    assert result.polar.f_colength == colength(ideal_sum(gamma, ideal([result.setup.f])))
 
 
 def test_infinite_omega_on_the_colon_falls_back(monkeypatch):
@@ -435,9 +449,14 @@ def test_infinite_omega_on_the_colon_falls_back(monkeypatch):
     J = ideal_quotient(_nonslice_jacobian(setup), setup.f)
     assert multiplicity(standard_basis(J)) == colength(ideal_sum(J, setup.slice_ideal())) == 4
     assert colength(ideal_sum(J, ideal([setup.f]))) is None
+    # the stub returns the line (y - w, z), which f meets in w^4 = 0; the
+    # curve's numbers are those of the line, not of J
+    w, y, z = (MultiPoly.variable(i, 3) for i in range(3))
+    line = ideal([y - w, z])
     handed = []
-    monkeypatch.setattr(invariants, "saturate", lambda I, g, budget=None: handed.append(I) or I)
-    polar_ideal(setup)
+    monkeypatch.setattr(invariants, "saturate",
+                        lambda I, g, budget=None: handed.append(I) or line)
+    assert polar_ideal(setup) == invariants.PolarCurve(line, 1, 4)
     assert handed == [J]
 
 
@@ -445,20 +464,25 @@ def test_unit_colon_is_the_polar_curve_at_once(colon_calls):
     # f = x^2 + y^3 lies in (d_x f, d_y f) = (x, y^2), so (I : f) = (1)
     setup, _ = slice_with_form(parse_poly("x^2 + y^3", XYZ), (0, 0, 1))
     polar = polar_ideal(setup)
-    assert polar == ideal([MultiPoly.constant(1, 3)])
+    assert polar == invariants.PolarCurve(ideal([MultiPoly.constant(1, 3)]), 0, 0)
     assert len(colon_calls["ideal_quotient"]) == 1 and colon_calls["saturate"] == []
 
 
-def test_certified_polar_curve_serves_its_own_setup_only():
-    # omega and lambda1 read back the colengths the certificate computed for
-    # the same f; for another f, omega computes colength(polar + (f)) afresh
-    arr = CentralArrangement3(PLANES[:4])
-    setup, names = slice_with_form(defining_polynomial(arr), pick_slice_form(arr))
-    polar = polar_ideal(setup)
-    plain = ideal(polar.generators, polar.nvars)
-    assert polar == plain and hash(polar) == hash(plain)
-    l0 = lambda0(setup, polar)
-    assert omega(setup, polar, l0) == omega(setup, plain, l0) == 12
-    assert lambda1(setup, polar, 9) == lambda1(setup, plain, 9) == 6
-    other = SliceSetup(setup.f + parse_poly(f"{names[1]}^2", names))
-    assert omega(other, polar, 0) == omega(other, plain, 0) == 6
+def test_unit_colon_leaves_colengths_to_mu0_and_lambda0(monkeypatch):
+    # the empty curve meets nothing: omega and lambda1 read 0 without a colength
+    calls = []
+    monkeypatch.setattr(invariants, "colength",
+                        lambda I, budget=None: calls.append(I) or colength(I, budget))
+    setup, _ = slice_with_form(parse_poly("x^2 + y^3", XYZ), (0, 0, 1))
+    inv = compute_all(setup)
+    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (2, 0, 2, 0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_stage_functions_give_compute_alls_numbers_on_planes(d):
+    arr = CentralArrangement3(PLANES[:d])
+    setup, _ = slice_with_form(defining_polynomial(arr), pick_slice_form(arr))
+    inv = compute_all(setup)
+    assert inv.genericity_ok
+    assert _stage_by_stage(setup) == (inv.mu0, inv.lambda0, inv.lambda1, inv.omega)
