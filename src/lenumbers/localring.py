@@ -9,15 +9,28 @@ intersection multiplicities and Milnor numbers; ``colength`` returns None for
 an ideal that is not zero-dimensional, whose colength is infinite.
 
 Standard-basis completion, ideal membership and Mora division run one
-fraction-free Mora loop, ``_reduce``: the polynomials are dicts of integer
-coefficients, and each S-polynomial and each Mora step is a nonzero integer
-multiple of the same step over Q, with its content divided out.  Division
-tracks its unit and quotient witnesses in the same loop, as further entries of
-the reduction state that every step updates alike.  Leading monomials, ecarts
-and reducer choices are then those of the computation over Q, and a new basis
-element, made primitive, equals the primitive form of the remainder over Q, so
-the bases are those of the computation over Q.  The polynomials that cross the
-module boundary have ``Fraction`` coefficients.
+fraction-free Mora loop, ``_reduce``: the polynomials are dicts from packed
+monomials to integer coefficients, and each S-polynomial and each Mora step
+is a nonzero integer multiple of the same step over Q, with its content
+divided out.  Division tracks its unit and quotient witnesses in the same
+loop, as further entries of the reduction state that every step updates
+alike.  Leading monomials, ecarts and reducer choices are then those of the
+computation over Q, and a new basis element, made primitive, equals the
+primitive form of the remainder over Q, so the bases are those of the
+computation over Q.  The polynomials that cross the module boundary have
+``Fraction`` coefficients.
+
+Inside that loop a monomial is one int (Bachmann and Schönemann, "Monomial
+representations for Gröbner bases computations", ISSAC 1998): the fields
+(total degree, x_0, .., x_(n-1)), from high bits to low, each with a guard
+bit above it.  A product of monomials is a sum of ints; the int order is
+grlex, so a grlex-leading term and the largest degree of an ecart are a plain
+``max``; the degree is a shift; and x^a divides x^b iff b − a sets no guard
+bit.  Each call sizes the fields from its inputs' largest degree with 16 bits
+of headroom, and a product whose degree would reach the field limit raises
+``ResourceLimitError`` instead of wrapping into the next field.  Monomials
+are packed where polynomials enter the loop and unpacked where they leave it;
+everywhere else a monomial is an exponent tuple.
 
 Under a local degree order, a standard basis whose leading ideal becomes
 zero-dimensional is truncated at its highest corner: if every monomial of
@@ -37,8 +50,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from heapq import heappop, heappush
 from itertools import product
 from math import gcd, prod
+from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
@@ -48,10 +64,8 @@ from .polynomials import (
     MultiPoly,
     integer,
     mono_deg,
-    mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     scaled_terms,
 )
 
@@ -128,50 +142,98 @@ def leading(p: MultiPoly, order: LocalOrder) -> tuple[Monomial, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# the fraction-free kernel: polynomials as dicts {Monomial: int}
+# the fraction-free kernel: polynomials as dicts {packed monomial: int}
 # ---------------------------------------------------------------------------
+
+# bits of headroom, above the largest input degree, in each field of a packed monomial
+_HEADROOM_BITS = 16
 
 
 class _OrderKeys(dict):
-    """Order key of each monomial met, computed once: keys[m] == order.key(m)."""
+    """Order key of each packed monomial met, computed once: keys[p] == key(p)."""
 
     __slots__ = ("_key",)
 
-    def __init__(self, order: LocalOrder):
+    def __init__(self, key):
         super().__init__()
-        self._key = order.key
+        self._key = key
 
-    def __missing__(self, m: Monomial):
-        k = self[m] = self._key(m)
+    def __missing__(self, p: int):
+        k = self[p] = self._key(p)
         return k
 
 
-def _int_terms(p: MultiPoly, cap: int | None = None) -> dict[Monomial, int]:
-    """p times the lcm of its denominators, without its terms of degree >= cap."""
-    h = scaled_terms(p.terms)[1]
-    return h if cap is None else {m: c for m, c in h.items() if mono_deg(m) < cap}
+class _Packing:
+    """Exponent vectors in ``nvars`` variables packed into ints, for one kernel
+    call, in the layout of the module docstring.
+
+    Each field is ``bits`` wide, the bit length of the inputs' largest degree
+    plus ``_HEADROOM_BITS``, under a guard bit that stays 0 because ``check``
+    keeps every degree below 2^bits.  If x^a does not divide x^b, the lowest
+    field with b_i < a_i borrows from its own guard bit in b − a.  ``lead``
+    returns the leading monomial, from keys computed once per monomial: for
+    ``LocalOrder`` the int with the degree field inverted, for any other order
+    ``order.key`` of the exponent tuple.
+    """
+
+    def __init__(self, nvars: int, maxdeg: int, order: LocalOrder):
+        self.nvars = nvars
+        self.bits = bits = max(maxdeg, 1).bit_length() + _HEADROOM_BITS
+        width = bits + 1
+        self.deg_shift = width * nvars
+        self.shifts = tuple(width * k for k in range(nvars, -1, -1))
+        self.guard = sum(1 << (bits + width * k) for k in range(nvars + 1))
+        self.top = 1 << (bits + self.deg_shift)
+        if type(order) is LocalOrder:
+            key = (((1 << width) - 1) << self.deg_shift).__xor__
+        else:
+            def key(p: int):
+                return order.key(self.unpack(p))
+        self.lead = partial(max, key=_OrderKeys(key).__getitem__)
+
+    def pack(self, m: Monomial) -> int:
+        return self.check(sum(map(lshift, (mono_deg(m), *m), self.shifts)))
+
+    def unpack(self, p: int) -> Monomial:
+        mask = (1 << self.bits) - 1
+        return tuple([(p >> s) & mask for s in self.shifts[1:]])
+
+    def check(self, p: int) -> int:
+        """p, unless its degree reached 2^bits: then ``ResourceLimitError``."""
+        if p >= self.top:
+            raise ResourceLimitError(f"a monomial of degree {p >> self.deg_shift} reached the "
+                                     f"packed degree limit of 2^{self.bits}")
+        return p
+
+    def cut(self, cap: int | None) -> int:
+        """The least packed monomial of degree >= cap, or of degree 2^bits."""
+        return self.top if cap is None else min(cap << self.deg_shift, self.top)
+
+    def terms(self, h: dict[Monomial, int], cap: int | None = None) -> dict[int, int]:
+        """h packed, without its terms of degree >= cap."""
+        return {self.pack(m): c for m, c in h.items() if cap is None or mono_deg(m) < cap}
+
+    def poly(self, h: dict[int, int], den: int = 1) -> MultiPoly:
+        """h / den with exponent tuples and ``Fraction`` coefficients."""
+        return MultiPoly._raw({self.unpack(p): Fraction(c, den) for p, c in h.items()}, self.nvars)
 
 
-def _fraction_poly(h: dict[Monomial, int], nvars: int, den: int = 1) -> MultiPoly:
-    """h / den with ``Fraction`` coefficients."""
-    return MultiPoly._raw({m: Fraction(c, den) for m, c in h.items()}, nvars)
-
-
-def _primitive(h: dict[Monomial, int]) -> dict[Monomial, int]:
-    """h over the gcd of its coefficients, grlex-leading coefficient positive."""
+def _primitive(h: dict, top) -> dict:
+    """h over the gcd of its coefficients, with h[top] made positive."""
     content = gcd(*h.values())
-    if h[max(h, key=lambda m: (mono_deg(m), m))] < 0:
+    if h[top] < 0:
         content = -content
     return h if content == 1 else {m: c // content for m, c in h.items()}
 
 
-def _combine(h: dict[Monomial, int], sh: int, r: dict[Monomial, int], a: Monomial,
-             sr: int, cap: int | None) -> dict[Monomial, int]:
-    """sh·h − sr·x^a·r; terms of x^a·r of degree >= cap are dropped, h has none."""
+def _combine(h: dict[int, int], sh: int, r: dict[int, int], a: int, sr: int, cut: int,
+             packing: _Packing) -> dict[int, int]:
+    """sh·h − sr·x^a·r; terms of x^a·r at or above ``cut`` are dropped, h has none."""
     out = dict(h) if sh == 1 else {m: sh * c for m, c in h.items()}
     for m, c in r.items():
-        m = mono_mul(m, a)
-        if cap is not None and sum(m) >= cap:
+        m += a
+        if m >= cut:
+            packing.check(m)
             continue
         v = out.get(m, 0) - sr * c
         if v:
@@ -181,15 +243,15 @@ def _combine(h: dict[Monomial, int], sh: int, r: dict[Monomial, int], a: Monomia
     return out
 
 
-def _reducer(polys: list[dict[Monomial, int]], keys: _OrderKeys) -> tuple:
+def _reducer(polys: list[dict[int, int]], packing: _Packing) -> tuple:
     """The record (lm, lc, ecart, polys) of polys[0]; the rest are its witnesses."""
     g = polys[0]
-    lm = max(g, key=keys.__getitem__)
-    return lm, g[lm], max(map(sum, g)) - sum(lm), polys
+    lm = packing.lead(g)
+    return lm, g[lm], (max(g) >> packing.deg_shift) - (lm >> packing.deg_shift), polys
 
 
-def _reduce(state: list[dict[Monomial, int]], reducers: list[tuple], keys: _OrderKeys,
-            budget: Budget, cap: int | None) -> list[dict[Monomial, int]]:
+def _reduce(state: list[dict[int, int]], reducers: list[tuple], packing: _Packing,
+            budget: Budget, cap: int | None) -> list[dict[int, int]]:
     """Mora weak normal form of state[0], up to a nonzero integer factor.
 
     The state is [h], or [h, U, Q_1..Q_k] with U·f = Σ Q_i·g_i + h when
@@ -202,7 +264,7 @@ def _reduce(state: list[dict[Monomial, int]], reducers: list[tuple], keys: _Orde
     h has no term of degree >= K; none is created.  Returns the final state.
     """
     reducers = list(reducers)
-    lead = keys.__getitem__
+    lead, guard, shift, cut = packing.lead, packing.guard, packing.deg_shift, packing.cut(cap)
     while state[0]:
         content = 0
         for p in state:
@@ -210,21 +272,21 @@ def _reduce(state: list[dict[Monomial, int]], reducers: list[tuple], keys: _Orde
         if content > 1:
             state = [{m: c // content for m, c in p.items()} for p in state]
         h = state[0]
-        lm_h = max(h, key=lead)
+        lm_h = lead(h)
         red = None
         for r in reducers:
-            if (red is None or r[2] < red[2]) and mono_divides(r[0], lm_h):
+            if (red is None or r[2] < red[2]) and not (lm_h - r[0]) & guard:
                 red = r
         if red is None:
             break
         lc_h = h[lm_h]
-        e_h = max(map(sum, h)) - sum(lm_h)
+        e_h = (max(h) >> shift) - (lm_h >> shift)
         if red[2] > e_h:
             # remember the current remainder so later reductions stay local
             reducers.append((lm_h, lc_h, e_h, state))
         gamma = gcd(red[1], lc_h)
-        sh, a, sr = red[1] // gamma, mono_div(lm_h, red[0]), lc_h // gamma
-        state = [_combine(p, sh, pr, a, sr, cap) for p, pr in zip(state, red[3])]
+        sh, a, sr = red[1] // gamma, lm_h - red[0], lc_h // gamma
+        state = [_combine(p, sh, pr, a, sr, cut, packing) for p, pr in zip(state, red[3])]
         budget.tick_monomials(max(1, len(state[0])))
     return state
 
@@ -264,16 +326,16 @@ def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
     if any(g.nvars != f.nvars for g in gens):
         raise InputError("generators must share the variable count")
     budget = budget if budget is not None else Budget()
-    n, one = f.nvars, (0,) * f.nvars
-    keys = _OrderKeys(order or LocalOrder())
-    cleared = [scaled_terms(g.terms) for g in gens]
-    reducers = [_reducer([h, {}] + [{one: -d} if j == i else {} for j in range(len(gens))], keys)
+    packing = _Packing(f.nvars, max(p.total_degree() for p in (f, *gens)), order or LocalOrder())
+    # the packed unit monomial is 0
+    cleared = [(d, packing.terms(h)) for d, h in (scaled_terms(g.terms) for g in gens)]
+    reducers = [_reducer([h, {}] + [{0: -d} if j == i else {} for j in range(len(gens))], packing)
                 for i, (d, h) in enumerate(cleared) if h]
     d, h = scaled_terms(f.terms)
-    start = [h, {one: d}] + [{} for _ in gens]
-    state = _reduce(start, reducers, keys, budget, None)
-    c = state[1][one]
-    r, u, *q = (_fraction_poly(p, n, c) for p in state)
+    start = [packing.terms(h), {0: d}] + [{} for _ in gens]
+    state = _reduce(start, reducers, packing, budget, None)
+    c = state[1][0]
+    r, u, *q = (packing.poly(p, c) for p in state)
     return r, u, q
 
 
@@ -318,7 +380,9 @@ def ideal(gens: Iterable[MultiPoly], nvars: int | None = None) -> Ideal:
             nvars = g.nvars
         if g.is_zero:
             continue
-        g = _fraction_poly(_primitive(_int_terms(g)), g.nvars)
+        h = scaled_terms(g.terms)[1]
+        h = _primitive(h, max(h, key=lambda m: (mono_deg(m), m)))
+        g = MultiPoly._raw({m: Fraction(c) for m, c in h.items()}, g.nvars)
         if g not in seen:
             seen.add(g)
             cleaned.append(g)
@@ -357,10 +421,14 @@ class StandardBasis:
         With a cap K, f lies in the ideal iff its part of degree < K does, so
         the reduction drops every term of degree >= K.
         """
+        if f.nvars != self.nvars:
+            raise InputError("element and ideal live in different rings")
         budget = budget if budget is not None else Budget()
-        keys = _OrderKeys(self.order)
-        reducers = [_reducer([_int_terms(g)], keys) for g in self.basis]
-        return not _reduce([_int_terms(f, self.cap)], reducers, keys, budget, self.cap)[0]
+        packing = _Packing(self.nvars, max(p.total_degree() for p in (f, *self.basis)), self.order)
+        reducers = [_reducer([packing.terms(scaled_terms(g.terms)[1])], packing)
+                    for g in self.basis]
+        h = packing.terms(scaled_terms(f.terms)[1], self.cap)
+        return not _reduce([h], reducers, packing, budget, self.cap)[0]
 
 
 def _minimal_monomials(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -389,22 +457,22 @@ def _standard_monomials(lead: Sequence[Monomial], nvars: int,
             if not any(mono_divides(s, mono) for s in lead))
 
 
-def _lower_cap(basis: list[tuple], cap: int | None, keys: _OrderKeys,
+def _lower_cap(basis: list[tuple], lms: list[Monomial], cap: int | None, packing: _Packing,
                budget: Budget) -> tuple[int | None, list[tuple]]:
-    """The records' highest-corner cap (1 + the largest degree of a standard monomial,
-    None while there are infinitely many), and the records truncated to it if it fell."""
-    lms = [lm for lm, _, _, _ in basis]
-    standard = _standard_monomials(lms, len(lms[0]), budget)
+    """The records' highest-corner cap (1 + the largest degree of a standard monomial of
+    their leading monomials ``lms``, None while there are infinitely many), and the
+    records truncated to it if it fell."""
+    standard = _standard_monomials(lms, packing.nvars, budget)
     if standard is None:
         return cap, basis
     new_cap = 1 + max(map(mono_deg, standard), default=-1)
     if new_cap == cap:
         return cap, basis
     budget.tick_monomials(sum(len(polys[0]) for _, _, _, polys in basis))
-    return new_cap, [_reducer([{lm: 1} if mono_deg(lm) >= new_cap else
-                               _primitive({m: c for m, c in polys[0].items()
-                                           if mono_deg(m) < new_cap})], keys)
-                     for lm, _, _, polys in basis]
+    cut = packing.cut(new_cap)
+    truncated = [{lm: 1} if lm >= cut else {m: c for m, c in polys[0].items() if m < cut}
+                 for lm, _, _, polys in basis]
+    return new_cap, [_reducer([_primitive(h, max(h))], packing) for h in truncated]
 
 
 def standard_basis(I: Ideal, order: LocalOrder | None = None,
@@ -412,15 +480,17 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     """Complete the generators to a standard basis under the given local order.
 
     Pair selection is deterministic: minimal degree of the leading-monomial
-    lcm, then first-created order.  Each selected pair is charged to the
-    budget, then skipped by Buchberger's chain criterion (Gebauer–Möller) when
-    some other element k has lm_k | lcm(lm_i, lm_j) and neither (i, k) nor
-    (j, k) is still pending: the leading-term syzygy of (i, j) is then a
-    combination of those of (i, k) and (j, k), which were reduced to zero or
-    skipped the same way before.  A basis is standard once the S-polynomials
-    of a generating set of these syzygies have weak normal form zero, for any
-    monomial order, so the criterion holds for local and mixed orders
-    (Greuel–Pfister, §2.5).  The product criterion is not used.
+    lcm, then first-created order.  The pending pairs (i, j) are a set, with a
+    heap of (degree, i, j) beside it; the keys are unique, so the heap pops the
+    pair that a scan for the least key would pick.  Each selected pair is
+    charged to the budget, then skipped by Buchberger's chain criterion
+    (Gebauer–Möller) when some other element k has lm_k | lcm(lm_i, lm_j) and
+    neither (i, k) nor (j, k) is still pending: the leading-term syzygy of
+    (i, j) is then a combination of those of (i, k) and (j, k), which were
+    reduced to zero or skipped the same way before.  A basis is standard once
+    the S-polynomials of a generating set of these syzygies have weak normal
+    form zero, for any monomial order, so the criterion holds for local and
+    mixed orders (Greuel–Pfister, §2.5).  The product criterion is not used.
 
     The completion is fraction-free: polynomials are integer dicts, the
     S-polynomial of f and g is lc_g·x^(L−lm_f)·f − lc_f·x^(L−lm_g)·g (over
@@ -432,6 +502,15 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     one list of records (lm, lc, ecart, [poly]), returned with ``Fraction``
     coefficients; every element is primitive, as ``ideal`` makes generators,
     with a positive grlex-leading coefficient.  Order keys are computed once.
+
+    The records' monomials are packed ints (``_Packing``): fields (total
+    degree, x_0, .., x_(n-1)) from high bits to low, each under a guard bit,
+    sized from the generators' largest degree with 16 bits of headroom.
+    x^a·r adds a to each packed term of r, a reducer is found by one
+    subtraction and a guard-bit test per record, and a product whose degree
+    would reach the field limit raises ``ResourceLimitError`` instead of
+    wrapping.  The exponent tuples of the leading monomials are kept beside
+    the records for the lcms and the staircase.
 
     Highest-corner truncation (Greuel–Pfister; Singular's ``highcorner``),
     under a local degree order only: once the leading monomials of the
@@ -447,43 +526,50 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     """
     order = order or LocalOrder()
     budget = budget if budget is not None else Budget()
-    keys = _OrderKeys(order)
-    basis = [_reducer([_int_terms(g)], keys) for g in I.generators if not g.is_zero]
-    if not basis:
+    gens = [g for g in I.generators if not g.is_zero]
+    if not gens:
         return StandardBasis((), order, (), I.nvars)
+    packing = _Packing(I.nvars, max(g.total_degree() for g in gens), order)
+    basis = [_reducer([packing.terms(scaled_terms(g.terms)[1])], packing) for g in gens]
+    # the leading monomials as exponent tuples, for lcms and the staircase
+    lms = [packing.unpack(lm) for lm, _, _, _ in basis]
     cap = None
     if order.ntags == 0:
-        cap, basis = _lower_cap(basis, cap, keys, budget)
-    # pending pairs (i, j), i < j -> degree of the lcm of their leading monomials
-    pairs = {(i, j): mono_deg(mono_lcm(basis[i][0], basis[j][0]))
-             for j in range(len(basis)) for i in range(j)}
-    while pairs:
+        cap, basis = _lower_cap(basis, lms, cap, packing, budget)
+    cut, guard = packing.cut(cap), packing.guard
+    # the pending pairs (i, j), i < j, and a heap of (degree of lcm(lm_i, lm_j), i, j) over them
+    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
+    queue = sorted((mono_deg(mono_lcm(lms[i], lms[j])), i, j) for i, j in pending)
+    while queue:
         budget.tick_pair()
-        i, j = min(pairs, key=lambda p: (pairs[p], p))
-        del pairs[i, j]
+        _, i, j = heappop(queue)
+        pending.remove((i, j))
         (lm_f, lc_f, _, (f,)), (lm_g, lc_g, _, (g,)) = basis[i], basis[j]
-        lcm_fg = mono_lcm(lm_f, lm_g)
+        lcm_fg = packing.pack(mono_lcm(lms[i], lms[j]))
         # chain criterion: the done pairs (i, k) and (j, k) generate this one
-        if any(k != i and k != j and mono_divides(lm_k, lcm_fg)
-               and (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs
+        if any(not (lcm_fg - lm_k) & guard and k != i and k != j
+               and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
                for k, (lm_k, _, _, _) in enumerate(basis)):
             continue
         gamma = gcd(lc_f, lc_g)
-        s = _combine({}, 1, f, mono_div(lcm_fg, lm_f), -(lc_g // gamma), cap)
-        s = _combine(s, 1, g, mono_div(lcm_fg, lm_g), lc_f // gamma, cap)
+        s = _combine({}, 1, f, lcm_fg - lm_f, -(lc_g // gamma), cut, packing)
+        s = _combine(s, 1, g, lcm_fg - lm_g, lc_f // gamma, cut, packing)
         if not s:
             continue
-        r = _reduce([s], basis, keys, budget, cap)[0]
+        r = _reduce([s], basis, packing, budget, cap)[0]
         if not r:
             continue
-        basis.append(_reducer([_primitive(r)], keys))
+        basis.append(_reducer([_primitive(r, max(r))], packing))
+        lms.append(packing.unpack(basis[-1][0]))
         if order.ntags == 0:
-            cap, basis = _lower_cap(basis, cap, keys, budget)
+            cap, basis = _lower_cap(basis, lms, cap, packing, budget)
+            cut = packing.cut(cap)
         new = len(basis) - 1
-        pairs.update(((k, new), mono_deg(mono_lcm(basis[k][0], basis[new][0])))
-                     for k in range(new))
-    return StandardBasis(tuple(_fraction_poly(polys[0], I.nvars) for _, _, _, polys in basis),
-                         order, _minimal_monomials(lm for lm, _, _, _ in basis), I.nvars, cap)
+        for k in range(new):
+            heappush(queue, (mono_deg(mono_lcm(lms[k], lms[new])), k, new))
+            pending.add((k, new))
+    return StandardBasis(tuple(packing.poly(polys[0]) for _, _, _, polys in basis),
+                         order, _minimal_monomials(lms), I.nvars, cap)
 
 
 def colength(I: Ideal | StandardBasis, budget: Budget | None = None) -> int | None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add, le, mul, sub
+from operator import add, le, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, PolyParseError, ResourceLimitError
@@ -59,11 +59,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True iff x^a divides x^b."""
     return all(map(le, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of x^a / x^b; the caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:

@@ -296,6 +296,24 @@ def test_dense_tau_constraints_job_finishes(capsys):
     assert json.loads(out)["report"]["rank_bound"] == expected
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("size,component", [
+    (150, {"k": 1, "mu": 150, "tau": [[random.Random(1).randint(-1, 1) for _ in range(150)]
+                                      for _ in range(150)]}),
+    (1000, {"k": 1000, "mu": 1, "tau": [[1]]}),
+], ids=["dense-tau", "block-cycle"])
+def test_smith_forms_past_the_size_cap_exit_3(capsys, fmt, size, component):
+    # a dense 150 x 150 Smith form took 8.6 s, and the 1000 x 1000 block-cycle
+    # matrix (within the entry cap) ran for more than 30 s
+    job = json.dumps({"n": 2, "mu0": size, "components": [component]})
+    with alarm_after(1):
+        code, out, err = run(capsys, "constraints", "--format", fmt, "--input", job)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"resource limit: a Smith normal form of a {size} x {size} matrix "
+                          "is over the size cap of 96 rows and columns")
+
+
 def test_arrangement_of_many_planes_finds_its_slice_form(capsys):
     # the 145 planes with primitive normals in {-3..3}^3 meet in 3,217 lines;
     # (1, 7, 49) is the first form (1, t, t^2) that vanishes on none of them

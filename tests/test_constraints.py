@@ -10,6 +10,7 @@ from lenumbers import (
     ConstraintReport,
     CycloProduct,
     InputError,
+    ResourceLimitError,
     SingularSetup,
     non_splitting_verdict,
     rank_attained_cases,
@@ -114,6 +115,19 @@ def test_smith_normal_form_products_are_gcds_of_minors():
 def test_smith_normal_form_rejects_ragged_and_empty_matrices(mat):
     with pytest.raises(InputError, match="^matrix "):
         smith_normal_form(mat)
+
+
+def test_smith_normal_form_size_cap():
+    # MAX_SMITH_SIZE rows and columns still pass; one more raises before any pass
+    size = intlinalg.MAX_SMITH_SIZE
+    assert smith_normal_form(identity(size)) == [1] * size
+    assert fixed_space_rank([[0] * size] * size) == 0
+    for shape in [(size + 1, 1), (1, size + 1)]:
+        with pytest.raises(ResourceLimitError, match=f"^a Smith normal form of a {shape[0]} x "
+                                                     f"{shape[1]} matrix is over the size cap"):
+            smith_normal_form([[1] * shape[1]] * shape[0])
+    with pytest.raises(ResourceLimitError, match="over the size cap of 96 rows and columns"):
+        fixed_space_rank(identity(size + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,14 @@ import json
 import random
 import sys
 from math import gcd
+from operator import sub
 from pathlib import Path
 
 import pytest
 
 from lenumbers import MultiPoly, ideal, parse_poly
 from lenumbers.localring import EliminationOrder, LocalOrder, standard_basis
-from lenumbers.polynomials import mono_deg, mono_div, mono_lcm
+from lenumbers.polynomials import mono_deg, mono_lcm
 
 DATA = Path(__file__).resolve().parent / "data" / "standard_bases.json"
 RANDOM_IDEALS = 60
@@ -122,8 +123,8 @@ def _leading(g, order):
 def _spoly(f, g, order):
     (lm_f, lc_f), (lm_g, lc_g) = _leading(f, order), _leading(g, order)
     lcm_fg = mono_lcm(lm_f, lm_g)
-    return (MultiPoly({mono_div(lcm_fg, lm_f): 1 / lc_f}, f.nvars) * f
-            - MultiPoly({mono_div(lcm_fg, lm_g): 1 / lc_g}, g.nvars) * g)
+    return (MultiPoly({tuple(map(sub, lcm_fg, lm_f)): 1 / lc_f}, f.nvars) * f
+            - MultiPoly({tuple(map(sub, lcm_fg, lm_g)): 1 / lc_g}, g.nvars) * g)
 
 
 @pytest.mark.parametrize("name,I,order", CASES, ids=[c[0] for c in CASES])

@@ -1,0 +1,218 @@
+"""The Mora kernel's packed monomials, and the work the kernel does.
+
+The kernel packs each exponent vector into one int; these tests check the
+packed helpers against the tuple ones, that exponents far past machine words
+never wrap, and that the budget charges of fixed jobs stay what they are, so
+that a change in pair order or reducer choice shows in tier-1.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lenumbers import (
+    Budget,
+    CentralArrangement3,
+    InputError,
+    MultiPoly,
+    ResourceLimitError,
+    colength,
+    compute_all,
+    defining_polynomial,
+    ideal,
+    parse_poly,
+    pick_slice_form,
+    slice_with_form,
+)
+from lenumbers.localring import (
+    EliminationOrder,
+    LocalOrder,
+    _combine,
+    _Packing,
+    ideal_quotient,
+    mora_divide,
+    standard_basis,
+)
+from lenumbers.polynomials import mono_deg, mono_divides, mono_mul
+
+XYZ = ["x", "y", "z"]
+E = 2**40
+
+
+def P(text: str) -> MultiPoly:
+    return parse_poly(text, XYZ)
+
+
+def show(p: MultiPoly) -> str:
+    return p.to_string(XYZ)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against exponent tuples
+# ---------------------------------------------------------------------------
+
+monomial_lists = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, E)] * n) | st.tuples(*[st.integers(0, 3)] * n),
+    min_size=2, max_size=6))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(monomial_lists)
+def test_packed_monomials_agree_with_exponent_tuples(monos):
+    n = len(monos[0])
+    packing = _Packing(n, max(map(mono_deg, monos)), LocalOrder())
+    packed = [packing.pack(m) for m in monos]
+    assert [packing.unpack(p) for p in packed] == monos
+    for a, pa in zip(monos, packed):
+        for b, pb in zip(monos, packed):
+            assert packing.unpack(packing.check(pa + pb)) == mono_mul(a, b)
+            assert (not (pb - pa) & packing.guard) == mono_divides(a, b)
+            # int order is grlex, as the content sign and the ecart read it
+            assert (pa < pb) == ((mono_deg(a), a) < (mono_deg(b), b))
+    orders = [LocalOrder()] + [EliminationOrder(t) for t in (1, 2) if t < n]
+    for order in orders:
+        packing = _Packing(n, max(map(mono_deg, monos)), order)
+        packed = [packing.pack(m) for m in monos]
+        for a, pa in zip(monos, packed):
+            for b, pb in zip(monos, packed):
+                assert packing.unpack(packing.lead({pa: 1, pb: 1})) == max(a, b, key=order.key)
+        assert packing.unpack(packing.lead(dict.fromkeys(packed, 1))) == max(monos, key=order.key)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("maxdeg", [0, 7, E])
+def test_a_product_at_the_field_limit_raises(n, maxdeg):
+    packing = _Packing(n, maxdeg, LocalOrder())
+    limit = 1 << packing.bits
+    assert limit > maxdeg
+    x0 = packing.pack((1,) + (0,) * (n - 1))
+    below = packing.pack((limit - 2,) + (0,) * (n - 1))
+    assert packing.unpack(packing.check(below + x0)) == (limit - 1,) + (0,) * (n - 1)
+    # the guard test holds up to the largest degree allowed
+    assert not (below + x0 - x0) & packing.guard and (x0 - below - x0) & packing.guard
+    with pytest.raises(ResourceLimitError, match="packed degree limit"):
+        packing.check(below + x0 + x0)
+    with pytest.raises(ResourceLimitError, match="packed degree limit"):
+        packing.pack((0,) * (n - 1) + (limit,))
+    # the kernel's product x^a·r checks every term it makes
+    r = {below: 1, 0: 1}
+    assert _combine({}, 1, r, x0, -1, packing.cut(None), packing) == {below + x0: 1, x0: 1}
+    with pytest.raises(ResourceLimitError, match="packed degree limit"):
+        _combine({}, 1, r, x0 + x0, -1, packing.cut(None), packing)
+
+
+# ---------------------------------------------------------------------------
+# exponents of 2^40 never wrap: the answers of the tuple kernel
+# ---------------------------------------------------------------------------
+
+MEMBERSHIP = [
+    # generators, then each candidate with whether it lies in the ideal
+    ([f"x^{E} + y", f"z^{E} - x*z"],
+     {f"x^{E + 1}": False, "y": False, "x": False, "z": False, "x*y": False,
+      f"x^{2 * E} - x^{E}*y": False, "x*z": False, f"x^{E}*z + y*z": True}),
+    ([f"x^{E}*y + y^2", f"x*y + x^{E}*z"],
+     {f"x^{E + 1}": False, "y": False, "x": False, "z": False, "x*y": False,
+      f"x^{2 * E} - x^{E}*y": False, "x*z": False, f"x^{E}*z + y*z": False,
+      f"x^{E}*y*z": False}),
+    ([f"y + x^{E}", f"x + y*z^{E}"],
+     {f"x^{E + 1}": True, "y": True, "x": True, "z": False, "x*y": True,
+      f"x^{2 * E} - x^{E}*y": True, "x*z": True, f"x^{E}*z + y*z": True, f"x^{E}*y*z": True}),
+]
+
+
+@pytest.mark.parametrize("gens,members", MEMBERSHIP, ids=["one", "two", "three"])
+def test_membership_with_huge_exponents(gens, members):
+    sb = standard_basis(ideal([P(g) for g in gens]))
+    assert sb.cap is None
+    assert {f: sb.contains(P(f)) for f in members} == members
+
+
+def test_membership_of_an_element_of_another_ring_is_an_input_error():
+    # packing x*z in two variables would drop z and answer True
+    sb = standard_basis(ideal([parse_poly("x", ["x", "y"])]))
+    with pytest.raises(InputError, match="different rings"):
+        sb.contains(P("x*z"))
+
+
+def test_standard_basis_past_twice_the_input_degree():
+    sb = standard_basis(ideal([P(f"x^{E}*y + y^2"), P(f"x*y + x^{E}*z")]))
+    assert [show(g) for g in sb.basis] == [
+        f"x^{E}*y + y^2", f"x^{E}*z + x*y", f"x^{2 * E}*z - x^{2 * E - 1}*z^2"]
+    assert sb.staircase == ((0, 2, 0), (1, 1, 0), (2 * E, 0, 1))
+
+
+DIVISIONS = [
+    # f, generators, (remainder, quotients) under LocalOrder, then under
+    # EliminationOrder(1) and EliminationOrder(2); the unit is 1 throughout
+    (f"3*x^{E}*y + x^{2 * E} + x*y^3", [f"x^{E} - y", f"y^2 + x*y^{E}"],
+     (f"x^{2 * E + 1}*y + 4*x^{2 * E}", [f"-x^{E + 1}*y - 3*x^{E} - x*y^2", "0"]),
+     ("x*y^3 + 4*y^2", [f"x^{E} + 4*y", "0"])),
+    (f"2*x^{E}*y*z + x*y", [f"x + x^{E}*z", "y"],
+     ("0", ["0", f"2*x^{E}*z + x"]),
+     ("0", ["2*y", "-x"])),
+    (f"x^{2 * E}*y^2 + 5*z^{E}", [f"x^{E}*y + z"],
+     (f"5*x^{2 * E}*y^2*z^{E - 2} + x^{2 * E}*y^2", [f"-5*x^{E}*y*z^{E - 2} + 5*z^{E - 1}"]),
+     (f"5*z^{E} + z^2", [f"x^{E}*y - z"])),
+]
+
+
+@pytest.mark.parametrize("f,gens,local,elimination", DIVISIONS, ids=["one", "two", "three"])
+def test_mora_division_with_huge_exponents(f, gens, local, elimination):
+    for order, expected in [(LocalOrder(), local), (EliminationOrder(1), elimination),
+                            (EliminationOrder(2), elimination)]:
+        r, u, q = mora_divide(P(f), [P(g) for g in gens], order)
+        assert show(u) == "1"
+        assert (show(r), [show(p) for p in q]) == expected
+
+
+@pytest.mark.parametrize("gens,g,expected", [
+    ([f"x^{E}*y", "y^2"], "y", ["y", f"x^{E}"]),
+    ([f"x^{E} + y^{E}", "x*y"], "x", ["y", f"x^{E}"]),
+    ([f"x^{E}*y + y*z", "y^2"], "y", [f"x^{E} + z", "y"]),
+], ids=["one", "two", "three"])
+def test_ideal_quotient_with_huge_exponents(gens, g, expected):
+    # the intersection runs under EliminationOrder(1), which has no cap
+    quotient = ideal_quotient(ideal([P(t) for t in gens]), P(g))
+    assert [show(p) for p in quotient.generators] == expected
+
+
+# ---------------------------------------------------------------------------
+# the kernel's work on fixed jobs, charged to one Budget each
+# ---------------------------------------------------------------------------
+
+ARRANGEMENTS = [
+    # normals, (mu0, lambda0, lambda1, omega), pairs_used, monomials_used
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (9, 9, 6, 12), 162, 1237),
+    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)), (16, 16, 12, 20), 207, 4190),
+    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)), (16, 20, 11, 25), 239, 4559),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)), (16, 24, 10, 30), 464, 9816),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2)),
+     (25, 50, 15, 60), 1113, 51092),
+]
+
+
+@pytest.mark.parametrize("normals,le,pairs,monomials", ARRANGEMENTS,
+                         ids=["generic4", "two_triple5", "one_triple5", "generic5", "generic6"])
+def test_arrangement_pipeline_work_is_pinned(normals, le, pairs, monomials):
+    arr = CentralArrangement3(normals)
+    setup, _ = slice_with_form(defining_polynomial(arr), pick_slice_form(arr))
+    budget = Budget()
+    inv = compute_all(setup, budget)
+    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == le
+    assert (budget.pairs_used, budget.monomials_used) == (pairs, monomials)
+
+
+@pytest.mark.parametrize("text,mu,pairs,monomials", [
+    ("x^2 - y^2*z", 5, 15, 197),
+    ("x*y*z", 11, 15, 242),
+    ("x^2*y + z^2", 5, 6, 142),
+    ("x^2 + y^3", 6, 21, 282),
+    ("x*y*(x + y)", 12, 36, 359),
+], ids=["umbrella", "xyz", "dinf", "cusp_line", "pencil"])
+def test_le_iomdine_colength_work_is_pinned(text, mu, pairs, monomials):
+    # the Jacobian of g + w^4 for the germ sliced by the form (1, 1, -5)
+    g = slice_with_form(parse_poly(text, XYZ), (1, 1, -5))[0].f
+    F = g + MultiPoly.variable(0, g.nvars) ** 4
+    budget = Budget()
+    assert colength(ideal([F.partial(i) for i in range(F.nvars)]), budget) == mu
+    assert (budget.pairs_used, budget.monomials_used) == (pairs, monomials)
