@@ -11,14 +11,14 @@ an ideal that is not zero-dimensional, whose colength is infinite.
 Standard-basis completion, ideal membership and Mora division run one
 fraction-free Mora loop, ``_reduce``: the polynomials are dicts from packed
 monomials to integer coefficients, and each S-polynomial and each Mora step
-is a nonzero integer multiple of the same step over Q, with its content
-divided out.  Division tracks its unit and quotient witnesses in the same
-loop, as further entries of the reduction state that every step updates
-alike.  Leading monomials, ecarts and reducer choices are then those of the
-computation over Q, and a new basis element, made primitive, equals the
-primitive form of the remainder over Q, so the bases are those of the
-computation over Q.  The polynomials that cross the module boundary have
-``Fraction`` coefficients.
+is a nonzero integer multiple of the same step over Q.  Division tracks its
+unit and quotient witnesses as further entries of the reduction state, which
+every step updates alike, so leading monomials, ecarts and reducer choices
+are those over Q.  Content is divided out in three places only: a remainder
+joining a basis, or a basis element cut at the highest corner, is made
+primitive (so the bases are those over Q); a division ends by dividing by
+U(0); ``ideal`` normalizes generators.  A reduction never divides its state.
+Polynomials cross the module boundary with ``Fraction`` coefficients.
 
 Inside that loop a monomial is one int (Bachmann and Schönemann, "Monomial
 representations for Gröbner bases computations", ISSAC 1998): the fields
@@ -256,21 +256,16 @@ def _reduce(state: list[dict[int, int]], reducers: list[tuple], packing: _Packin
 
     The state is [h], or [h, U, Q_1..Q_k] with U·f = Σ Q_i·g_i + h when
     dividing; each record (lm, lc, ecart, polys) in ``reducers``, which is not
-    modified, carries in polys a state of the same length.  Each step divides out
-    the state's joint content and applies h ← sh·h − sr·x^a·r to every entry
-    alike, a nonzero integer multiple of Mora's step over Q, so reducer
-    choices, remembered remainders and budget charges are those over Q.  With
+    modified, carries in polys a state of the same length.  Each step applies
+    h ← sh·h − sr·x^a·r to every entry alike, a nonzero integer multiple of
+    Mora's step over Q, and never divides by a content, so reducer choices,
+    remembered remainders and budget charges are those over Q.  With
     a cap K (plain reduction only), m^K lies in the ideal of the reducers and
     h has no term of degree >= K; none is created.  Returns the final state.
     """
     reducers = list(reducers)
     lead, guard, shift, cut = packing.lead, packing.guard, packing.deg_shift, packing.cut(cap)
     while state[0]:
-        content = 0
-        for p in state:
-            content = gcd(content, *p.values())
-        if content > 1:
-            state = [{m: c // content for m, c in p.items()} for p in state]
         h = state[0]
         lm_h = lead(h)
         red = None
@@ -495,13 +490,14 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     The completion is fraction-free: polynomials are integer dicts, the
     S-polynomial of f and g is lc_g·x^(L−lm_f)·f − lc_f·x^(L−lm_g)·g (over
     gcd(lc_f, lc_g)), and a Mora step replaces h by
-    (lc_r/γ)·h − (lc_h/γ)·x^a·r over its content, γ = gcd(lc_r, lc_h).  Each
-    is a nonzero integer multiple of the same step over Q, so leading
-    monomials, ecarts and reducer choices agree with Mora's algorithm over Q,
-    and a remainder made primitive is the one Q would give.  The basis is
-    one list of records (lm, lc, ecart, [poly]), returned with ``Fraction``
-    coefficients; every element is primitive, as ``ideal`` makes generators,
-    with a positive grlex-leading coefficient.  Order keys are computed once.
+    (lc_r/γ)·h − (lc_h/γ)·x^a·r, γ = gcd(lc_r, lc_h).  Each is a nonzero
+    integer multiple of the same step over Q, so leading monomials, ecarts
+    and reducer choices agree with Mora's algorithm over Q.  A remainder is
+    made primitive only when it joins the basis, and is then the one Q would
+    give.  The basis is one list of records (lm, lc, ecart, [poly]), returned
+    with ``Fraction`` coefficients; every element is primitive, as ``ideal``
+    makes generators, with a positive grlex-leading coefficient.  Order keys
+    are computed once.
 
     The records' monomials are packed ints (``_Packing``): fields (total
     degree, x_0, .., x_(n-1)) from high bits to low, each under a guard bit,

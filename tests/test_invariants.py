@@ -27,6 +27,7 @@ from lenumbers import (
 from lenumbers import invariants
 from lenumbers.localring import (ideal_quotient, ideal_sum, ideals_equal, multiplicity,
                                  saturate, standard_basis)
+from macaulay_oracle import macaulay_colength
 
 ZXY = ["z", "x", "y"]
 
@@ -184,6 +185,10 @@ def test_brieskorn_family_isolated_singularities():
         assert inv.lambda0 == (a - 1) * (b - 1) * (c - 1)
         assert inv.lambda1 == 0
         assert inv.omega == inv.lambda0 + inv.mu0
+        # the Macaulay-matrix oracle gives the same mu of f and mu0 of its slice
+        jacobian = [f.partial(i) for i in range(3)]
+        assert macaulay_colength(jacobian, 3)[0] == inv.lambda0
+        assert macaulay_colength([MultiPoly.variable(0, 3)] + jacobian[1:], 3)[0] == inv.mu0
 
 
 def test_nontransverse_slice_counts_with_multiplicity():
@@ -365,6 +370,11 @@ PLANES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2), (2,
 XYZ = ["x", "y", "z"]
 
 
+def _planes_setup(d):
+    arr = CentralArrangement3(PLANES[:d])
+    return slice_with_form(defining_polynomial(arr), pick_slice_form(arr))[0]
+
+
 @pytest.fixture
 def colon_calls(monkeypatch):
     """The ideals that the polar stage hands to ideal_quotient and to saturate."""
@@ -403,8 +413,7 @@ def _stage_by_stage(setup):
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_polar_curve_of_planes_is_certified_in_one_colon_step(colon_calls, d):
-    arr = CentralArrangement3(PLANES[:d])
-    setup, _ = slice_with_form(defining_polynomial(arr), pick_slice_form(arr))
+    setup = _planes_setup(d)
     _check_certified(setup, polar_ideal(setup), colon_calls)
 
 
@@ -481,8 +490,32 @@ def test_unit_colon_leaves_colengths_to_mu0_and_lambda0(monkeypatch):
 
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_stage_functions_give_compute_alls_numbers_on_planes(d):
-    arr = CentralArrangement3(PLANES[:d])
-    setup, _ = slice_with_form(defining_polynomial(arr), pick_slice_form(arr))
+    setup = _planes_setup(d)
     inv = compute_all(setup)
     assert inv.genericity_ok
     assert _stage_by_stage(setup) == (inv.mu0, inv.lambda0, inv.lambda1, inv.omega)
+
+
+# homogeneous germs with chi(F) = 1 + lambda0 - lambda1 of their Milnor fiber
+EULER_CHARACTERISTICS = [
+    ("x*y*z", 0), ("x*y*(x + y)", -3), ("x^2 + y^2", 0), ("y^2 - 4*x*z", 2),
+    *zip((text for text, _ in CONES), (6, 3, 24, 8)),
+    ("4planes", 4), ("5planes", 15), ("6planes", 36), ("7planes", 70),
+]
+
+
+@pytest.mark.parametrize("text,chi", EULER_CHARACTERISTICS)
+def test_degree_divides_the_euler_characteristic_of_a_cone(text, chi):
+    # for f homogeneous of degree d in three variables, the monodromy
+    # x -> e^(2 pi i/d) x acts freely on the Milnor fiber F, so d | chi(F)
+    if text.endswith("planes"):
+        d = int(text.removesuffix("planes"))
+        inv = compute_all(_planes_setup(d))
+    else:
+        f = parse_poly(text, XYZ)
+        d = f.total_degree()
+        assert {sum(m) for m in f.terms} == {d}
+        inv = analyze_poly(f).invariants
+    assert inv.genericity_ok
+    assert 1 + inv.lambda0 - inv.lambda1 == chi
+    assert chi % d == 0

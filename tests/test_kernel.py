@@ -16,6 +16,7 @@ from lenumbers import (
     InputError,
     MultiPoly,
     ResourceLimitError,
+    analyze_poly,
     colength,
     compute_all,
     defining_polynomial,
@@ -34,6 +35,7 @@ from lenumbers.localring import (
     standard_basis,
 )
 from lenumbers.polynomials import mono_deg, mono_divides, mono_mul
+from test_cyclo import alarm_after
 
 XYZ = ["x", "y", "z"]
 E = 2**40
@@ -216,3 +218,25 @@ def test_le_iomdine_colength_work_is_pinned(text, mu, pairs, monomials):
     budget = Budget()
     assert colength(ideal([F.partial(i) for i in range(F.nvars)]), budget) == mu
     assert (budget.pairs_used, budget.monomials_used) == (pairs, monomials)
+
+
+# the runaways: each exits in the polar stage under the default Budget, with
+# the counters it reached; a reduction that carries its content must still
+# reach them in bounded time
+RUNAWAYS = [
+    # polynomial, slice form (None: the automatic search), pairs_used, monomials_used
+    ("x*y^3*z + z^3 - x^4*z^4", None, 8, 1001651),
+    ("-y^3 + x*y*z^2 + x^4*y^4*z^3", None, 11, 1002037),
+    ("x*y^2 + x^4*y^3*z^4 + 2*x^3*z^3", None, 13, 1000174),
+    ("-y^2*z^4 + x^2*z + 2*x^2*y^4*z", None, 10, 1001831),
+    ("y^4 - y^3*z^2 + 2*x*y*z^4", (1, 1, -5), 315, 1000214),
+]
+
+
+@pytest.mark.parametrize("text,z0,pairs,monomials", RUNAWAYS,
+                         ids=["R1", "R2", "R3", "R4", "polarC"])
+def test_runaways_exit_on_the_default_budget(text, z0, pairs, monomials):
+    with alarm_after(20), pytest.raises(ResourceLimitError) as raised:
+        analyze_poly(P(text), z0=z0)
+    assert str(raised.value) == (f"stage polar: monomial budget of 1000000 exhausted "
+                                 f"(pairs_used={pairs}, monomials_used={monomials})")
