@@ -10,8 +10,8 @@ intersection multiplicity for the Cohen-Macaulay curve ideals produced by
 saturation here; reports carry a warning naming that identification.
 
 The polar curve is (I : f^infinity) for I the non-slice partials.  It is
-computed with one colon step J = (I : f), accepted when this certificate
-holds for A = O/J:
+computed by colon steps J <- (J : f), and a round's J is accepted when this
+certificate holds for A = O/J:
 
 * A is one-dimensional, and colength(J + (z0)) = e(m; A).  For the
   parameter z0, length(A/z0 A) = e(z0; A) + length(0 :_A z0) and
@@ -22,9 +22,10 @@ holds for A = O/J:
   nonzerodivisor (section 17); hence (J : f) = J = (I : f^infinity).
 
 e(m; A) is read from the staircase of J's local standard basis
-(``localring.multiplicity``).  The two colengths are the ones lambda1 and
-omega need: ``polar_ideal`` returns the curve with both, computed on the
-saturation when the certificate fails, and those stages read them.
+(``localring.multiplicity``).  The loop also stops on the unit ideal, and
+when (J : f) has J's staircase: J only grows, and an ideal containing another
+with the same leading ideal equals it (Greuel-Pfister, section 1.6), so J is
+then saturated.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, count, islice
 from typing import Sequence
 
 from .errors import GenericityError, InputError, InvariantViolationError, ResourceLimitError
-from .localring import (Budget, Ideal, colength, ideal, ideal_quotient, ideal_sum, multiplicity,
-                        saturate, standard_basis)
-from .polynomials import MultiPoly, integer, rational
+from .localring import (SATURATION_ROUNDS, Budget, Ideal, colength, ideal, ideal_quotient,
+                        ideal_sum, multiplicity, standard_basis)
+from .polynomials import MultiPoly, integer, rational, variable_index
 
 LENGTH_IDENTIFICATION_WARNING = (
     "intersection numbers are computed as colengths; this identifies length "
@@ -80,9 +82,6 @@ class SliceSetup:
         """Ambient dimension parameter: f lives on C^{n+1}."""
         return self.f.nvars - 1
 
-    def slice_ideal(self) -> Ideal:
-        return ideal([MultiPoly.variable(0, self.f.nvars)], self.f.nvars)
-
 
 def _finite(value: int | None, message: str) -> int:
     """value, or ``GenericityError(message)`` when it is None (infinite)."""
@@ -105,12 +104,13 @@ def mu0(setup: SliceSetup, budget: Budget | None = None) -> int:
 
 @dataclass(frozen=True)
 class PolarCurve:
-    """The relative polar curve Γ with its intersection numbers
-    colength(Γ + (z0)) and colength(Γ + (f)); None means infinite."""
+    """The relative polar curve Γ with its intersection numbers colength(Γ + (z0)),
+    colength(Γ + (f)) and colength(Γ + (∂f/∂z0)); None means infinite."""
 
     ideal: Ideal
     slice_colength: int | None
     f_colength: int | None
+    partial0_colength: int | None
 
 
 def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
@@ -118,32 +118,38 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
 
     The critical locus lies inside V(f), so saturating by f itself removes
     exactly the critical components and keeps every polar component.  The
-    colon J = (I : f) is returned at once, meeting nothing, when it is the
-    unit ideal, and with the two colengths its certificate computed when the
-    module's certificate holds.  Otherwise ``saturate`` continues from J and
-    both colengths are computed on its result.
+    colon steps J <- (J : f) stop as the module docstring says, after at most
+    ``SATURATION_ROUNDS``.  The curve carries the colengths that lambda0,
+    omega and lambda1 read, each computed at most once per J.
     """
     f, n = setup.f, setup.f.nvars
     budget = budget if budget is not None else Budget()
-    J = ideal_quotient(ideal([f.partial(i) for i in range(1, n)], n), f, budget)
-    if any(g.constant_term() for g in J.generators):
-        return PolarCurve(J, 0, 0)
-    e = multiplicity(standard_basis(J, budget=budget), budget)
-    if e is not None:
-        slice_colength = colength(ideal_sum(J, setup.slice_ideal()), budget)
-        if slice_colength == e:
-            f_colength = colength(ideal_sum(J, ideal([f], n)), budget)
-            if f_colength is not None:
-                return PolarCurve(J, slice_colength, f_colength)
-    polar = saturate(J, f, budget)
-    return PolarCurve(polar, colength(ideal_sum(polar, setup.slice_ideal()), budget),
-                      colength(ideal_sum(polar, ideal([f], n)), budget))
+    z0 = MultiPoly.variable(0, n)
+
+    @cache
+    def meet(J: Ideal, h: MultiPoly) -> int | None:
+        return colength(ideal_sum(J, ideal([h], n)), budget)
+
+    J, staircase = ideal([f.partial(i) for i in range(1, n)], n), None
+    for _ in range(SATURATION_ROUNDS):
+        quotient = ideal_quotient(J, f, budget)
+        if any(g.constant_term() for g in quotient.generators):
+            return PolarCurve(quotient, 0, 0, 0)
+        sb = standard_basis(quotient, budget=budget)
+        if sb.staircase == staircase:
+            break
+        J, staircase = quotient, sb.staircase
+        e = multiplicity(sb, budget)
+        if e is not None and meet(J, z0) == e and meet(J, f) is not None:
+            break
+    else:
+        raise ResourceLimitError(f"polar curve did not stabilize in {SATURATION_ROUNDS} rounds")
+    return PolarCurve(J, meet(J, z0), meet(J, f), meet(J, f.partial(0)))
 
 
-def lambda0(setup: SliceSetup, polar: PolarCurve, budget: Budget | None = None) -> int:
+def lambda0(polar: PolarCurve) -> int:
     """The 0-dimensional Le number: polar curve against the slice-direction partial."""
-    meets = ideal_sum(polar.ideal, ideal([setup.f.partial(0)], setup.f.nvars))
-    return _finite(colength(meets, budget), "lambda0 is infinite: the slice form is not generic")
+    return _finite(polar.partial0_colength, "lambda0 is infinite: the slice form is not generic")
 
 
 def omega_law_holds(omega_value: int, lambda0_value: int) -> bool:
@@ -241,8 +247,7 @@ def _pipeline(setup: SliceSetup, budget: Budget | None):
             m = mu0(setup, budget)
         with _stage("polar"):
             polar = polar_ideal(setup, budget)
-        with _stage("lambda0"):
-            l0 = lambda0(setup, polar, budget)
+        l0 = lambda0(polar)
         om = omega(polar, l0)
         l1 = lambda1(polar, m)
     except GenericityError as exc:
@@ -267,7 +272,8 @@ def slice_with_form(f: MultiPoly, coefficients: Sequence,
 
     Returns the setup and the new variable names.  Unless the form already
     is the first coordinate, the slice variable is called ``w``, or the first
-    of ``w0``, ``w1``, ... when a kept variable is called ``w``.
+    of ``w0``, ``w1``, ... when a kept variable is called ``w``.  ``names``
+    must be one distinct identifier per variable.
     """
     n = f.nvars
     coeffs = tuple(rational(c) for c in coefficients)
@@ -277,6 +283,8 @@ def slice_with_form(f: MultiPoly, coefficients: Sequence,
         raise InputError("slice form must be nonzero")
     if names is None:
         names = [f"x{i}" for i in range(n)]
+    elif len(variable_index(names)) != n:
+        raise InputError(f"need one variable name per variable: {len(names)} names for {n}")
     if coeffs == (1,) + (0,) * (n - 1):
         return SliceSetup(f, coeffs), tuple(names)
     pivot = next(i for i, c in enumerate(coeffs) if c)

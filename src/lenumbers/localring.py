@@ -654,7 +654,7 @@ def _contains_all(I: Ideal, gens: Iterable[MultiPoly], budget: Budget) -> bool:
 
 
 # colon steps before a saturation that has not stabilized gives up
-_SATURATION_ROUNDS = 64
+SATURATION_ROUNDS = 64
 
 
 def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
@@ -668,13 +668,13 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
         raise InputError("saturation by the zero element")
     budget = budget if budget is not None else Budget()
     current = ideal(I.generators, I.nvars)
-    for _ in range(_SATURATION_ROUNDS):
+    for _ in range(SATURATION_ROUNDS):
         nxt = ideal_quotient(current, g, budget)
         if _contains_all(current, nxt.generators, budget):
             return current
         current = nxt
     raise ResourceLimitError(
-        f"saturation did not stabilize within {_SATURATION_ROUNDS} rounds")
+        f"saturation did not stabilize within {SATURATION_ROUNDS} rounds")
 
 
 def ideals_equal(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:

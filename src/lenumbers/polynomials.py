@@ -367,6 +367,17 @@ _TOKEN = re.compile(rf"\s*(?:(?P<num>\d+)|(?P<name>{_NAME})"
                     r"|(?P<op>[+\-*^()/])|(?P<bad>\S))")
 
 
+def variable_index(names: Sequence[str]) -> dict[str, int]:
+    """{name: position} for distinct identifiers, else ``InputError``."""
+    for name in names:
+        if not isinstance(name, str) or not re.fullmatch(_NAME, name):
+            raise InputError(f"variable names must be identifiers, not {name!r}")
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise InputError("duplicate variable names")
+    return index
+
+
 def parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
     """Parse an expression over the named variables into canonical expanded form.
 
@@ -391,12 +402,7 @@ def parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
         tokens.append((value if kind == "op" else kind,
                        int(value) if kind == "num" else value, pos))
     tokens.append(("end", None, len(text)))
-    for name in names:
-        if not isinstance(name, str) or not re.fullmatch(_NAME, name):
-            raise InputError(f"variable names must be identifiers, not {name!r}")
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise InputError("duplicate variable names")
+    index = variable_index(names)
     i = 0
 
     def take(*kinds):

@@ -24,7 +24,7 @@ from lenumbers import (
     slice_with_form,
     MultiPoly,
 )
-from lenumbers import invariants
+from lenumbers import invariants, localring
 from lenumbers.localring import (ideal_quotient, ideal_sum, ideals_equal, multiplicity,
                                  saturate, standard_basis)
 from macaulay_oracle import macaulay_colength
@@ -67,14 +67,14 @@ def test_polar_ideal_examples():
 def test_lambda0_omega_lambda1_on_a1_singularities():
     smooth_cylinder = setup_from("x^2 + y^2")
     polar = polar_ideal(smooth_cylinder)
-    assert lambda0(smooth_cylinder, polar) == 0
-    assert omega(polar, lambda0(smooth_cylinder, polar)) == 0
+    assert lambda0(polar) == 0
+    assert omega(polar, lambda0(polar)) == 0
     assert lambda1(polar, mu0(smooth_cylinder)) == 1
 
     cone = setup_from("z^2 + x^2 + y^2")
     polar = polar_ideal(cone)
-    assert lambda0(cone, polar) == 1
-    assert omega(polar, lambda0(cone, polar)) == 2
+    assert lambda0(polar) == 1
+    assert omega(polar, lambda0(polar)) == 2
     assert lambda1(polar, mu0(cone)) == 0
 
 
@@ -107,6 +107,18 @@ def test_slice_with_form_rejects_bad_forms():
         slice_with_form(f, [0, 0, 0])
     with pytest.raises(InputError):
         slice_with_form(f, [1, 1])
+
+
+@pytest.mark.parametrize("names,message", [
+    (["a", "b"], "one variable name per variable"),
+    (["a", "b", "c", "d"], "one variable name per variable"),
+    (["a", "a", "b"], "duplicate"),
+    (["a", "b", "1c"], "identifiers"),
+], ids=["short", "long", "repeated", "not_identifier"])
+@pytest.mark.parametrize("z0", [None, (1, 0, 0), (1, 1, 1)], ids=["search", "coordinate", "form"])
+def test_analyze_poly_needs_one_distinct_identifier_per_variable(names, message, z0):
+    with pytest.raises(InputError, match=message):
+        analyze_poly(parse_poly("x*y*z", XYZ), z0=z0, names=names)
 
 
 def test_slice_form_reads_floats_by_repr_and_rejects_bools():
@@ -240,7 +252,7 @@ def test_polar_curve_chain_rule_identity():
         inv = result.invariants
         assert inv.genericity_ok
         slice_meets_polar = colength(
-            ideal_sum(result.polar.ideal, result.setup.slice_ideal()))
+            ideal_sum(result.polar.ideal, ideal([MultiPoly.variable(0, 3)])))
         assert slice_meets_polar is not None
         assert inv.omega == inv.lambda0 + slice_meets_polar
 
@@ -377,7 +389,10 @@ def _planes_setup(d):
 
 @pytest.fixture
 def colon_calls(monkeypatch):
-    """The ideals that the polar stage hands to ideal_quotient and to saturate."""
+    """The ideals that the polar stage hands to ideal_quotient, and those that
+    anything hands to ``localring.saturate``, which the polar stage does not
+    import."""
+    assert not hasattr(invariants, "saturate")
     calls = {"ideal_quotient": [], "saturate": []}
 
     def spy(name, fn):
@@ -387,7 +402,7 @@ def colon_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(invariants, "ideal_quotient", spy("ideal_quotient", ideal_quotient))
-    monkeypatch.setattr(invariants, "saturate", spy("saturate", saturate))
+    monkeypatch.setattr(localring, "saturate", spy("saturate", saturate))
     return calls
 
 
@@ -407,7 +422,7 @@ def _stage_by_stage(setup):
     """(mu0, lambda0, lambda1, omega) from the stage functions called one by one."""
     m = mu0(setup)
     polar = polar_ideal(setup)
-    l0 = lambda0(setup, polar)
+    l0 = lambda0(polar)
     return m, l0, lambda1(polar, m), omega(polar, l0)
 
 
@@ -434,58 +449,61 @@ def test_polar_curve_of_golden_germs_is_certified(colon_calls, text, seed):
 ], ids=["umbrella", "cubic"])
 def test_tangent_slice_falls_back_to_saturation_from_the_colon(colon_calls, text, expected):
     # z0 = (1, 0, 1) meets the polar curve with more than its multiplicity,
-    # so the certificate fails and the saturation loop continues from J
+    # so the certificate fails on J = (I : f); the second colon step (J : f)
+    # has J's staircase, which proves J saturated
     result = analyze_poly(parse_poly(text, XYZ), z0=(1, 0, 1))
     inv = result.invariants
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == expected
     assert inv.genericity_ok
     jacobian = _nonslice_jacobian(result.setup)
-    assert colon_calls["ideal_quotient"][0] == jacobian
     J = ideal_quotient(jacobian, result.setup.f)
-    assert colon_calls["saturate"] == [J]
+    assert colon_calls == {"ideal_quotient": [jacobian, J], "saturate": []}
+    assert result.polar.ideal == J
     gamma = saturate(jacobian, result.setup.f)
-    assert ideals_equal(result.polar.ideal, gamma)
-    # the curve's two numbers are those of the saturation, computed afresh
-    assert result.polar.slice_colength == colength(ideal_sum(gamma, result.setup.slice_ideal()))
-    assert result.polar.f_colength == colength(ideal_sum(gamma, ideal([result.setup.f])))
+    assert ideals_equal(J, gamma)
+    # the curve's three numbers, colength(Γ + (h)) for h = z0, f and df/dz0,
+    # are those of the saturation
+    f = result.setup.f
+    numbers = [colength(ideal_sum(gamma, ideal([h])))
+               for h in (MultiPoly.variable(0, 3), f, f.partial(0))]
+    assert numbers == [result.polar.slice_colength, result.polar.f_colength,
+                       result.polar.partial0_colength]
 
 
-def test_infinite_omega_on_the_colon_falls_back(monkeypatch):
+def test_infinite_omega_on_the_colon_falls_back(colon_calls):
     # here J = (I : f) is a curve that z0 cuts in e(m; O/J) = 4 points, but
     # f vanishes on a component of J: omega is infinite, so J is not
-    # accepted and the saturation loop (stubbed here) continues from J
+    # accepted and the loop takes (J : f), which the certificate accepts
     setup, _ = slice_with_form(parse_poly("y^4 - y^3*z^2 + 2*x*y*z^4", XYZ), (1, 1, -5))
-    J = ideal_quotient(_nonslice_jacobian(setup), setup.f)
-    assert multiplicity(standard_basis(J)) == colength(ideal_sum(J, setup.slice_ideal())) == 4
+    jacobian = _nonslice_jacobian(setup)
+    J = ideal_quotient(jacobian, setup.f)
+    w = MultiPoly.variable(0, 3)
+    assert multiplicity(standard_basis(J)) == colength(ideal_sum(J, ideal([w]))) == 4
     assert colength(ideal_sum(J, ideal([setup.f]))) is None
-    # the stub returns the line (y - w, z), which f meets in w^4 = 0; the
-    # curve's numbers are those of the line, not of J
-    w, y, z = (MultiPoly.variable(i, 3) for i in range(3))
-    line = ideal([y - w, z])
-    handed = []
-    monkeypatch.setattr(invariants, "saturate",
-                        lambda I, g, budget=None: handed.append(I) or line)
-    assert polar_ideal(setup) == invariants.PolarCurve(line, 1, 4)
-    assert handed == [J]
+    polar = polar_ideal(setup)
+    assert colon_calls == {"ideal_quotient": [jacobian, J], "saturate": []}
+    # e(m; O/Γ) = colength(Γ + (z0)) = 3 and omega = 20 on Γ = (J : f)
+    assert polar == invariants.PolarCurve(ideal_quotient(J, setup.f), 3, 20, 17)
+    assert multiplicity(standard_basis(polar.ideal)) == 3
 
 
 def test_unit_colon_is_the_polar_curve_at_once(colon_calls):
     # f = x^2 + y^3 lies in (d_x f, d_y f) = (x, y^2), so (I : f) = (1)
     setup, _ = slice_with_form(parse_poly("x^2 + y^3", XYZ), (0, 0, 1))
     polar = polar_ideal(setup)
-    assert polar == invariants.PolarCurve(ideal([MultiPoly.constant(1, 3)]), 0, 0)
+    assert polar == invariants.PolarCurve(ideal([MultiPoly.constant(1, 3)]), 0, 0, 0)
     assert len(colon_calls["ideal_quotient"]) == 1 and colon_calls["saturate"] == []
 
 
-def test_unit_colon_leaves_colengths_to_mu0_and_lambda0(monkeypatch):
-    # the empty curve meets nothing: omega and lambda1 read 0 without a colength
+def test_unit_colon_leaves_one_colength_to_mu0(monkeypatch):
+    # the empty curve meets nothing: lambda0, omega and lambda1 read 0 without a colength
     calls = []
     monkeypatch.setattr(invariants, "colength",
                         lambda I, budget=None: calls.append(I) or colength(I, budget))
     setup, _ = slice_with_form(parse_poly("x^2 + y^3", XYZ), (0, 0, 1))
     inv = compute_all(setup)
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (2, 0, 2, 0)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
