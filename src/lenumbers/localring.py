@@ -55,7 +55,7 @@ from heapq import heappop, heappush
 from itertools import product
 from math import gcd, prod
 from operator import lshift
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 from .polynomials import (
@@ -433,13 +433,19 @@ def _minimal_monomials(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(minimal)
 
 
-def _standard_monomials(lead: Sequence[Monomial], nvars: int,
-                        budget: Budget) -> Iterator[Monomial] | None:
-    """The monomials outside the monomial ideal generated by lead, lazily.
+def _staircase_count(lead: Sequence[Monomial], nvars: int,
+                     budget: Budget) -> tuple[int, int] | None:
+    """(number, largest degree) of the monomials outside the monomial ideal
+    generated by lead: (0, −1) when there are none.
 
     None when there are infinitely many, i.e. when lead lacks a pure power of
     some variable.  Otherwise they lie in the box below the smallest pure
-    powers, which is charged to the monomial budget before it is enumerated.
+    powers, which is charged to the monomial budget.  They are counted in runs
+    along the variable x_v with the largest bound: for each prefix a in the
+    box of the other variables, the standard monomials x^a·x_v^k are those
+    with k < t, where t is the least x_v-exponent of an element of lead whose
+    other exponents are <= a (x_v's pure power always is one).  With lead
+    sorted by x_v-exponent, t is the first fit.
     """
     bounds = []
     for v in range(nvars):
@@ -448,19 +454,29 @@ def _standard_monomials(lead: Sequence[Monomial], nvars: int,
             return None
         bounds.append(min(pure))
     budget.tick_monomials(prod(bounds))
-    return (mono for mono in product(*(range(b) for b in bounds))
-            if not any(mono_divides(s, mono) for s in lead))
+    if nvars == 0:
+        return (0, -1) if lead else (1, 0)
+    v = bounds.index(max(bounds))
+    rest = bounds[:v] + bounds[v + 1:]
+    runs = sorted((m[v], m[:v] + m[v + 1:]) for m in lead)
+    count, top = 0, -1
+    for a in product(*map(range, rest)):
+        t = next(t for t, b in runs if mono_divides(b, a))
+        if t:
+            count += t
+            top = max(top, mono_deg(a) + t - 1)
+    return count, top
 
 
 def _lower_cap(basis: list[tuple], lms: list[Monomial], cap: int | None, packing: _Packing,
                budget: Budget) -> tuple[int | None, list[tuple]]:
     """The records' highest-corner cap (1 + the largest degree of a standard monomial of
-    their leading monomials ``lms``, None while there are infinitely many), and the
-    records truncated to it if it fell."""
-    standard = _standard_monomials(lms, packing.nvars, budget)
-    if standard is None:
+    their leading monomials ``lms``, read off ``_staircase_count``; None while there are
+    infinitely many), and the records truncated to it if it fell."""
+    counted = _staircase_count(lms, packing.nvars, budget)
+    if counted is None:
         return cap, basis
-    new_cap = 1 + max(map(mono_deg, standard), default=-1)
+    new_cap = 1 + counted[1]
     if new_cap == cap:
         return cap, basis
     budget.tick_monomials(sum(len(polys[0]) for _, _, _, polys in basis))
@@ -518,7 +534,9 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     basis elements (an element whose leading monomial has degree >= K becomes
     that monomial), from the S-polynomials and from every reduction step;
     this changes nothing modulo I and keeps coefficients from growing.  K is
-    recomputed whenever an element is added and can only fall.
+    recomputed whenever an element is added and can only fall; it is read off
+    ``_staircase_count``, which counts the monomials outside L(G) in runs along
+    one variable and returns their largest degree beside their number.
     """
     order = order or LocalOrder()
     budget = budget if budget is not None else Budget()
@@ -571,17 +589,18 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
 def colength(I: Ideal | StandardBasis, budget: Budget | None = None) -> int | None:
     """Dimension over Q of the local ring modulo the ideal, or None if infinite.
 
-    Counts the standard monomials (those outside the leading ideal).  The
-    count is finite iff the staircase contains a pure power of every
-    variable; otherwise some axis direction escapes and None is returned.
+    Counts the standard monomials (those outside the leading ideal) in runs,
+    with ``_staircase_count``.  The count is finite iff the staircase contains
+    a pure power of every variable; otherwise some axis direction escapes and
+    None is returned.
     For a finite count the standard basis was computed with the highest-corner
     cap K of ``standard_basis``: m^K ⊆ I by Nakayama, so dropping terms of
     degree >= K along the way changes neither the ideal nor its staircase.
     """
     budget = budget if budget is not None else Budget()
     sb = I if isinstance(I, StandardBasis) else standard_basis(I, budget=budget)
-    standard = _standard_monomials(sb.staircase, sb.nvars, budget)
-    return None if standard is None else sum(1 for _ in standard)
+    counted = _staircase_count(sb.staircase, sb.nvars, budget)
+    return None if counted is None else counted[0]
 
 
 def multiplicity(sb: StandardBasis, budget: Budget | None = None) -> int | None:
@@ -594,6 +613,7 @@ def multiplicity(sb: StandardBasis, budget: Budget | None = None) -> int | None:
     x_v set to 1 has finitely many standard monomials u.  The standard
     monomials of a large degree k are then exactly the u·x_v^(k − deg u), so
     the Hilbert function of degree k is the sum of those counts: that sum is e.
+    Each count is ``_staircase_count`` of L's staircase with x_v dropped.
     """
     budget = budget if budget is not None else Budget()
     # the unit monomial counts as a pure power of every variable
@@ -602,11 +622,10 @@ def multiplicity(sb: StandardBasis, budget: Budget | None = None) -> int | None:
         return None
     e = 0
     for v in free:
-        standard = _standard_monomials([m[:v] + m[v + 1:] for m in sb.staircase],
-                                       sb.nvars - 1, budget)
-        if standard is None:
+        counted = _staircase_count([m[:v] + m[v + 1:] for m in sb.staircase], sb.nvars - 1, budget)
+        if counted is None:
             return None
-        e += sum(1 for _ in standard)
+        e += counted[0]
     return e
 
 
@@ -676,9 +695,3 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     raise ResourceLimitError(
         f"saturation did not stabilize within {SATURATION_ROUNDS} rounds")
 
-
-def ideals_equal(a: Ideal, b: Ideal, budget: Budget | None = None) -> bool:
-    """Equality as ideals of the local ring, by mutual membership."""
-    budget = budget if budget is not None else Budget()
-    return (_contains_all(a, b.generators, budget)
-            and _contains_all(b, a.generators, budget))

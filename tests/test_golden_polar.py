@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from lenumbers import ideal, parse_poly
-from lenumbers.localring import ideals_equal
 from lenumbers.cli import main
+from ideal_equality import ideals_equal
 
 DATA = Path(__file__).resolve().parent / "data" / "polar_ideals.json"
 

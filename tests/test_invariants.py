@@ -25,8 +25,9 @@ from lenumbers import (
     MultiPoly,
 )
 from lenumbers import invariants, localring
-from lenumbers.localring import (ideal_quotient, ideal_sum, ideals_equal, multiplicity,
-                                 saturate, standard_basis)
+from lenumbers.localring import (ideal_quotient, ideal_sum, multiplicity, saturate,
+                                 standard_basis)
+from ideal_equality import ideals_equal
 from macaulay_oracle import macaulay_colength
 
 ZXY = ["z", "x", "y"]

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lenumbers import (
     Budget,
@@ -17,9 +20,9 @@ from lenumbers import (
 from lenumbers.localring import (
     EliminationOrder,
     LocalOrder,
+    _staircase_count,
     ideal_quotient,
     ideal_sum,
-    ideals_equal,
     leading,
     mora_divide,
     mora_reduce,
@@ -28,6 +31,8 @@ from lenumbers.localring import (
     standard_basis,
 )
 from lenumbers.polynomials import mono_deg, mono_divides
+from ideal_equality import ideals_equal
+from staircase_oracle import staircase_oracle
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -39,41 +44,6 @@ def P(text, names=XY):
 
 def unit_ideal(nvars):
     return ideal([MultiPoly.constant(1, nvars)], nvars)
-
-
-# ---------------------------------------------------------------------------
-# an independent brute-force oracle for monomial staircases
-# ---------------------------------------------------------------------------
-
-
-def staircase_count_oracle(gens, nvars):
-    """Count standard monomials of a monomial ideal by scanning a large box.
-
-    Finiteness is decided from pure powers; the box side is the largest pure
-    power, so every standard monomial lies inside the scanned region.
-    """
-    exps = [tuple(g) for g in gens]
-    side = 0
-    for v in range(nvars):
-        pures = [e[v] for e in exps if sum(e) == e[v]]
-        if not pures:
-            return None
-        side = max(side, min(pures))
-
-    def divides(a, b):
-        return all(x <= y for x, y in zip(a, b))
-
-    count = 0
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == nvars:
-            if not any(divides(e, prefix) for e in exps):
-                count += 1
-            continue
-        for value in range(side + 1):
-            stack.append(prefix + (value,))
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +169,14 @@ def test_milnor_numbers_of_plane_curve_family():
             jac = ideal([f.partial(0), f.partial(1)])
             sb = standard_basis(jac)
             assert colength(sb) == (a - 1) * (b - 1)
-            oracle = staircase_count_oracle(sb.staircase, 2)
-            assert oracle == (a - 1) * (b - 1)
+            assert staircase_oracle(sb.staircase, 2)[0] == (a - 1) * (b - 1)
 
 
 def test_milnor_number_of_ordinary_double_point():
     f = parse_poly("x^2+y^2+z^2", XYZ)
     jac = ideal([f.partial(i) for i in range(3)])
     assert colength(jac) == 1
-    assert staircase_count_oracle(standard_basis(jac).staircase, 3) == 1
+    assert staircase_oracle(standard_basis(jac).staircase, 3) == (1, 0)
 
 
 def test_colength_matches_oracle_on_random_monomial_ideals():
@@ -223,12 +192,48 @@ def test_colength_matches_oracle_on_random_monomial_ideals():
         if not gens:
             continue
         value = colength(ideal(gens, nvars))
-        oracle = staircase_count_oracle(
-            standard_basis(ideal(gens, nvars)).staircase, nvars)
-        if oracle is None:
-            assert value is None
-        else:
-            assert value == oracle
+        oracle = staircase_oracle(standard_basis(ideal(gens, nvars)).staircase, nvars)
+        assert value == (None if oracle is None else oracle[0])
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(nvars, generators): 0-4 variables, exponents 0-6, 1-6 exponent tuples,
+    about half of them pure powers, which include the unit monomial."""
+    nvars = draw(st.integers(0, 4))
+    exponents = st.integers(0, 6)
+    monomials = st.tuples(*[exponents] * nvars)
+    if nvars:
+        monomials |= st.builds(lambda v, e: tuple(e if u == v else 0 for u in range(nvars)),
+                               st.integers(0, nvars - 1), exponents)
+    return nvars, draw(st.lists(monomials, min_size=1, max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(monomial_ideals())
+@example((2, [(3, 0), (1, 1)]))             # no pure power of y: infinite
+@example((3, [(0, 0, 0), (2, 0, 0)]))       # the unit monomial: nothing standard
+@example((0, [()]))
+def test_staircase_count_matches_the_oracle(case):
+    nvars, gens = case
+    budget = Budget()
+    assert _staircase_count(gens, nvars, budget) == staircase_oracle(gens, nvars)
+    # the box below the smallest pure powers is charged, and nothing when it is infinite
+    bounds = [min((m[v] for m in gens if sum(m) == m[v]), default=None) for v in range(nvars)]
+    assert budget.monomials_used == (0 if None in bounds else prod(bounds))
+    assert budget.pairs_used == 0
+
+
+def test_colength_and_multiplicity_edge_values():
+    X = ["x"]
+    assert multiplicity(standard_basis(ideal([], 1))) == 1                 # the zero ideal
+    cube = ideal([P("x^3", X)])
+    assert (colength(cube), multiplicity(standard_basis(cube))) == (3, None)
+    square = ideal([P("x^2")])                                              # in x and y
+    assert (colength(square), multiplicity(standard_basis(square))) == (None, 2)
+    assert multiplicity(standard_basis(ideal([P("x*y")]))) == 2
+    unit = unit_ideal(2)
+    assert (colength(unit), multiplicity(standard_basis(unit))) == (0, None)
 
 
 def test_colength_invariant_under_coordinate_change():
