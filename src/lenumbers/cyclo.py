@@ -24,6 +24,10 @@ from .polynomials import MAX_MONOMIALS, MultiPoly, check_power_bits, integer
 # int and str by default.
 MAX_PRINTED_BITS = 14_000
 
+# `cyclo homchar 2 N` lists, factors and prints every divisor of N: 2^16 of
+# them take about a second.
+MAX_DIVISORS = 2**16
+
 
 def check_printable(value: int, what: str) -> None:
     """Raise ``ResourceLimitError`` when value has more than ``MAX_PRINTED_BITS`` bits."""
@@ -72,13 +76,13 @@ def totient(k: int) -> int:
 def divisors(k: int) -> list[int]:
     """The divisors of k in increasing order: products of its prime powers.
 
-    More than ``MAX_MONOMIALS`` of them, counted from the factorization before
+    More than ``MAX_DIVISORS`` of them, counted from the factorization before
     the list is built, raises ``ResourceLimitError``.
     """
     factors = _factorize(_positive(k, "k"))
     count = prod(e + 1 for e in factors.values())
-    if count > MAX_MONOMIALS:
-        raise ResourceLimitError(f"{k} has {count} divisors, over the cap of {MAX_MONOMIALS}")
+    if count > MAX_DIVISORS:
+        raise ResourceLimitError(f"{k} has {count} divisors, over the cap of {MAX_DIVISORS}")
     divs = [1]
     for p, e in factors.items():
         divs = [d * p ** i for d in divs for i in range(e + 1)]

@@ -25,7 +25,12 @@ e(m; A) is read from the staircase of J's local standard basis
 (``localring.multiplicity``).  The loop also stops on the unit ideal, and
 when (J : f) has J's staircase: J only grows, and an ideal containing another
 with the same leading ideal equals it (Greuel-Pfister, section 1.6), so J is
-then saturated.
+then saturated.  f is then a nonzerodivisor on A, so when omega is finite A
+is Cohen-Macaulay again, and colength(J + (z0)) > e(m; A) means z0 is tangent
+to the curve: a genericity verdict, not a certificate.
+
+The curve carries two intersection numbers, with z0 and with f; lambda0, the
+third, follows from them by Teissier's lemma (see ``lambda0``).
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ GENERICITY_SCOPE_WARNING = (
 
 # moment-curve forms analyze_poly tries after the coordinate forms
 _MOMENT_FORMS_TRIED = 12
+
+_OMEGA_INFINITE = "omega is infinite: the slice form is not generic"
 
 
 @dataclass(frozen=True)
@@ -104,13 +111,12 @@ def mu0(setup: SliceSetup, budget: Budget | None = None) -> int:
 
 @dataclass(frozen=True)
 class PolarCurve:
-    """The relative polar curve Γ with its intersection numbers colength(Γ + (z0)),
-    colength(Γ + (f)) and colength(Γ + (∂f/∂z0)); None means infinite."""
+    """The relative polar curve Γ with its intersection numbers colength(Γ + (z0))
+    and colength(Γ + (f)); None means infinite."""
 
     ideal: Ideal
     slice_colength: int | None
     f_colength: int | None
-    partial0_colength: int | None
 
 
 def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
@@ -120,7 +126,8 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
     exactly the critical components and keeps every polar component.  The
     colon steps J <- (J : f) stop as the module docstring says, after at most
     ``SATURATION_ROUNDS``.  The curve carries the colengths that lambda0,
-    omega and lambda1 read, each computed at most once per J.
+    omega and lambda1 read, each computed at most once per J.  A slice form
+    tangent to the saturated curve raises ``GenericityError``.
     """
     f, n = setup.f, setup.f.nvars
     budget = budget if budget is not None else Budget()
@@ -134,9 +141,13 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
     for _ in range(SATURATION_ROUNDS):
         quotient = ideal_quotient(J, f, budget)
         if any(g.constant_term() for g in quotient.generators):
-            return PolarCurve(quotient, 0, 0, 0)
+            return PolarCurve(quotient, 0, 0)
         sb = standard_basis(quotient, budget=budget)
         if sb.staircase == staircase:
+            if meet(J, f) is not None and meet(J, z0) != e:
+                raise GenericityError(
+                    f"the slice form is tangent to the polar curve: colength(polar + (z0)) "
+                    f"= {meet(J, z0)} exceeds its multiplicity {e}")
             break
         J, staircase = quotient, sb.staircase
         e = multiplicity(sb, budget)
@@ -144,12 +155,23 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
             break
     else:
         raise ResourceLimitError(f"polar curve did not stabilize in {SATURATION_ROUNDS} rounds")
-    return PolarCurve(J, meet(J, z0), meet(J, f), meet(J, f.partial(0)))
+    return PolarCurve(J, meet(J, z0), meet(J, f))
 
 
 def lambda0(polar: PolarCurve) -> int:
-    """The 0-dimensional Le number: polar curve against the slice-direction partial."""
-    return _finite(polar.partial0_colength, "lambda0 is infinite: the slice form is not generic")
+    """The 0-dimensional Le number (Γ . V(∂f/∂z0)), read off the curve as
+    omega - (Γ . V(z0)) by Teissier's lemma.
+
+    On a branch of Γ parametrized by t, ∂f/∂z_i vanishes for i >= 1, so
+    d(f)/dt = ∂f/∂z0 · d(z0)/dt and ord f = ord ∂f/∂z0 + ord z0.  Γ is
+    Cohen-Macaulay, so colength(Γ + (h)) = e(h; O/Γ) is the sum of ord h over
+    the branches, each counted with its length in O/Γ; summing the branch
+    identity gives (Γ . V(f)) = (Γ . V(∂f/∂z0)) + (Γ . V(z0)) (Teissier,
+    Variétés polaires I, 1977; Massey, LNM 1615).  When ∂f/∂z0 or z0
+    vanishes on a branch, so does d(f)/dt, and f is constant there: omega is
+    then infinite, and so this raises omega's verdict.
+    """
+    return _finite(polar.f_colength, _OMEGA_INFINITE) - polar.slice_colength
 
 
 def omega_law_holds(omega_value: int, lambda0_value: int) -> bool:
@@ -163,7 +185,7 @@ def omega(polar: PolarCurve, lambda0_value: int) -> int:
     Validates omega >= lambda0 with equality only when both vanish; a
     violation indicates a bug rather than bad input.
     """
-    value = _finite(polar.f_colength, "omega is infinite: the slice form is not generic")
+    value = _finite(polar.f_colength, _OMEGA_INFINITE)
     if not omega_law_holds(value, lambda0_value):
         raise InvariantViolationError(
             f"omega={value}, lambda0={lambda0_value}: the inequality omega >= lambda0 "
@@ -179,9 +201,11 @@ def lambda1(polar: PolarCurve, mu0_value: int) -> int:
     Milnor numbers along the critical locus, weighted by slice intersection.
     The first colength is mu0, since (d_1 f, ..., d_n f, z0) is
     (z0) + Jac(f|V(z0)), so the caller passes in the mu0 it already has.
+    The second is infinite only when z0 vanishes on a branch of the curve,
+    and then omega is infinite too (see ``lambda0``), so this raises omega's
+    verdict.
     """
-    return mu0_value - _finite(polar.slice_colength,
-                               "polar curve meets the slice in positive dimension")
+    return mu0_value - _finite(polar.slice_colength, _OMEGA_INFINITE)
 
 
 @dataclass(frozen=True)

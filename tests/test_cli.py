@@ -219,6 +219,24 @@ def test_homchar_of_a_degree_with_small_prime_factors(capsys, d):
 
 # the product of the first 30 primes factors at once and has 2^30 divisors
 PRIMORIAL_30 = prod(p for p in range(2, 114) if all(p % q for q in range(2, p)))
+# the products of the first 16 and 17 primes have 2^16 and 2^17 divisors
+PRIMORIAL_16 = prod(p for p in range(2, 54) if all(p % q for q in range(2, p)))
+PRIMORIAL_17 = PRIMORIAL_16 * 59
+
+
+def test_homchar_lists_at_most_2_to_the_16_divisors(capsys):
+    # every divisor is listed, factored and printed, so the cap bounds the time
+    with alarm_after(1):
+        code, out, err = run(capsys, "cyclo", "homchar", "2", str(PRIMORIAL_17))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"resource limit: {PRIMORIAL_17} has 131072 divisors, "
+                          "over the cap of 65536")
+    with alarm_after(10):
+        code, out, _ = run(capsys, "cyclo", "--format", "json", "homchar", "2", str(PRIMORIAL_16))
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["degree"], summary["trace"]) == ((PRIMORIAL_16 - 1) ** 2, 1)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -228,11 +246,11 @@ PRIMORIAL_30 = prod(p for p in range(2, 114) if all(p % q for q in range(2, p)))
     (["constraints", "--input", json.dumps({"n": 2, "mu0": 100000, "components": [
         {"k": 100000, "mu": 1, "tau": [[1]]}]})],
      "a block-cycle matrix of size 100000 has 10000000000 entries"),
-    (["cyclo", "unity", str(PRIMORIAL_30)], "has 1073741824 divisors, over the cap of 1000000"),
+    (["cyclo", "unity", str(PRIMORIAL_30)], "has 1073741824 divisors, over the cap of 65536"),
     (["cyclo", "homchar", "2", str(PRIMORIAL_30)],
-     "has 1073741824 divisors, over the cap of 1000000"),
+     "has 1073741824 divisors, over the cap of 65536"),
     (["constraints", "--input", json.dumps({"n": 2, "mu0": 4, "d0": PRIMORIAL_30})],
-     "has 1073741824 divisors, over the cap of 1000000"),
+     "has 1073741824 divisors, over the cap of 65536"),
 ], ids=["homchar", "constraints-d0", "constraints-block-cycle",
         "unity-primorial", "homchar-primorial", "constraints-d0-primorial"])
 def test_sizes_past_the_monomial_cap_exit_3(capsys, argv, message):

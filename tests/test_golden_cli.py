@@ -2,13 +2,14 @@
 
 The jobs cover paths the other CLI tests do not pin down: an arrangement with
 triple and quadruple lines and an explicit rational ``z0``, a constraints job
-whose components carry ``d``, ``charH``, ``tau`` and ``fixedRank``, and two
+whose components carry ``d``, ``charH``, ``tau`` and ``fixedRank``, and three
 ``analyze`` jobs that end in a genericity failure (exit code 2): one with an
-explicit ``z0`` on which mu0 is infinite, and one where every searched slice
-form is rejected and the last is reported.  The ``cyclo`` jobs pin the
-expanded polynomials: Phi_1, Phi_105 (the first cyclotomic polynomial with a
-coefficient -2) and Phi_2310, t^12 - 1 and t^30 - 1 with their factors, the
-homogeneous characteristic polynomial for n = 2, d = 3, and one gcd.
+explicit ``z0`` on which mu0 is infinite, one with an explicit ``z0`` tangent
+to the polar curve, and one where every searched slice form is rejected and
+the last is reported.  The ``cyclo`` jobs pin the expanded polynomials:
+Phi_1, Phi_105 (the first cyclotomic polynomial with a coefficient -2) and
+Phi_2310, t^12 - 1 and t^30 - 1 with their factors, the homogeneous
+characteristic polynomial for n = 2, d = 3, and one gcd.
 
 Running this module as a script rewrites the recorded outputs under
 ``tests/data/``; do that only when an output change is intended.
@@ -69,6 +70,11 @@ JOBS = {
         "polynomial": "x^2 - y^2*z",
         "variables": ["x", "y", "z"],
         "z0": [-1, -1, 0],
+    }, 2),
+    "analyze_tangent_z0": input_job("analyze", {
+        "polynomial": "x^2 - y^2*z",
+        "variables": ["x", "y", "z"],
+        "z0": [1, 0, 1],
     }, 2),
     "analyze_no_generic_form": input_job("analyze", {
         "polynomial": "x^2",

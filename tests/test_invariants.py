@@ -37,6 +37,14 @@ def setup_from(text, names=ZXY):
     return SliceSetup(parse_poly(text, names))
 
 
+def _curve_numbers(gamma, f):
+    """colength(Γ + (h)) for h = z0, f and df/dz0, computed here: the pipeline
+    reads lambda0 off the first two, so comparing the third with its lambda0
+    checks it independently."""
+    return [colength(ideal_sum(gamma, ideal([h])))
+            for h in (MultiPoly.variable(0, f.nvars), f, f.partial(0))]
+
+
 def test_slice_setup_validation():
     with pytest.raises(InputError, match="vanish"):
         SliceSetup(parse_poly("x^2 + 1", ZXY))
@@ -237,10 +245,7 @@ def test_omega_dominates_lambda0_across_corpus():
 
 def test_polar_curve_chain_rule_identity():
     # along each polar branch, ord(f) = ord(df/dz0) + ord(z0), so
-    # omega = lambda0 + (polar . V(z0)) whenever everything is finite
-    from lenumbers import colength
-    from lenumbers.localring import ideal_sum
-
+    # omega = (polar . V(df/dz0)) + (polar . V(z0)) whenever everything is finite
     corpus = [
         ("x^2 + y^2", ["z", "x", "y"], [1, 0, 0]),
         ("z^2 + x^2 + y^2", ["z", "x", "y"], [1, 0, 0]),
@@ -252,10 +257,10 @@ def test_polar_curve_chain_rule_identity():
         result = analyze_poly(parse_poly(text, names), z0=z0, names=names)
         inv = result.invariants
         assert inv.genericity_ok
-        slice_meets_polar = colength(
-            ideal_sum(result.polar.ideal, ideal([MultiPoly.variable(0, 3)])))
-        assert slice_meets_polar is not None
-        assert inv.omega == inv.lambda0 + slice_meets_polar
+        slice_meets, f_meets, partial_meets = _curve_numbers(result.polar.ideal, result.setup.f)
+        assert None not in (slice_meets, partial_meets)
+        assert inv.lambda0 == partial_meets
+        assert inv.omega == f_meets == partial_meets + slice_meets
 
 
 def test_whitney_umbrella():
@@ -295,7 +300,8 @@ def test_teissier_lemma_oracle():
     # Teissier's lemma along the polar curve: (G . V(f)) = (G . V(df/dz0)) +
     # (G . V(z0)), and (G . V(z0)) = mu0 - lambda1, since the non-slice
     # Jacobian scheme cut by V(z0) has colength mu0.  So omega = lambda0 +
-    # (mu0 - lambda1), tying lambda1 to three independently computed numbers.
+    # (mu0 - lambda1).  The pipeline reads lambda0 off omega by this lemma,
+    # so (G . V(df/dz0)) is computed here, and the law ties it to the rest.
     corpus = [
         "x^2 - y^2*z",
         "x*y*z",
@@ -310,8 +316,11 @@ def test_teissier_lemma_oracle():
     ]
     for text in corpus:
         for seed in range(4):
-            inv = analyze_poly(parse_poly(text, ["x", "y", "z"]), seed=seed).invariants
+            result = analyze_poly(parse_poly(text, ["x", "y", "z"]), seed=seed)
+            inv = result.invariants
             assert inv.genericity_ok, (text, seed)
+            numbers = _curve_numbers(result.polar.ideal, result.setup.f)
+            assert numbers == [inv.mu0 - inv.lambda1, inv.omega, inv.lambda0], (text, seed)
             assert inv.omega == inv.lambda0 + (inv.mu0 - inv.lambda1), (text, seed)
 
 
@@ -365,6 +374,40 @@ def test_le_iomdine_on_the_pipelines_own_slice(text):
         assert colength(jacobian) == inv.lambda0 + (N - 1) * inv.lambda1, N
 
 
+# random germs drawn with random.Random(1) (2-3 terms, coefficients in
+# {-1, 1, 2, 3}, exponents 0-4, total degree at least 2) on which the slice
+# search finds a generic form, with their (mu0, lambda0, lambda1, omega); the
+# last germ's first form, (1, 0, 0), is tangent to its polar curve
+RANDOM_GERMS = [
+    ("x^3*z^3 + 3*x*y^2", (7, 5, 6, 6)),
+    ("3*x^4*z + 2*y*z^4", (16, 12, 13, 15)),
+    ("2*y^4*z + x*y*z^2", (11, 8, 9, 10)),
+    ("-y*z^3 + x^2*y", (5, 3, 4, 4)),
+    ("x*y^2*z - y*z^3", (9, 6, 7, 8)),
+    ("3*x^3*y^2*z^2 - x^3*y^2 + 2*z^3", (8, 8, 6, 10)),
+    ("-x^3*z + y^2*z^2 + 3*z^4", (9, 12, 5, 16)),
+    ("2*x*y^2*z^2 + 3*y*z^4 + 3*x*y*z", (4, 2, 3, 3)),
+    ("3*x*y^2 + x*z^2 + 3*y^3", (4, 6, 1, 9)),
+    ("3*x^4*y^4 + 3*y^4*z + x*z", (1, 19, 0, 20)),
+    ("2*x*y^4 + 3*z^2 - y^3*z", (4, 4, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("text,expected", RANDOM_GERMS)
+def test_le_iomdine_on_random_germs(text, expected):
+    # Le-Iomdine: mu(f + w^N) = lambda0 + (N - 1) * lambda1 for N above every
+    # polar ratio; a polar ratio is at most omega, so N = omega + 1 serves
+    result = analyze_poly(parse_poly(text, ["x", "y", "z"]))
+    inv = result.invariants
+    assert inv.genericity_ok
+    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == expected
+    g = result.setup.f
+    N = inv.omega + 1
+    F = g + MultiPoly.variable(0, g.nvars) ** N
+    assert colength(ideal([F.partial(i) for i in range(F.nvars)])) == (
+        inv.lambda0 + (N - 1) * inv.lambda1)
+
+
 def test_analyze_poly_draws_on_one_default_budget(monkeypatch):
     built = []
     post_init = Budget.__post_init__
@@ -379,7 +422,8 @@ def test_analyze_poly_draws_on_one_default_budget(monkeypatch):
 
 
 # a d-plane arrangement below takes the first d of these normals
-PLANES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2), (2, 1, -1))
+PLANES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2), (2, 1, -1),
+          (1, 3, -2))
 XYZ = ["x", "y", "z"]
 
 
@@ -416,7 +460,11 @@ def _check_certified(setup, polar, calls):
     # one colon step and no saturation round, yet saturate's ideal
     assert len(calls["ideal_quotient"]) == 1 and calls["saturate"] == []
     assert not ideals_equal(polar.ideal, ideal([MultiPoly.constant(1, setup.f.nvars)]))
-    assert ideals_equal(polar.ideal, saturate(_nonslice_jacobian(setup), setup.f))
+    gamma = saturate(_nonslice_jacobian(setup), setup.f)
+    assert ideals_equal(polar.ideal, gamma)
+    # the curve's two numbers are saturate's, and lambda0 is its third
+    assert _curve_numbers(gamma, setup.f) == [polar.slice_colength, polar.f_colength,
+                                              lambda0(polar)]
 
 
 def _stage_by_stage(setup):
@@ -444,31 +492,30 @@ def test_polar_curve_of_golden_germs_is_certified(colon_calls, text, seed):
     assert _stage_by_stage(result.setup) == (inv.mu0, inv.lambda0, inv.lambda1, inv.omega)
 
 
-@pytest.mark.parametrize("text,expected", [
-    ("x^2 - y^2*z", (3, 2, 1, 4)),
-    ("x^2 + y^2*z + z^3*y", (3, 6, 0, 9)),
+@pytest.mark.parametrize("text,numbers,e", [
+    ("x^2 - y^2*z", [2, 4, 2], 1),
+    ("x^2 + y^2*z + z^3*y", [3, 9, 6], 2),
 ], ids=["umbrella", "cubic"])
-def test_tangent_slice_falls_back_to_saturation_from_the_colon(colon_calls, text, expected):
+def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
     # z0 = (1, 0, 1) meets the polar curve with more than its multiplicity,
     # so the certificate fails on J = (I : f); the second colon step (J : f)
-    # has J's staircase, which proves J saturated
+    # has J's staircase, which proves J saturated, and the form tangent
     result = analyze_poly(parse_poly(text, XYZ), z0=(1, 0, 1))
     inv = result.invariants
-    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == expected
-    assert inv.genericity_ok
+    assert not inv.genericity_ok and result.polar is None
+    assert (inv.lambda0, inv.lambda1, inv.omega) == (None, None, None)
+    assert inv.warnings[-1] == (f"the slice form is tangent to the polar curve: colength(polar "
+                                f"+ (z0)) = {numbers[0]} exceeds its multiplicity {e}")
     jacobian = _nonslice_jacobian(result.setup)
     J = ideal_quotient(jacobian, result.setup.f)
     assert colon_calls == {"ideal_quotient": [jacobian, J], "saturate": []}
-    assert result.polar.ideal == J
     gamma = saturate(jacobian, result.setup.f)
     assert ideals_equal(J, gamma)
-    # the curve's three numbers, colength(Γ + (h)) for h = z0, f and df/dz0,
-    # are those of the saturation
-    f = result.setup.f
-    numbers = [colength(ideal_sum(gamma, ideal([h])))
-               for h in (MultiPoly.variable(0, 3), f, f.partial(0))]
-    assert numbers == [result.polar.slice_colength, result.polar.f_colength,
-                       result.polar.partial0_colength]
+    assert multiplicity(standard_basis(gamma)) == e
+    # the curve meets V(z0), V(f) and V(df/dz0) finitely, and Teissier's lemma
+    # holds on it: the verdict is tangency alone
+    assert _curve_numbers(gamma, result.setup.f) == numbers
+    assert numbers[1] == numbers[0] + numbers[2]
 
 
 def test_infinite_omega_on_the_colon_falls_back(colon_calls):
@@ -484,15 +531,17 @@ def test_infinite_omega_on_the_colon_falls_back(colon_calls):
     polar = polar_ideal(setup)
     assert colon_calls == {"ideal_quotient": [jacobian, J], "saturate": []}
     # e(m; O/Γ) = colength(Γ + (z0)) = 3 and omega = 20 on Γ = (J : f)
-    assert polar == invariants.PolarCurve(ideal_quotient(J, setup.f), 3, 20, 17)
+    assert polar == invariants.PolarCurve(ideal_quotient(J, setup.f), 3, 20)
     assert multiplicity(standard_basis(polar.ideal)) == 3
+    assert _curve_numbers(polar.ideal, setup.f) == [3, 20, lambda0(polar)]
+    assert lambda0(polar) == 17
 
 
 def test_unit_colon_is_the_polar_curve_at_once(colon_calls):
     # f = x^2 + y^3 lies in (d_x f, d_y f) = (x, y^2), so (I : f) = (1)
     setup, _ = slice_with_form(parse_poly("x^2 + y^3", XYZ), (0, 0, 1))
     polar = polar_ideal(setup)
-    assert polar == invariants.PolarCurve(ideal([MultiPoly.constant(1, 3)]), 0, 0, 0)
+    assert polar == invariants.PolarCurve(ideal([MultiPoly.constant(1, 3)]), 0, 0)
     assert len(colon_calls["ideal_quotient"]) == 1 and colon_calls["saturate"] == []
 
 
@@ -519,7 +568,7 @@ def test_stage_functions_give_compute_alls_numbers_on_planes(d):
 EULER_CHARACTERISTICS = [
     ("x*y*z", 0), ("x*y*(x + y)", -3), ("x^2 + y^2", 0), ("y^2 - 4*x*z", 2),
     *zip((text for text, _ in CONES), (6, 3, 24, 8)),
-    ("4planes", 4), ("5planes", 15), ("6planes", 36), ("7planes", 70),
+    ("4planes", 4), ("5planes", 15), ("6planes", 36), ("7planes", 70), ("8planes", 120),
 ]
 
 

@@ -32,6 +32,7 @@ from lenumbers.localring import (
     _combine,
     _Packing,
     ideal_quotient,
+    ideal_sum,
     mora_divide,
     standard_basis,
 )
@@ -184,24 +185,30 @@ def test_ideal_quotient_with_huge_exponents(gens, g, expected):
 # the kernel's work on fixed jobs, charged to one Budget each
 # ---------------------------------------------------------------------------
 
+GENERIC = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2), (2, 1, -1),
+           (1, 3, -2))
+
 ARRANGEMENTS = [
     # normals, (mu0, lambda0, lambda1, omega), pairs_used, monomials_used
-    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (9, 9, 6, 12), 162, 1237),
-    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)), (16, 16, 12, 20), 207, 4190),
-    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)), (16, 20, 11, 25), 239, 4559),
-    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)), (16, 24, 10, 30), 464, 9816),
-    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2)),
-     (25, 50, 15, 60), 1113, 51092),
+    (GENERIC[:4], (9, 9, 6, 12), 134, 1113),
+    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)), (16, 16, 12, 20), 171, 3919),
+    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)), (16, 20, 11, 25), 194, 4271),
+    (GENERIC[:5], (16, 24, 10, 30), 359, 9165),
+    (GENERIC[:6], (25, 50, 15, 60), 837, 48923),
+    (GENERIC[:7], (36, 90, 21, 105), 1965, 205585),
+    (GENERIC[:8], (49, 147, 28, 168), 4305, 766695),
 ]
 
 
 @pytest.mark.parametrize("normals,le,pairs,monomials", ARRANGEMENTS,
-                         ids=["generic4", "two_triple5", "one_triple5", "generic5", "generic6"])
+                         ids=["generic4", "two_triple5", "one_triple5", "generic5", "generic6",
+                              "generic7", "generic8"])
 def test_arrangement_pipeline_work_is_pinned(normals, le, pairs, monomials):
     arr = CentralArrangement3(normals)
     setup, _ = slice_with_form(defining_polynomial(arr), pick_slice_form(arr))
     budget = Budget()
-    inv = compute_all(setup, budget)
+    with alarm_after(30):
+        inv = compute_all(setup, budget)
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == le
     assert (budget.pairs_used, budget.monomials_used) == (pairs, monomials)
 
@@ -264,11 +271,13 @@ def test_polarC_answers_on_the_default_budget(monkeypatch):
     inv = result.invariants
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (17, 17, 14, 20)
     assert len(steps) == 2
-    assert (budget.pairs_used, budget.monomials_used) == (337, 446645)
-    # Teissier: omega = lambda0 + (mu0 - lambda1)
+    assert (budget.pairs_used, budget.monomials_used) == (316, 442768)
+    # Teissier: omega = (Γ . V(dg/dw)) + (mu0 - lambda1), with the first
+    # number computed here, since the pipeline derives lambda0 from omega
+    g = result.setup.f
+    assert colength(ideal_sum(result.polar.ideal, ideal([g.partial(0)]))) == inv.lambda0
     assert inv.omega == inv.lambda0 + inv.mu0 - inv.lambda1
     # Le-Iomdine against the Macaulay oracle: mu(g + w^N) = lambda0 + (N - 1)*lambda1
-    g = result.setup.f
     for N, mu in ((8, 115), (10, 143)):
         F = g + MultiPoly.variable(0, 3) ** N
         assert macaulay_colength([F.partial(i) for i in range(3)], 3)[0] == mu
@@ -277,15 +286,16 @@ def test_polarC_answers_on_the_default_budget(monkeypatch):
 
 def test_two_round_polar_curve_work_is_pinned(monkeypatch):
     # the first form, (1, 0, 0), is tangent to the smooth polar curve: it meets
-    # it twice, above e(m; O/J) = 1, so the certificate fails on J = (I : f)
-    # and the second colon step, with J's staircase, proves J saturated.  The
-    # search keeps this form although forms such as (1, 1, -5) give the
-    # smaller (4, 4, 3, 5): these are the numbers of the tangent form.
+    # it twice, above e(m; O/J) = 1, so the certificate fails on J = (I : f),
+    # and the second colon step, with J's staircase, proves J saturated and
+    # the form tangent.  The search moves on: (0, 1, 0) and (0, 0, 1) give an
+    # infinite mu0, and (1, 1, 1) is certified in one step with the generic
+    # (4, 4, 3, 5) that forms such as (1, 1, -5) give too.
     steps = _colon_steps(monkeypatch)
     budget = Budget()
     result = analyze_poly(P("2*x*y^4 + 3*z^2 - y^3*z"), budget=budget)
     inv = result.invariants
-    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (5, 4, 3, 6)
-    assert result.setup.z0_coefficients == (1, 0, 0)
-    assert len(steps) == 2
-    assert (budget.pairs_used, budget.monomials_used) == (63, 212)
+    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (4, 4, 3, 5)
+    assert result.setup.z0_coefficients == (1, 1, 1)
+    assert len(steps) == 3
+    assert (budget.pairs_used, budget.monomials_used) == (113, 1936)
