@@ -629,6 +629,18 @@ def multiplicity(sb: StandardBasis, budget: Budget | None = None) -> int | None:
     return e
 
 
+def _intersect(lifted: list[MultiPoly], n: int, budget: Budget, contract) -> Ideal:
+    """contract(h) for the tag-free h of a standard basis of the lifted ideal of
+    O[t] under ``EliminationOrder(1)``, t dropped: these h generate its
+    intersection with O (Greuel–Pfister, §1.8)."""
+    sb = standard_basis(ideal(lifted, n + 1), EliminationOrder(1), budget)
+    gens = [contract(h.restrict_first_var()) for h in sb.basis if not any(m[0] for m in h.terms)]
+    # in the local ring a nonzero constant term makes a generator a unit
+    if any(q.constant_term() for q in gens):
+        return ideal([MultiPoly.constant(1, n)], n)
+    return ideal(gens, n)
+
+
 def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     """The colon ideal (I : g) in the local ring.
 
@@ -639,59 +651,36 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
     """
     if g.is_zero:
         raise InputError("quotient by the zero element")
-    if I.is_zero_ideal:
-        return I
     if g.nvars != I.nvars:
         raise InputError("element and ideal live in different rings")
+    if I.is_zero_ideal:
+        return I
     budget = budget if budget is not None else Budget()
-    n = I.nvars
-    tag = MultiPoly.variable(0, n + 1)
-    one = MultiPoly.constant(1, n + 1)
-    lifted = [tag * f.insert_var(0) for f in I.generators]
-    lifted.append((one - tag) * g.insert_var(0))
-    sb = standard_basis(ideal(lifted, n + 1), EliminationOrder(1), budget)
-    quotient_gens: list[MultiPoly] = []
-    local = LocalOrder()
-    for h in sb.basis:
-        if any(m[0] for m in h.terms):
-            continue
-        h_low = h.restrict_first_var()
-        r, _, quots = mora_divide(h_low, [g], local, budget)
+    tag, one = MultiPoly.variable(0, I.nvars + 1), MultiPoly.constant(1, I.nvars + 1)
+    lifted = [tag * f.insert_var(0) for f in I.generators] + [(one - tag) * g.insert_var(0)]
+
+    def divide(h: MultiPoly) -> MultiPoly:
+        r, _, quots = mora_divide(h, [g], LocalOrder(), budget)
         if not r.is_zero:
             raise InvariantViolationError("intersection element failed to divide by g")
-        quotient_gens.append(quots[0])
-    # in the local ring a nonzero constant term makes a generator a unit
-    if any(q.constant_term() for q in quotient_gens):
-        return ideal([MultiPoly.constant(1, n)], n)
-    return ideal(quotient_gens, n)
+        return quots[0]
 
-
-def _contains_all(I: Ideal, gens: Iterable[MultiPoly], budget: Budget) -> bool:
-    """Whether every element of gens lies in I, by membership in a standard basis of I."""
-    sb = standard_basis(I, budget=budget)
-    return all(sb.contains(g, budget) for g in gens)
-
-
-# colon steps before a saturation that has not stabilized gives up
-SATURATION_ROUNDS = 64
+    return _intersect(lifted, I.nvars, budget, divide)
 
 
 def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
-    """The saturation (I : g^infinity), by iterating the colon until stable.
+    """The saturation (I : g^infinity) = (I + (t·g − 1)) ∩ O, by Rabinowitsch's
+    trick in one elimination basis.
 
-    Stability is certified by standard-basis membership of every new
-    generator; the chain (I : g) ⊆ (I : g^2) ⊆ ... stabilizes because the
-    local ring is Noetherian.
+    If g^k·a lies in I, then a = (1 − (t·g)^k)·a + t^k·g^k·a lies in
+    I + (t·g − 1); conversely t = 1/g maps that ideal to zero in (O/I)_g.
+    The basis grows with I: ``polar_ideal`` says why it hands in a colon.
     """
     if g.is_zero:
         raise InputError("saturation by the zero element")
+    if g.nvars != I.nvars:
+        raise InputError("element and ideal live in different rings")
     budget = budget if budget is not None else Budget()
-    current = ideal(I.generators, I.nvars)
-    for _ in range(SATURATION_ROUNDS):
-        nxt = ideal_quotient(current, g, budget)
-        if _contains_all(current, nxt.generators, budget):
-            return current
-        current = nxt
-    raise ResourceLimitError(
-        f"saturation did not stabilize within {SATURATION_ROUNDS} rounds")
-
+    tag, one = MultiPoly.variable(0, I.nvars + 1), MultiPoly.constant(1, I.nvars + 1)
+    lifted = [f.insert_var(0) for f in I.generators] + [tag * g.insert_var(0) - one]
+    return _intersect(lifted, I.nvars, budget, lambda h: h)

@@ -24,11 +24,13 @@ from lenumbers import (
     slice_with_form,
     MultiPoly,
 )
-from lenumbers import invariants, localring
+from lenumbers import invariants
 from lenumbers.localring import (ideal_quotient, ideal_sum, multiplicity, saturate,
                                  standard_basis)
+from arrangement_pipeline import arrangement_pipeline
 from ideal_equality import ideals_equal
 from macaulay_oracle import macaulay_colength
+from saturation_oracle import colon_saturation
 
 ZXY = ["z", "x", "y"]
 
@@ -434,10 +436,7 @@ def _planes_setup(d):
 
 @pytest.fixture
 def colon_calls(monkeypatch):
-    """The ideals that the polar stage hands to ideal_quotient, and those that
-    anything hands to ``localring.saturate``, which the polar stage does not
-    import."""
-    assert not hasattr(invariants, "saturate")
+    """The ideals that the polar stage hands to ideal_quotient and to saturate."""
     calls = {"ideal_quotient": [], "saturate": []}
 
     def spy(name, fn):
@@ -447,7 +446,7 @@ def colon_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(invariants, "ideal_quotient", spy("ideal_quotient", ideal_quotient))
-    monkeypatch.setattr(localring, "saturate", spy("saturate", saturate))
+    monkeypatch.setattr(invariants, "saturate", spy("saturate", saturate))
     return calls
 
 
@@ -456,11 +455,16 @@ def _nonslice_jacobian(setup):
     return ideal([f.partial(i) for i in range(1, f.nvars)], f.nvars)
 
 
+def _saturated_polar(setup):
+    """(I : f^infinity) for the non-slice Jacobian I, as saturate((I : f), f)."""
+    return saturate(ideal_quotient(_nonslice_jacobian(setup), setup.f), setup.f)
+
+
 def _check_certified(setup, polar, calls):
-    # one colon step and no saturation round, yet saturate's ideal
+    # one colon step and no saturation, yet saturate's ideal
     assert len(calls["ideal_quotient"]) == 1 and calls["saturate"] == []
     assert not ideals_equal(polar.ideal, ideal([MultiPoly.constant(1, setup.f.nvars)]))
-    gamma = saturate(_nonslice_jacobian(setup), setup.f)
+    gamma = _saturated_polar(setup)
     assert ideals_equal(polar.ideal, gamma)
     # the curve's two numbers are saturate's, and lambda0 is its third
     assert _curve_numbers(gamma, setup.f) == [polar.slice_colength, polar.f_colength,
@@ -498,8 +502,8 @@ def test_polar_curve_of_golden_germs_is_certified(colon_calls, text, seed):
 ], ids=["umbrella", "cubic"])
 def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
     # z0 = (1, 0, 1) meets the polar curve with more than its multiplicity,
-    # so the certificate fails on J = (I : f); the second colon step (J : f)
-    # has J's staircase, which proves J saturated, and the form tangent
+    # so the certificate fails on J = (I : f); J is its own saturation, on
+    # which f is a nonzerodivisor, and that proves the form tangent
     result = analyze_poly(parse_poly(text, XYZ), z0=(1, 0, 1))
     inv = result.invariants
     assert not inv.genericity_ok and result.polar is None
@@ -508,8 +512,8 @@ def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
                                 f"+ (z0)) = {numbers[0]} exceeds its multiplicity {e}")
     jacobian = _nonslice_jacobian(result.setup)
     J = ideal_quotient(jacobian, result.setup.f)
-    assert colon_calls == {"ideal_quotient": [jacobian, J], "saturate": []}
-    gamma = saturate(jacobian, result.setup.f)
+    assert colon_calls == {"ideal_quotient": [jacobian], "saturate": [J]}
+    gamma = _saturated_polar(result.setup)
     assert ideals_equal(J, gamma)
     assert multiplicity(standard_basis(gamma)) == e
     # the curve meets V(z0), V(f) and V(df/dz0) finitely, and Teissier's lemma
@@ -521,7 +525,7 @@ def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
 def test_infinite_omega_on_the_colon_falls_back(colon_calls):
     # here J = (I : f) is a curve that z0 cuts in e(m; O/J) = 4 points, but
     # f vanishes on a component of J: omega is infinite, so J is not
-    # accepted and the loop takes (J : f), which the certificate accepts
+    # accepted and the curve is its saturation, which is (J : f)
     setup, _ = slice_with_form(parse_poly("y^4 - y^3*z^2 + 2*x*y*z^4", XYZ), (1, 1, -5))
     jacobian = _nonslice_jacobian(setup)
     J = ideal_quotient(jacobian, setup.f)
@@ -529,12 +533,29 @@ def test_infinite_omega_on_the_colon_falls_back(colon_calls):
     assert multiplicity(standard_basis(J)) == colength(ideal_sum(J, ideal([w]))) == 4
     assert colength(ideal_sum(J, ideal([setup.f]))) is None
     polar = polar_ideal(setup)
-    assert colon_calls == {"ideal_quotient": [jacobian, J], "saturate": []}
+    assert colon_calls == {"ideal_quotient": [jacobian], "saturate": [J]}
     # e(m; O/Γ) = colength(Γ + (z0)) = 3 and omega = 20 on Γ = (J : f)
-    assert polar == invariants.PolarCurve(ideal_quotient(J, setup.f), 3, 20)
+    assert ideals_equal(polar.ideal, ideal_quotient(J, setup.f))
+    assert (polar.slice_colength, polar.f_colength) == (3, 20)
     assert multiplicity(standard_basis(polar.ideal)) == 3
     assert _curve_numbers(polar.ideal, setup.f) == [3, 20, lambda0(polar)]
     assert lambda0(polar) == 17
+
+
+@pytest.mark.parametrize("text,z0", [
+    ("y^4 - y^3*z^2 + 2*x*y*z^4", (1, 1, -5)),
+    ("2*x*y^4 + 3*z^2 - y^3*z", (1, 0, 0)),
+    ("x^2 - y^2*z", (1, 0, 1)),
+    ("x^2 + y^2*z + z^3*y", (1, 0, 1)),
+], ids=["polarC", "two_round", "umbrella", "cubic"])
+def test_fallback_saturation_matches_the_colon_chain(text, z0):
+    # the forms whose certificate fails on (I : f): the polar stage's
+    # saturation, one elimination basis, against colon steps from I, and
+    # f is a nonzerodivisor on the curve
+    setup, _ = slice_with_form(parse_poly(text, XYZ), z0)
+    gamma = _saturated_polar(setup)
+    assert ideals_equal(gamma, colon_saturation(_nonslice_jacobian(setup), setup.f))
+    assert ideals_equal(ideal_quotient(gamma, setup.f), gamma)
 
 
 def test_unit_colon_is_the_polar_curve_at_once(colon_calls):
@@ -558,10 +579,9 @@ def test_unit_colon_leaves_one_colength_to_mu0(monkeypatch):
 
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_stage_functions_give_compute_alls_numbers_on_planes(d):
-    setup = _planes_setup(d)
-    inv = compute_all(setup)
+    inv = arrangement_pipeline(PLANES[:d])[0]
     assert inv.genericity_ok
-    assert _stage_by_stage(setup) == (inv.mu0, inv.lambda0, inv.lambda1, inv.omega)
+    assert _stage_by_stage(_planes_setup(d)) == (inv.mu0, inv.lambda0, inv.lambda1, inv.omega)
 
 
 # homogeneous germs with chi(F) = 1 + lambda0 - lambda1 of their Milnor fiber
@@ -578,7 +598,7 @@ def test_degree_divides_the_euler_characteristic_of_a_cone(text, chi):
     # x -> e^(2 pi i/d) x acts freely on the Milnor fiber F, so d | chi(F)
     if text.endswith("planes"):
         d = int(text.removesuffix("planes"))
-        inv = compute_all(_planes_setup(d))
+        inv = arrangement_pipeline(PLANES[:d])[0]
     else:
         f = parse_poly(text, XYZ)
         d = f.total_degree()

@@ -12,18 +12,14 @@ from hypothesis import strategies as st
 
 from lenumbers import (
     Budget,
-    CentralArrangement3,
     InputError,
     MultiPoly,
     ResourceLimitError,
     analyze_poly,
     colength,
-    compute_all,
-    defining_polynomial,
     ideal,
     invariants,
     parse_poly,
-    pick_slice_form,
     slice_with_form,
 )
 from lenumbers.localring import (
@@ -34,9 +30,11 @@ from lenumbers.localring import (
     ideal_quotient,
     ideal_sum,
     mora_divide,
+    saturate,
     standard_basis,
 )
 from lenumbers.polynomials import mono_deg, mono_divides, mono_mul
+from arrangement_pipeline import arrangement_pipeline
 from macaulay_oracle import macaulay_colength
 from test_cyclo import alarm_after
 
@@ -204,13 +202,9 @@ ARRANGEMENTS = [
                          ids=["generic4", "two_triple5", "one_triple5", "generic5", "generic6",
                               "generic7", "generic8"])
 def test_arrangement_pipeline_work_is_pinned(normals, le, pairs, monomials):
-    arr = CentralArrangement3(normals)
-    setup, _ = slice_with_form(defining_polynomial(arr), pick_slice_form(arr))
-    budget = Budget()
-    with alarm_after(30):
-        inv = compute_all(setup, budget)
+    inv, pairs_used, monomials_used = arrangement_pipeline(normals)
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == le
-    assert (budget.pairs_used, budget.monomials_used) == (pairs, monomials)
+    assert (pairs_used, monomials_used) == (pairs, monomials)
 
 
 @pytest.mark.parametrize("text,mu,pairs,monomials", [
@@ -249,29 +243,32 @@ def test_runaways_exit_on_the_default_budget(text, z0, pairs, monomials):
                                  f"(pairs_used={pairs}, monomials_used={monomials})")
 
 
-def _colon_steps(monkeypatch):
-    """The ideals the polar stage hands to ideal_quotient, as it goes."""
-    handed = []
+def _polar_steps(monkeypatch):
+    """The ideals the polar stage hands to ideal_quotient and to saturate, as it goes."""
+    handed = {"ideal_quotient": [], "saturate": []}
 
-    def spy(I, g, budget=None):
-        handed.append(I)
-        return ideal_quotient(I, g, budget)
+    def spy(name, fn):
+        def wrapper(I, g, budget=None):
+            handed[name].append(I)
+            return fn(I, g, budget)
+        return wrapper
 
-    monkeypatch.setattr(invariants, "ideal_quotient", spy)
+    monkeypatch.setattr(invariants, "ideal_quotient", spy("ideal_quotient", ideal_quotient))
+    monkeypatch.setattr(invariants, "saturate", spy("saturate", saturate))
     return handed
 
 
 def test_polarC_answers_on_the_default_budget(monkeypatch):
-    # (I : f) has infinite omega, and the certificate accepts its colon
-    # (J : f): e(m; O/Γ) = colength(Γ + (z0)) = 3 and omega = 20
-    steps = _colon_steps(monkeypatch)
+    # (I : f) has infinite omega, so the curve is its saturation:
+    # e(m; O/Γ) = colength(Γ + (z0)) = 3 and omega = 20
+    steps = _polar_steps(monkeypatch)
     budget = Budget()
     with alarm_after(20):
         result = analyze_poly(P("y^4 - y^3*z^2 + 2*x*y*z^4"), z0=(1, 1, -5), budget=budget)
     inv = result.invariants
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (17, 17, 14, 20)
-    assert len(steps) == 2
-    assert (budget.pairs_used, budget.monomials_used) == (316, 442768)
+    assert [len(steps["ideal_quotient"]), len(steps["saturate"])] == [1, 1]
+    assert (budget.pairs_used, budget.monomials_used) == (324, 182458)
     # Teissier: omega = (Γ . V(dg/dw)) + (mu0 - lambda1), with the first
     # number computed here, since the pipeline derives lambda0 from omega
     g = result.setup.f
@@ -287,15 +284,15 @@ def test_polarC_answers_on_the_default_budget(monkeypatch):
 def test_two_round_polar_curve_work_is_pinned(monkeypatch):
     # the first form, (1, 0, 0), is tangent to the smooth polar curve: it meets
     # it twice, above e(m; O/J) = 1, so the certificate fails on J = (I : f),
-    # and the second colon step, with J's staircase, proves J saturated and
-    # the form tangent.  The search moves on: (0, 1, 0) and (0, 0, 1) give an
-    # infinite mu0, and (1, 1, 1) is certified in one step with the generic
-    # (4, 4, 3, 5) that forms such as (1, 1, -5) give too.
-    steps = _colon_steps(monkeypatch)
+    # and its saturation, which is J, proves the form tangent.  The search
+    # moves on: (0, 1, 0) and (0, 0, 1) give an infinite mu0, and (1, 1, 1) is
+    # certified in one step with the generic (4, 4, 3, 5) that forms such as
+    # (1, 1, -5) give too.
+    steps = _polar_steps(monkeypatch)
     budget = Budget()
     result = analyze_poly(P("2*x*y^4 + 3*z^2 - y^3*z"), budget=budget)
     inv = result.invariants
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (4, 4, 3, 5)
     assert result.setup.z0_coefficients == (1, 1, 1)
-    assert len(steps) == 3
-    assert (budget.pairs_used, budget.monomials_used) == (113, 1936)
+    assert [len(steps["ideal_quotient"]), len(steps["saturate"])] == [2, 1]
+    assert (budget.pairs_used, budget.monomials_used) == (104, 1890)

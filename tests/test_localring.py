@@ -32,6 +32,7 @@ from lenumbers.localring import (
 )
 from lenumbers.polynomials import mono_deg, mono_divides
 from ideal_equality import ideals_equal
+from saturation_oracle import colon_saturation
 from staircase_oracle import staircase_oracle
 
 XY = ["x", "y"]
@@ -454,10 +455,19 @@ def test_saturate_and_quotient_of_the_zero_ideal_are_zero():
         assert ideal_quotient(zero, g).is_zero_ideal
 
 
-def test_saturate_idempotent_random():
+@pytest.mark.parametrize("operation", [ideal_quotient, saturate])
+def test_quotient_and_saturate_check_the_ring_first(operation):
+    # the zero ideal of the wrong ring is an error, not the zero ideal
+    for I in (ideal([], 2), ideal([P("x")])):
+        with pytest.raises(InputError, match="different rings"):
+            operation(I, MultiPoly.variable(0, 3))
+
+
+def _random_saturations():
+    """50 pairs (I, g) of random ideals and elements in 2 or 3 variables."""
     rng = random.Random(47)
-    done = 0
-    while done < 50:
+    pairs = []
+    while len(pairs) < 50:
         nvars = rng.randint(2, 3)
 
         def rand_poly():
@@ -471,12 +481,21 @@ def test_saturate_idempotent_random():
 
         gens = [g for g in (rand_poly(), rand_poly()) if not g.is_zero]
         g = rand_poly()
-        if not gens or g.is_zero:
-            continue
-        first = saturate(ideal(gens, nvars), g)
-        second = saturate(first, g)
-        assert ideals_equal(first, second)
-        done += 1
+        if gens and not g.is_zero:
+            pairs.append((ideal(gens, nvars), g))
+    return pairs
+
+
+def test_saturate_idempotent_random():
+    for I, g in _random_saturations():
+        first = saturate(I, g)
+        assert ideals_equal(first, saturate(first, g))
+
+
+def test_saturate_matches_the_colon_chain_random():
+    # one elimination basis against colon steps until they add nothing
+    for I, g in _random_saturations():
+        assert ideals_equal(saturate(I, g), colon_saturation(I, g))
 
 
 def test_ideal_sum_examples():
