@@ -20,7 +20,6 @@ from .intlinalg import (
     fixed_space_rank,
     mat_pow,
 )
-from .invariants import omega_law_holds
 from .polynomials import integer
 
 VERDICT_NON_SPLITTING = "NON_SPLITTING"
@@ -160,7 +159,7 @@ class SingularSetup:
                 rank = derived
             ranks.append(rank)
         if self.lambda0 is not None and self.omega is not None:
-            if not omega_law_holds(self.omega, self.lambda0):
+            if not (self.omega > self.lambda0 or self.omega == self.lambda0 == 0):
                 raise InputError(
                     "omega >= lambda0 with equality only at zero fails for the "
                     "supplied lambda0/omega")

@@ -5,28 +5,22 @@ coordinate), this module computes the Milnor number of the sliced function,
 the relative polar curve, the Le numbers lambda^0 and lambda^1, and the polar
 intersection number omega, together with the checkable genericity verdicts.
 
-Intersection numbers are realized as colengths of ideal sums.  Length equals
-intersection multiplicity for the Cohen-Macaulay curve ideals produced by
-saturation here; reports carry a warning naming that identification.
+Intersection numbers are realized as colengths of ideal sums.  On a
+Cohen-Macaulay curve and a parameter h, length equals intersection
+multiplicity, and every curve the pipeline accepts is Cohen-Macaulay:
 
-The polar curve is (I : f^infinity) for I the non-slice partials.  One colon
-step J = (I : f) is taken, and J is accepted when this certificate holds for
-A = O/J:
-
-* A is one-dimensional, and colength(J + (z0)) = e(m; A).  For the
-  parameter z0, length(A/z0 A) = e(z0; A) + length(0 :_A z0) and
-  e(z0; A) >= e(m; A), so length(0 :_A z0) = 0: z0 is a nonzerodivisor and
-  A is Cohen-Macaulay (Matsumura, Commutative Ring Theory, section 14).
-* omega = colength(J + (f)) is finite.  Then f is a parameter of the
-  Cohen-Macaulay ring A, so it lies in no associated prime and is a
-  nonzerodivisor (section 17); hence (J : f) = J = (I : f^infinity).
-
-e(m; A) is read from the staircase of J's local standard basis
-(``localring.multiplicity``).  A unit J is the curve at once.  Otherwise the
-curve is ``localring.saturate(J, f)``, one elimination basis by Rabinowitsch's
-trick.  f is a nonzerodivisor on a saturated A, so when omega is finite A is
-Cohen-Macaulay again, and colength(J + (z0)) > e(m; A) means z0 is tangent to
-the curve: a genericity verdict, not a certificate.
+* When mu0 = colength(I + (z0)) is finite, the n non-slice partials
+  I = (d_1 f, ..., d_n f) cut out a curve in C^{n+1}, a complete
+  intersection, so O/I is Cohen-Macaulay.  Multiplication by f embeds
+  O/(I : f) in O/I, so O/J is zero or Cohen-Macaulay of dimension 1 for
+  J = (I : f), and for its saturation by f (Matsumura, Commutative Ring
+  Theory, sections 14 and 17).
+* A finite omega = colength(J + (f)) makes f a parameter, hence a
+  nonzerodivisor, of O/J: J = (I : f^infinity) after one colon step.
+* colength(J + (z0)) = e(z0; O/J) >= e(m; O/J), with equality iff z0 is
+  transverse to the curve; a larger colength is a genericity verdict.
+  Equality alone makes z0 a nonzerodivisor, so O/J is Cohen-Macaulay even
+  for a direct caller whose mu0 is infinite.
 
 The curve carries two intersection numbers, with z0 and with f; lambda0, the
 third, follows from them by Teissier's lemma (see ``lambda0``).
@@ -37,23 +31,18 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain, count, islice
 from typing import Sequence
 
-from .errors import GenericityError, InputError, InvariantViolationError, ResourceLimitError
+from .errors import GenericityError, InputError, ResourceLimitError
 from .localring import (Budget, Ideal, colength, ideal, ideal_quotient, ideal_sum,
                         multiplicity, saturate, standard_basis)
 from .polynomials import MultiPoly, integer, rational, variable_index
 
-LENGTH_IDENTIFICATION_WARNING = (
-    "intersection numbers are computed as colengths; this identifies length "
-    "with intersection multiplicity along the polar curve"
-)
-
 GENERICITY_SCOPE_WARNING = (
-    "genericity of the slice form is checked only through finiteness of mu0, "
-    "lambda0, omega and lambda1; full genericity is not certified"
+    "genericity of the slice form is checked only through finiteness of mu0 "
+    "and omega and transversality to the polar curve; transversality to the "
+    "critical locus is not certified"
 )
 
 # moment-curve forms analyze_poly tries after the coordinate forms
@@ -122,40 +111,38 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
     """The relative polar curve: the non-slice partials saturated by f.
 
     The critical locus lies inside V(f), so saturating by f itself removes
-    exactly the critical components and keeps every polar component.  One
-    colon step J = (I : f) is taken; J is the curve when it is the unit
-    ideal or the certificate of the module docstring holds, and otherwise
-    the curve is ``saturate(J, f)``, since (I : f^infinity) =
-    ((I : f) : f^infinity).  J, not I, is handed in because the elimination
-    basis grows with its input: from I it took 1.4 s on 6 planes and more
-    than 60 s on 7, from J 0.01–0.02 s and 0.04–0.07 s (single runs on one
-    core of a shared VM).  The curve carries the colengths that lambda0,
-    omega and lambda1 read, each computed once.  A slice form tangent to the
-    saturated curve raises ``GenericityError``.
+    exactly the critical components and keeps every polar component.  The
+    form is expected to have a finite mu0, so that the checks of the module
+    docstring apply: J = (I : f) is the curve when it is the unit ideal or
+    omega(J) is finite, and otherwise the curve is ``saturate(J, f)``, since
+    (I : f^infinity) = ((I : f) : f^infinity).  J, not I, is handed in
+    because the elimination basis grows with its input: from I it took 1.4 s
+    on 6 planes and more than 60 s on 7, from J 0.01–0.02 s and 0.04–0.07 s
+    (single runs on one core of a shared VM).  A finite omega is then checked
+    against the multiplicity once: a slice form tangent to the curve raises
+    ``GenericityError``, with any mu0.  The curve carries the colengths that
+    lambda0, omega and lambda1 read.
     """
     f, n = setup.f, setup.f.nvars
     budget = budget if budget is not None else Budget()
-    z0, unit = MultiPoly.variable(0, n), ideal([MultiPoly.constant(1, n)], n)
-
-    @cache
-    def meet(J: Ideal, h: MultiPoly) -> int | None:
-        return colength(ideal_sum(J, ideal([h], n)), budget)
-
+    unit = ideal([MultiPoly.constant(1, n)], n)
     J = ideal_quotient(ideal([f.partial(i) for i in range(1, n)], n), f, budget)
     if J == unit:
         return PolarCurve(J, 0, 0)
-    e = multiplicity(standard_basis(J, budget=budget), budget)
-    if e is None or meet(J, z0) != e or meet(J, f) is None:
+    f_colength = colength(ideal_sum(J, ideal([f], n)), budget)
+    if f_colength is None:
         J = saturate(J, f, budget)
         if J == unit:
             return PolarCurve(J, 0, 0)
-        if meet(J, f) is not None:
-            e = multiplicity(standard_basis(J, budget=budget), budget)
-            if meet(J, z0) != e:
-                raise GenericityError(
-                    f"the slice form is tangent to the polar curve: colength(polar + (z0)) "
-                    f"= {meet(J, z0)} exceeds its multiplicity {e}")
-    return PolarCurve(J, meet(J, z0), meet(J, f))
+        f_colength = colength(ideal_sum(J, ideal([f], n)), budget)
+    slice_colength = colength(ideal_sum(J, ideal([MultiPoly.variable(0, n)], n)), budget)
+    if f_colength is not None:
+        e = multiplicity(standard_basis(J, budget=budget), budget)
+        if slice_colength != e:
+            raise GenericityError(
+                f"the slice form is tangent to the polar curve: colength(polar + (z0)) "
+                f"= {slice_colength} exceeds its multiplicity {e}")
+    return PolarCurve(J, slice_colength, f_colength)
 
 
 def lambda0(polar: PolarCurve) -> int:
@@ -174,23 +161,13 @@ def lambda0(polar: PolarCurve) -> int:
     return _finite(polar.f_colength, _OMEGA_INFINITE) - polar.slice_colength
 
 
-def omega_law_holds(omega_value: int, lambda0_value: int) -> bool:
-    """omega >= lambda0, with equality only when both are zero."""
-    return omega_value > lambda0_value or omega_value == lambda0_value == 0
-
-
-def omega(polar: PolarCurve, lambda0_value: int) -> int:
+def omega(polar: PolarCurve) -> int:
     """The polar intersection number with V(f) itself.
 
-    Validates omega >= lambda0 with equality only when both vanish; a
-    violation indicates a bug rather than bad input.
+    omega >= lambda0 needs no check: by Teissier's lemma omega - lambda0 =
+    colength(Γ + (z0)), which is at least 1 unless Γ is the unit ideal.
     """
-    value = _finite(polar.f_colength, _OMEGA_INFINITE)
-    if not omega_law_holds(value, lambda0_value):
-        raise InvariantViolationError(
-            f"omega={value}, lambda0={lambda0_value}: the inequality omega >= lambda0 "
-            "with equality only at zero failed")
-    return value
+    return _finite(polar.f_colength, _OMEGA_INFINITE)
 
 
 def lambda1(polar: PolarCurve, mu0_value: int) -> int:
@@ -201,9 +178,8 @@ def lambda1(polar: PolarCurve, mu0_value: int) -> int:
     Milnor numbers along the critical locus, weighted by slice intersection.
     The first colength is mu0, since (d_1 f, ..., d_n f, z0) is
     (z0) + Jac(f|V(z0)), so the caller passes in the mu0 it already has.
-    The second is infinite only when z0 vanishes on a branch of the curve,
-    and then omega is infinite too (see ``lambda0``), so this raises omega's
-    verdict.
+    The second is finite whenever omega is, since ``polar_ideal`` checks it
+    against the curve's multiplicity, so this raises omega's verdict.
     """
     return mu0_value - _finite(polar.slice_colength, _OMEGA_INFINITE)
 
@@ -263,7 +239,7 @@ def _stage(name: str):
 
 
 def _pipeline(setup: SliceSetup, budget: Budget | None):
-    warnings = [LENGTH_IDENTIFICATION_WARNING, GENERICITY_SCOPE_WARNING]
+    warnings = [GENERICITY_SCOPE_WARNING]
     z0 = setup.z0_coefficients
     m = polar = None
     try:
@@ -272,7 +248,7 @@ def _pipeline(setup: SliceSetup, budget: Budget | None):
         with _stage("polar"):
             polar = polar_ideal(setup, budget)
         l0 = lambda0(polar)
-        om = omega(polar, l0)
+        om = omega(polar)
         l1 = lambda1(polar, m)
     except GenericityError as exc:
         warnings.append(str(exc))

@@ -8,6 +8,7 @@ from lenumbers import (
     CentralArrangement3,
     GenericityError,
     InputError,
+    ResourceLimitError,
     SliceSetup,
     analyze_poly,
     colength,
@@ -79,13 +80,13 @@ def test_lambda0_omega_lambda1_on_a1_singularities():
     smooth_cylinder = setup_from("x^2 + y^2")
     polar = polar_ideal(smooth_cylinder)
     assert lambda0(polar) == 0
-    assert omega(polar, lambda0(polar)) == 0
+    assert omega(polar) == 0
     assert lambda1(polar, mu0(smooth_cylinder)) == 1
 
     cone = setup_from("z^2 + x^2 + y^2")
     polar = polar_ideal(cone)
     assert lambda0(polar) == 1
-    assert omega(polar, lambda0(polar)) == 2
+    assert omega(polar) == 2
     assert lambda1(polar, mu0(cone)) == 0
 
 
@@ -475,8 +476,7 @@ def _stage_by_stage(setup):
     """(mu0, lambda0, lambda1, omega) from the stage functions called one by one."""
     m = mu0(setup)
     polar = polar_ideal(setup)
-    l0 = lambda0(polar)
-    return m, l0, lambda1(polar, m), omega(polar, l0)
+    return m, lambda0(polar), lambda1(polar, m), omega(polar)
 
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
@@ -501,9 +501,8 @@ def test_polar_curve_of_golden_germs_is_certified(colon_calls, text, seed):
     ("x^2 + y^2*z + z^3*y", [3, 9, 6], 2),
 ], ids=["umbrella", "cubic"])
 def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
-    # z0 = (1, 0, 1) meets the polar curve with more than its multiplicity,
-    # so the certificate fails on J = (I : f); J is its own saturation, on
-    # which f is a nonzerodivisor, and that proves the form tangent
+    # omega is finite on J = (I : f), so J is the curve, and z0 = (1, 0, 1)
+    # meets it with more than its multiplicity: the form is tangent
     result = analyze_poly(parse_poly(text, XYZ), z0=(1, 0, 1))
     inv = result.invariants
     assert not inv.genericity_ok and result.polar is None
@@ -512,7 +511,7 @@ def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
                                 f"+ (z0)) = {numbers[0]} exceeds its multiplicity {e}")
     jacobian = _nonslice_jacobian(result.setup)
     J = ideal_quotient(jacobian, result.setup.f)
-    assert colon_calls == {"ideal_quotient": [jacobian], "saturate": [J]}
+    assert colon_calls == {"ideal_quotient": [jacobian], "saturate": []}
     gamma = _saturated_polar(result.setup)
     assert ideals_equal(J, gamma)
     assert multiplicity(standard_basis(gamma)) == e
@@ -549,13 +548,43 @@ def test_infinite_omega_on_the_colon_falls_back(colon_calls):
     ("x^2 + y^2*z + z^3*y", (1, 0, 1)),
 ], ids=["polarC", "two_round", "umbrella", "cubic"])
 def test_fallback_saturation_matches_the_colon_chain(text, z0):
-    # the forms whose certificate fails on (I : f): the polar stage's
-    # saturation, one elimination basis, against colon steps from I, and
-    # f is a nonzerodivisor on the curve
+    # forms where (I : f) has an infinite omega or is tangent to z0:
+    # saturate's one elimination basis against colon steps from I, and f is
+    # a nonzerodivisor on the curve
     setup, _ = slice_with_form(parse_poly(text, XYZ), z0)
     gamma = _saturated_polar(setup)
     assert ideals_equal(gamma, colon_saturation(_nonslice_jacobian(setup), setup.f))
     assert ideals_equal(ideal_quotient(gamma, setup.f), gamma)
+
+
+# germs with a finite mu0 at a form: the golden germs and RANDOM_GERMS at the
+# automatic form, the two tangent forms above, and polarC, whose (I : f) has
+# an infinite omega.  On one germ the colon by z0 runs away in the kernel
+# (about 120 s on the default budget, with 21 pairs): it must exit 3.
+COLON_RUNAWAY = pytest.mark.xfail(raises=ResourceLimitError, strict=True,
+                                  reason="the elimination basis of (J : z0) runs away")
+FINITE_MU0_FORMS = (
+    [(text, None) for text in GENERIC_LE_NUMBERS]
+    + [pytest.param(text, None, marks=COLON_RUNAWAY) if text == "2*x*y^2*z^2 + 3*y*z^4 + 3*x*y*z"
+       else (text, None) for text, _ in RANDOM_GERMS]
+    + [("x^2 - y^2*z", (1, 0, 1)), ("x^2 + y^2*z + z^3*y", (1, 0, 1)),
+       ("y^4 - y^3*z^2 + 2*x*y*z^4", (1, 1, -5))])
+
+
+@pytest.mark.parametrize("text,z0", FINITE_MU0_FORMS)
+def test_colon_by_f_is_cohen_macaulay_when_mu0_is_finite(text, z0):
+    # with mu0 finite, I is a complete intersection curve and O/(I : f)
+    # embeds in O/I through f, so it is Cohen-Macaulay: the parameter z0 is
+    # a nonzerodivisor on it, and it meets a curve J at least e(m; O/J) times
+    f = parse_poly(text, XYZ)
+    setup = analyze_poly(f).setup if z0 is None else slice_with_form(f, z0)[0]
+    mu0(setup)
+    J = ideal_quotient(_nonslice_jacobian(setup), setup.f)
+    w = MultiPoly.variable(0, 3)
+    assert ideals_equal(ideal_quotient(J, w, Budget(max_monomials=20000)), J)
+    # omega(J) = 0 only for the unit ideal, which is no curve
+    if colength(ideal_sum(J, ideal([setup.f]))):
+        assert colength(ideal_sum(J, ideal([w]))) >= multiplicity(standard_basis(J))
 
 
 def test_unit_colon_is_the_polar_curve_at_once(colon_calls):
