@@ -21,6 +21,8 @@ multiplicity, and every curve the pipeline accepts is Cohen-Macaulay:
   transverse to the curve; a larger colength is a genericity verdict.
   Equality alone makes z0 a nonzerodivisor, so O/J is Cohen-Macaulay even
   for a direct caller whose mu0 is infinite.
+* omega is finite once mu0 is: f is then a nonzerodivisor of the saturated
+  curve Γ = (I : f^infinity), a parameter of O/Γ, so Γ + (f) is m-primary.
 
 The curve carries two intersection numbers, with z0 and with f; lambda0, the
 third, follows from them by Teissier's lemma (see ``lambda0``).
@@ -100,11 +102,11 @@ def mu0(setup: SliceSetup, budget: Budget | None = None) -> int:
 @dataclass(frozen=True)
 class PolarCurve:
     """The relative polar curve Γ with its intersection numbers colength(Γ + (z0))
-    and colength(Γ + (f)); None means infinite."""
+    and colength(Γ + (f))."""
 
     ideal: Ideal
-    slice_colength: int | None
-    f_colength: int | None
+    slice_colength: int
+    f_colength: int
 
 
 def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
@@ -118,10 +120,13 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
     (I : f^infinity) = ((I : f) : f^infinity).  J, not I, is handed in
     because the elimination basis grows with its input: from I it took 1.4 s
     on 6 planes and more than 60 s on 7, from J 0.01–0.02 s and 0.04–0.07 s
-    (single runs on one core of a shared VM).  A finite omega is then checked
-    against the multiplicity once: a slice form tangent to the curve raises
-    ``GenericityError``, with any mu0.  The curve carries the colengths that
-    lambda0, omega and lambda1 read.
+    (single runs on one core of a shared VM).  An infinite omega on the
+    saturated curve, so an infinite mu0, raises omega's verdict.  A finite
+    omega makes lambda0 and lambda1 finite: the other partials vanish on a
+    branch of Γ, so d(f)/dt = ∂f/∂z0 · d(z0)/dt, and f vanishes on any
+    branch where z0 or ∂f/∂z0 does.
+    colength(Γ + (z0)) is checked against the multiplicity once: a slice
+    form tangent to the curve raises ``GenericityError``, with any mu0.
     """
     f, n = setup.f, setup.f.nvars
     budget = budget if budget is not None else Budget()
@@ -134,14 +139,13 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
         J = saturate(J, f, budget)
         if J == unit:
             return PolarCurve(J, 0, 0)
-        f_colength = colength(ideal_sum(J, ideal([f], n)), budget)
+        f_colength = _finite(colength(ideal_sum(J, ideal([f], n)), budget), _OMEGA_INFINITE)
     slice_colength = colength(ideal_sum(J, ideal([MultiPoly.variable(0, n)], n)), budget)
-    if f_colength is not None:
-        e = multiplicity(standard_basis(J, budget=budget), budget)
-        if slice_colength != e:
-            raise GenericityError(
-                f"the slice form is tangent to the polar curve: colength(polar + (z0)) "
-                f"= {slice_colength} exceeds its multiplicity {e}")
+    e = multiplicity(standard_basis(J, budget=budget), budget)
+    if slice_colength != e:
+        raise GenericityError(
+            f"the slice form is tangent to the polar curve: colength(polar + (z0)) "
+            f"= {slice_colength} exceeds its multiplicity {e}")
     return PolarCurve(J, slice_colength, f_colength)
 
 
@@ -154,11 +158,9 @@ def lambda0(polar: PolarCurve) -> int:
     Cohen-Macaulay, so colength(Γ + (h)) = e(h; O/Γ) is the sum of ord h over
     the branches, each counted with its length in O/Γ; summing the branch
     identity gives (Γ . V(f)) = (Γ . V(∂f/∂z0)) + (Γ . V(z0)) (Teissier,
-    Variétés polaires I, 1977; Massey, LNM 1615).  When ∂f/∂z0 or z0
-    vanishes on a branch, so does d(f)/dt, and f is constant there: omega is
-    then infinite, and so this raises omega's verdict.
+    Variétés polaires I, 1977; Massey, LNM 1615).
     """
-    return _finite(polar.f_colength, _OMEGA_INFINITE) - polar.slice_colength
+    return polar.f_colength - polar.slice_colength
 
 
 def omega(polar: PolarCurve) -> int:
@@ -167,7 +169,7 @@ def omega(polar: PolarCurve) -> int:
     omega >= lambda0 needs no check: by Teissier's lemma omega - lambda0 =
     colength(Γ + (z0)), which is at least 1 unless Γ is the unit ideal.
     """
-    return _finite(polar.f_colength, _OMEGA_INFINITE)
+    return polar.f_colength
 
 
 def lambda1(polar: PolarCurve, mu0_value: int) -> int:
@@ -178,10 +180,8 @@ def lambda1(polar: PolarCurve, mu0_value: int) -> int:
     Milnor numbers along the critical locus, weighted by slice intersection.
     The first colength is mu0, since (d_1 f, ..., d_n f, z0) is
     (z0) + Jac(f|V(z0)), so the caller passes in the mu0 it already has.
-    The second is finite whenever omega is, since ``polar_ideal`` checks it
-    against the curve's multiplicity, so this raises omega's verdict.
     """
-    return mu0_value - _finite(polar.slice_colength, _OMEGA_INFINITE)
+    return mu0_value - polar.slice_colength
 
 
 @dataclass(frozen=True)
@@ -241,19 +241,17 @@ def _stage(name: str):
 def _pipeline(setup: SliceSetup, budget: Budget | None):
     warnings = [GENERICITY_SCOPE_WARNING]
     z0 = setup.z0_coefficients
-    m = polar = None
+    m = None
     try:
         with _stage("mu0"):
             m = mu0(setup, budget)
         with _stage("polar"):
             polar = polar_ideal(setup, budget)
-        l0 = lambda0(polar)
-        om = omega(polar)
-        l1 = lambda1(polar, m)
     except GenericityError as exc:
         warnings.append(str(exc))
-        return LeInvariants(m, None, None, None, False, tuple(warnings), z0), polar
-    return LeInvariants(m, l0, l1, om, True, tuple(warnings), z0), polar
+        return LeInvariants(m, None, None, None, False, tuple(warnings), z0), None
+    return LeInvariants(m, lambda0(polar), lambda1(polar, m), omega(polar), True,
+                        tuple(warnings), z0), polar
 
 
 @dataclass(frozen=True)

@@ -653,8 +653,6 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
         raise InputError("quotient by the zero element")
     if g.nvars != I.nvars:
         raise InputError("element and ideal live in different rings")
-    if I.is_zero_ideal:
-        return I
     budget = budget if budget is not None else Budget()
     tag, one = MultiPoly.variable(0, I.nvars + 1), MultiPoly.constant(1, I.nvars + 1)
     lifted = [tag * f.insert_var(0) for f in I.generators] + [(one - tag) * g.insert_var(0)]

@@ -582,9 +582,25 @@ def test_colon_by_f_is_cohen_macaulay_when_mu0_is_finite(text, z0):
     J = ideal_quotient(_nonslice_jacobian(setup), setup.f)
     w = MultiPoly.variable(0, 3)
     assert ideals_equal(ideal_quotient(J, w, Budget(max_monomials=20000)), J)
+    omega_J = colength(ideal_sum(J, ideal([setup.f])))
+    if omega_J is None:
+        # f is a nonzerodivisor of O/(I : f^infinity), a ring of dimension at
+        # most 1, so omega is finite on the saturation
+        assert colength(ideal_sum(saturate(J, setup.f), ideal([setup.f]))) is not None
     # omega(J) = 0 only for the unit ideal, which is no curve
-    if colength(ideal_sum(J, ideal([setup.f]))):
+    elif omega_J:
         assert colength(ideal_sum(J, ideal([w]))) >= multiplicity(standard_basis(J))
+
+
+def test_infinite_mu0_is_omegas_verdict_in_polar_ideal():
+    # the one non-slice partial 2x cuts out a surface, which V(w^2 + x^2)
+    # meets along the y-axis: omega is infinite on the saturated curve too,
+    # so polar_ideal raises rather than return a curve without its numbers
+    setup = SliceSetup(parse_poly("w^2 + x^2", ["w", "x", "y"]))
+    with pytest.raises(GenericityError, match="mu0 is infinite"):
+        mu0(setup)
+    with pytest.raises(GenericityError, match="omega is infinite"):
+        polar_ideal(setup)
 
 
 def test_unit_colon_is_the_polar_curve_at_once(colon_calls):
