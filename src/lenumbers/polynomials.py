@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add, le, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -180,23 +180,12 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             if self.nvars != other.nvars:
                 raise InputError("variable counts differ")
-            if len(self._terms) * len(other._terms) > MAX_MONOMIALS:
-                raise ResourceLimitError(f"a product of {len(self._terms)} by {len(other._terms)} "
-                                         f"terms passes the monomial cap of {MAX_MONOMIALS}")
             # integer products, then one division per term: several times faster than
             # Fraction arithmetic, so a product at the cap takes well under a second
             da, a = scaled_terms(self._terms)
             db, b = scaled_terms(other._terms)
-            out: dict[Monomial, int] = {}
-            for ma, ca in a.items():
-                for mb, cb in b.items():
-                    m = mono_mul(ma, mb)
-                    v = out.get(m, 0) + ca * cb
-                    if v:
-                        out[m] = v
-                    else:
-                        out.pop(m, None)
-            return MultiPoly._raw({m: Fraction(v, da * db) for m, v in out.items()}, self.nvars)
+            return MultiPoly._raw({m: Fraction(v, da * db) for m, v in _product(a, b).items()},
+                                  self.nvars)
         c = rational(other)
         if not c:
             return MultiPoly.zero(self.nvars)
@@ -260,21 +249,31 @@ class MultiPoly:
             raise InputError("matrix size must match the variable count")
         if not _det(rows):
             raise InputError("singular matrix in linear change of coordinates")
-        images = [
-            MultiPoly([((0,) * j + (1,) + (0,) * (n - j - 1), rows[i][j]) for j in range(n)], n)
-            for i in range(n)
-        ]
-        powers: list[list[MultiPoly]] = [[MultiPoly.constant(1, n)] for _ in range(n)]
-        result = MultiPoly.zero(n)
-        for m, c in self._terms.items():
-            term = MultiPoly.constant(c, n)
+        # integer arithmetic, as in a product: variable i goes to images[i] / dens[i],
+        # and the result has one denominator, d * prod(dens[i] ** tops[i]) with
+        # tops[i] the top exponent of variable i
+        d, scaled = scaled_terms(self._terms)
+        dens = [lcm(*(c.denominator for c in row)) for row in rows]
+        images = [{(0,) * j + (1,) + (0,) * (n - j - 1): int(c * den)
+                   for j, c in enumerate(row) if c} for row, den in zip(rows, dens)]
+        tops = [max((m[i] for m in scaled), default=0) for i in range(n)]
+        powers: list[list[dict[Monomial, int]]] = [[{(0,) * n: 1}] for _ in range(n)]
+        out: dict[Monomial, int] = {}
+        for m, c in scaled.items():
+            term = {(0,) * n: c * prod(den ** (top - e) for den, top, e in zip(dens, tops, m))}
             for i, e in enumerate(m):
                 cache = powers[i]
                 while len(cache) <= e:
-                    cache.append(cache[-1] * images[i])
-                term = term * cache[e]
-            result = result + term
-        return result
+                    cache.append(_product(cache[-1], images[i]))
+                term = _product(term, cache[e])
+            for mono, v in term.items():
+                v += out.get(mono, 0)
+                if v:
+                    out[mono] = v
+                else:
+                    out.pop(mono, None)
+        denominator = d * prod(den ** top for den, top in zip(dens, tops))
+        return MultiPoly._raw({m: Fraction(v, denominator) for m, v in out.items()}, n)
 
     def to_string(self, names: Sequence[str] | None = None) -> str:
         """Render in graded-lex descending order; output re-parses exactly."""
@@ -308,6 +307,24 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.to_string()!r}, nvars={self.nvars})"
+
+
+def _product(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The product of two polynomials with integer terms; ``ResourceLimitError``
+    past ``MAX_MONOMIALS`` term pairs."""
+    if len(a) * len(b) > MAX_MONOMIALS:
+        raise ResourceLimitError(f"a product of {len(a)} by {len(b)} "
+                                 f"terms passes the monomial cap of {MAX_MONOMIALS}")
+    out: dict[Monomial, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            v = out.get(m, 0) + ca * cb
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return out
 
 
 def scaled_terms(terms: dict[Monomial, Fraction]) -> tuple[int, dict[Monomial, int]]:

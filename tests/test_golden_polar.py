@@ -3,10 +3,12 @@
 ``cli analyze`` prints the generators of the relative polar curve's ideal.
 They come from the standard bases under the elimination order, so a change
 of the completion (a pair criterion, say) may print other generators of the
-same ideal.  The recording keeps the printed generators of the umbrella and
-D∞ jobs at a few seeds of the slice-form search; the test asserts the same
-slice variables and equality of the ideals in the local ring by mutual
-membership, not equality of the strings.
+same ideal.  The recording keeps the printed generators of the umbrella,
+D∞, ``x*y*z`` and 3-line pencil jobs at a few seeds of the slice-form
+search; the test asserts the same slice variables and equality of the ideals
+in the local ring by mutual membership, not equality of the strings.  The
+two homogeneous germs were recorded when the curve was the colon by f
+itself, so they pin the colon by ∂f/∂z0 (Euler's identity) against it.
 
 Running this module as a script rewrites ``tests/data/polar_ideals.json``;
 do that only when a change of the polar ideals themselves is intended.
@@ -26,14 +28,17 @@ from ideal_equality import ideals_equal
 
 DATA = Path(__file__).resolve().parent / "data" / "polar_ideals.json"
 
-GERMS = {"umbrella": "x^2 - y^2*z", "dinf": "x^2*y + z^2"}
+ONE_LINE = [{"k": 1, "mu": 1, "d": 2}]
+# name -> (polynomial, components of its critical locus)
+GERMS = {"umbrella": ("x^2 - y^2*z", ONE_LINE), "dinf": ("x^2*y + z^2", ONE_LINE),
+         "xyz": ("x*y*z", ONE_LINE * 3), "pencil": ("x*y*(x + y)", [{"k": 1, "mu": 4, "d": 3}])}
 SEEDS = (0, 1, 2, 3, 7, 11)
 JOBS = [(germ, seed) for germ in GERMS for seed in SEEDS]
 
 
 def run_job(germ: str, seed: int) -> dict:
-    job = {"polynomial": GERMS[germ], "variables": ["x", "y", "z"],
-           "components": [{"k": 1, "mu": 1, "d": 2}]}
+    polynomial, components = GERMS[germ]
+    job = {"polynomial": polynomial, "variables": ["x", "y", "z"], "components": components}
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(["analyze", "--format", "json", "--seed", str(seed),

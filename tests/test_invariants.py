@@ -437,12 +437,12 @@ def _planes_setup(d):
 
 @pytest.fixture
 def colon_calls(monkeypatch):
-    """The ideals that the polar stage hands to ideal_quotient and to saturate."""
+    """The pairs (I, g) that the polar stage hands to ideal_quotient and to saturate."""
     calls = {"ideal_quotient": [], "saturate": []}
 
     def spy(name, fn):
         def wrapper(I, g, budget=None):
-            calls[name].append(I)
+            calls[name].append((I, g))
             return fn(I, g, budget)
         return wrapper
 
@@ -479,6 +479,53 @@ def _stage_by_stage(setup):
     return m, lambda0(polar), lambda1(polar, m), omega(polar)
 
 
+# homogeneous germs and the slice form each is cut at (None: the automatic
+# search).  x*y*(x + y) does not depend on z, the form the search keeps, and
+# its polar curve is empty at any form: its colon by df/dz0 is the unit ideal
+CONE_FORMS = [("x*y*z", None), ("x*y*(x + y)", (1, 1, 1)), ("x^3 + y^3 + x*y*z", None),
+              ("x*y*z + u^3", None)]
+
+
+def _homogeneous_setup(text):
+    if text.endswith("planes"):
+        return _planes_setup(int(text.removesuffix("planes")))
+    names = XYZ + ["u"] if "u" in text else XYZ
+    return analyze_poly(parse_poly(text, names), z0=dict(CONE_FORMS)[text]).setup
+
+
+@pytest.mark.parametrize("text", [f"{d}planes" for d in range(4, 9)]
+                         + [text for text, _ in CONE_FORMS])
+def test_homogeneous_polar_curve_is_the_euler_colon_certified_by_omega(colon_calls, monkeypatch,
+                                                                        text):
+    # by Euler's identity (I : f) = ((I : df/dz0) : z0): the one colon is by
+    # df/dz0, and omega = d * e(m; O/Γ) stands in for colength(Γ + (z0))
+    setup = _homogeneous_setup(text)
+    f, w = setup.f, MultiPoly.variable(0, setup.f.nvars)
+    colengths = []
+    monkeypatch.setattr(invariants, "colength",
+                        lambda I, budget=None: colengths.append(I) or colength(I, budget))
+    colon_calls["ideal_quotient"].clear()
+    polar = polar_ideal(setup)
+    assert colon_calls == {"ideal_quotient": [(_nonslice_jacobian(setup), f.partial(0))],
+                           "saturate": []}
+    assert ideal_sum(polar.ideal, ideal([w])) not in colengths
+    gamma = _saturated_polar(setup)
+    assert ideals_equal(polar.ideal, gamma)
+    numbers = _curve_numbers(gamma, f)
+    assert numbers == [polar.slice_colength, polar.f_colength, lambda0(polar)]
+    assert polar.f_colength == f.total_degree() * colength(ideal_sum(gamma, ideal([w])))
+
+
+def test_vanishing_slice_partial_gives_the_unit_curve(colon_calls):
+    # df/dz0 = 0 at the coordinate form z of x^2 + y^2, so f lies in the
+    # ideal of the other partials by Euler's identity: no colon is taken
+    setup, _ = slice_with_form(parse_poly("x^2 + y^2", XYZ), (0, 0, 1))
+    assert setup.f.partial(0).is_zero
+    polar = polar_ideal(setup)
+    assert polar == invariants.PolarCurve(ideal([MultiPoly.constant(1, 3)]), 0, 0)
+    assert colon_calls == {"ideal_quotient": [], "saturate": []}
+
+
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_polar_curve_of_planes_is_certified_in_one_colon_step(colon_calls, d):
     setup = _planes_setup(d)
@@ -511,7 +558,7 @@ def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
                                 f"+ (z0)) = {numbers[0]} exceeds its multiplicity {e}")
     jacobian = _nonslice_jacobian(result.setup)
     J = ideal_quotient(jacobian, result.setup.f)
-    assert colon_calls == {"ideal_quotient": [jacobian], "saturate": []}
+    assert colon_calls == {"ideal_quotient": [(jacobian, result.setup.f)], "saturate": []}
     gamma = _saturated_polar(result.setup)
     assert ideals_equal(J, gamma)
     assert multiplicity(standard_basis(gamma)) == e
@@ -532,7 +579,7 @@ def test_infinite_omega_on_the_colon_falls_back(colon_calls):
     assert multiplicity(standard_basis(J)) == colength(ideal_sum(J, ideal([w]))) == 4
     assert colength(ideal_sum(J, ideal([setup.f]))) is None
     polar = polar_ideal(setup)
-    assert colon_calls == {"ideal_quotient": [jacobian], "saturate": [J]}
+    assert colon_calls == {"ideal_quotient": [(jacobian, setup.f)], "saturate": [(J, setup.f)]}
     # e(m; O/Γ) = colength(Γ + (z0)) = 3 and omega = 20 on Γ = (J : f)
     assert ideals_equal(polar.ideal, ideal_quotient(J, setup.f))
     assert (polar.slice_colength, polar.f_colength) == (3, 20)

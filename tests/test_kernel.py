@@ -188,13 +188,13 @@ GENERIC = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, -1, 2), (2
 
 ARRANGEMENTS = [
     # normals, (mu0, lambda0, lambda1, omega), pairs_used, monomials_used
-    (GENERIC[:4], (9, 9, 6, 12), 134, 1113),
-    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)), (16, 16, 12, 20), 171, 3919),
-    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)), (16, 20, 11, 25), 194, 4271),
-    (GENERIC[:5], (16, 24, 10, 30), 359, 9165),
-    (GENERIC[:6], (25, 50, 15, 60), 837, 48923),
-    (GENERIC[:7], (36, 90, 21, 105), 1965, 205585),
-    (GENERIC[:8], (49, 147, 28, 168), 4305, 766695),
+    (GENERIC[:4], (9, 9, 6, 12), 76, 810),
+    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)), (16, 16, 12, 20), 107, 2170),
+    (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)), (16, 20, 11, 25), 116, 2710),
+    (GENERIC[:5], (16, 24, 10, 30), 227, 5781),
+    (GENERIC[:6], (25, 50, 15, 60), 576, 26119),
+    (GENERIC[:7], (36, 90, 21, 105), 1470, 108943),
+    (GENERIC[:8], (49, 147, 28, 168), 3324, 381737),
 ]
 
 

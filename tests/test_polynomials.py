@@ -383,6 +383,41 @@ def test_linear_change_inverse_roundtrip():
         assert f.linear_change(m).linear_change(minv) == f
 
 
+def test_linear_change_matches_composition_by_polynomial_arithmetic():
+    # the reference substitutes each variable's linear form with MultiPoly
+    # sums, products and powers; the matrices are P·L·U, with L unit lower
+    # triangular and U upper triangular with a nonzero diagonal, so invertible
+    def reference(f, rows):
+        n = f.nvars
+        images = [sum((c * MultiPoly.variable(j, n) for j, c in enumerate(row)),
+                      MultiPoly.zero(n)) for row in rows]
+        out = MultiPoly.zero(n)
+        for mono, c in f.terms.items():
+            term = MultiPoly.constant(c, n)
+            for image, e in zip(images, mono):
+                term = term * image ** e
+            out = out + term
+        return out
+
+    rng = random.Random(13)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5]))
+
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        lower = [[Fraction(int(i == j)) if j >= i else entry() for j in range(n)]
+                 for i in range(n)]
+        upper = [[(entry() or Fraction(1, 7)) if i == j else entry() if j > i else Fraction(0)
+                  for j in range(n)] for i in range(n)]
+        rows = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        rng.shuffle(rows)
+        f = MultiPoly([(tuple(rng.randint(0, 3) for _ in range(n)), entry())
+                       for _ in range(rng.randint(0, 5))], n)
+        assert f.linear_change(rows) == reference(f, rows)
+
+
 def test_restrict_first_var():
     assert P("z^2 + x^3", ["z", "x"]) .restrict_first_var() == P("x^3", ["x"])
     assert P("z*x", ["z", "x"]).restrict_first_var().is_zero
