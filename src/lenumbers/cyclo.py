@@ -15,7 +15,7 @@ import re
 from math import prod
 from typing import Iterable, Mapping
 
-from .errors import InputError, InvariantViolationError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .polynomials import MAX_MONOMIALS, MultiPoly, check_power_bits, integer
 
 
@@ -161,9 +161,6 @@ class CycloProduct:
     def divides(self, other: "CycloProduct") -> bool:
         return all(c <= other._factors.get(k, 0) for k, c in self._factors.items())
 
-    def __mul__(self, other: "CycloProduct") -> "CycloProduct":
-        return cyclo_product((self, other))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloProduct):
             return NotImplemented
@@ -246,10 +243,8 @@ def homogeneous_char_exponents(n: int, d: int) -> tuple[int, int]:
     check_power_bits(d - 1, n)
     milnor = (d - 1) ** n
     check_printable(milnor, "the Milnor number (d-1)^n")
-    numerator = milnor - sign
-    if numerator % d:
-        raise InvariantViolationError(f"b0 is not an integer for n={n}, d={d}")
-    b0 = numerator // d
+    # exact, since (d-1)^n = (-1)^n mod d
+    b0 = (milnor - sign) // d
     return b0 + sign, b0
 
 

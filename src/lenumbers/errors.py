@@ -26,4 +26,8 @@ class ResourceLimitError(LeNumbersError):
 
 
 class InvariantViolationError(LeNumbersError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
+    """An internal consistency check failed; indicates a bug, not bad input.
+
+    Raised only by ``localring.ideal_quotient``, when a quotient element
+    leaves a remainder on division by g.
+    """

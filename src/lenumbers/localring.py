@@ -351,10 +351,6 @@ class Ideal:
             if g.nvars != self.nvars:
                 raise InputError("generators must share the variable count")
 
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
-
     def to_strings(self, names: Sequence[str] | None = None) -> list[str]:
         return [g.to_string(names) for g in self.generators]
 

@@ -27,9 +27,9 @@ from lenumbers import (
     ideal,
     parse_poly,
 )
-from lenumbers.arrangements import arrangement_report, multiple_points
+from lenumbers.arrangements import arrangement_report, multiple_points, to_setup
 from lenumbers.localring import saturate, standard_basis
-from lenumbers.constraints import (VERDICT_NON_SPLITTING, cyclic_kernel_rank,
+from lenumbers.constraints import (VERDICT_EXPONENTS, VERDICT_NON_SPLITTING, cyclic_kernel_rank,
                                    lambda1_from_components)
 from lenumbers.intlinalg import fixed_space_rank, mat_pow
 from lenumbers.cyclo import cyclo_product, divisors, homogeneous_char
@@ -51,7 +51,8 @@ def test_criterion_01_homogeneous_char_formula():
     def body():
         for n in range(1, 5):
             for d in range(2, 10):
-                a0, b0 = homogeneous_char_exponents(n, d)  # integrality enforced inside
+                assert ((d - 1) ** n - (-1) ** n) % d == 0
+                a0, b0 = homogeneous_char_exponents(n, d)
                 char = homogeneous_char(n, d)
                 assert char.degree() == (d - 1) ** n
                 assert char.trace() == (-1) ** n
@@ -200,7 +201,7 @@ def test_criterion_08_cyclic_kernel_lemma():
             m = rng.randint(1, 4)
             k = rng.randint(1, 4)
             tau = tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(m))
-            result = cyclic_kernel_rank(tau, k)  # raises if the two SNF ranks differ
+            result = cyclic_kernel_rank(tau, k)
             assert result == fixed_space_rank(mat_pow(tau, k))
 
     criterion(8, "cyclic kernel rank equals the k-th power kernel rank (100 cases)",
@@ -243,6 +244,18 @@ def test_criterion_10_arrangement_pair_accounting():
             arr = CentralArrangement3(tuple(normals))
             points = multiple_points(arr)
             assert sum(comb(p.multiplicity, 2) for p in points) == comb(arr.d0, 2)
+            # the ceilings, from the local degrees alone, are the gcd bound's exponents
+            a0, b0 = homogeneous_char_exponents(2, arr.d0)
+            expected = {str(k): min(a0 if k == 1 else b0,
+                                    sum(homogeneous_char(2, p.multiplicity).exponent(k)
+                                        for p in points))
+                        for k in divisors(arr.d0)}
+            report = arrangement_report(arr)
+            ceilings = next(v for v in report.verdicts if v.tag == VERDICT_EXPONENTS)
+            assert ceilings.data["ceilings"] == expected
+            setup = to_setup(arr)
+            assert report.divisor_bound.divides(setup.char0)
+            assert report.divisor_bound.divides(setup.component_product)
 
-    criterion(10, "pair accounting sum C(m,2) = C(d0,2) on 100 random arrangements",
-              body)
+    criterion(10, "pair accounting sum C(m,2) = C(d0,2) and the Phi_k ceilings "
+              "on 100 random arrangements", body)

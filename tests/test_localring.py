@@ -451,8 +451,8 @@ def test_saturate_examples():
 def test_saturate_and_quotient_of_the_zero_ideal_are_zero():
     zero = ideal([], 2)
     for g in (P("x"), P("x + y^2"), P("1 + x")):
-        assert saturate(zero, g).is_zero_ideal
-        assert ideal_quotient(zero, g).is_zero_ideal
+        assert not saturate(zero, g).generators
+        assert not ideal_quotient(zero, g).generators
 
 
 @pytest.mark.parametrize("operation", [ideal_quotient, saturate])
