@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .cyclo import CycloProduct, cyclo_product, homogeneous_char
 from .errors import InputError
-from .intlinalg import IntMatrix, as_matrix, block_cycle_matrix, fixed_space_rank
+from .intlinalg import IntMatrix, as_matrix, block_cycle_matrix, fixed_rank
 from .polynomials import integer
 
 VERDICT_NON_SPLITTING = "NON_SPLITTING"
@@ -138,9 +138,15 @@ class SingularSetup:
         object.__setattr__(self, "components", tuple(self.components))
         char0 = _effective_char(self.n, self.d0, self.char_h0, self.mu0, where="", suffix="0")
         chars, ranks = [], []
+        # components repeat a few (d, charH, mu): each is checked once, by
+        # the first component that carries it, so an error names that one
+        by_key: dict[tuple, CycloProduct | None] = {}
         for i, comp in enumerate(self.components):
-            chars.append(_effective_char(self.n, comp.d, comp.char_h, comp.mu,
-                                         where=f"component {i}: ", suffix=""))
+            key = (comp.d, comp.char_h, comp.mu)
+            if key not in by_key:
+                by_key[key] = _effective_char(self.n, comp.d, comp.char_h, comp.mu,
+                                              where=f"component {i}: ", suffix="")
+            chars.append(by_key[key])
             rank = comp.fixed_rank
             if comp.tau is not None:
                 derived = cyclic_kernel_rank(comp.tau, comp.k)
@@ -251,12 +257,14 @@ def rank_bound(setup: SingularSetup) -> int:
 def cyclic_kernel_rank(tau, k: int) -> int:
     """Rank of the fixed space of the cyclic block action built from tau.
 
-    One Smith normal form, of id minus the k-fold block cycle of tau.  That
-    rank equals the one of tau^k (the cyclic kernel lemma, which the tests
-    check against tau^k), but the block cycle has no entry larger than tau's
-    and its size is capped, where the entries of tau^k grow with k unbounded.
+    One elimination, of id minus the k-fold block cycle of tau, which is
+    built from tau as read here and is not read again.  That rank equals the
+    one of tau^k (the cyclic kernel lemma, which the tests check against
+    tau^k), but the block cycle has no entry larger than tau's and its size
+    is capped before it is built, where the entries of tau^k grow with k
+    unbounded.
     """
-    return fixed_space_rank(block_cycle_matrix(as_matrix(tau, "tau"), k))
+    return fixed_rank(block_cycle_matrix(as_matrix(tau, "tau"), k))
 
 
 def _mu0_minus_lambda1(mu0: int, lambda1: int) -> int:

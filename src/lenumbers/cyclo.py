@@ -59,18 +59,24 @@ def _factorize(k: int) -> dict[int, int]:
     return factors
 
 
+def _mobius(factors: dict[int, int]) -> int:
+    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
+
+
+def _totient(k: int, factors: dict[int, int]) -> int:
+    for p in factors:
+        k = k // p * (p - 1)
+    return k
+
+
 def mobius(k: int) -> int:
     """Moebius function by trial factorization."""
-    factors = _factorize(_positive(k, "k"))
-    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
+    return _mobius(_factorize(_positive(k, "k")))
 
 
 def totient(k: int) -> int:
     """Euler totient by trial factorization."""
-    value = _positive(k, "k")
-    for p in _factorize(k):
-        value = value // p * (p - 1)
-    return value
+    return _totient(k, _factorize(_positive(k, "k")))
 
 
 def divisors(k: int) -> list[int]:
@@ -97,7 +103,7 @@ def cyclotomic(k: int) -> MultiPoly:
 class CycloProduct:
     """A product prod_k Phi_k^{c_k} with positive exponents; empty means 1."""
 
-    __slots__ = ("_factors",)
+    __slots__ = ("_factors", "_primes")
 
     def __init__(self, factors: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = factors.items() if isinstance(factors, Mapping) else factors
@@ -109,6 +115,14 @@ class CycloProduct:
             if c:
                 clean[k] = clean.get(k, 0) + c
         self._factors = clean
+        self._primes: dict[int, dict[int, int]] | None = None
+
+    def _index_factors(self) -> dict[int, dict[int, int]]:
+        """Each index's prime factorization, found on first use and kept:
+        ``degree`` and ``trace`` share it."""
+        if self._primes is None:
+            self._primes = {k: _factorize(k) for k in self._factors}
+        return self._primes
 
     @property
     def factors(self) -> dict[int, int]:
@@ -120,13 +134,15 @@ class CycloProduct:
     def degree(self) -> int:
         """The degree, which bounds every exponent and the trace; it must pass
         ``check_printable``, so any message or report may print it."""
-        degree = sum(c * totient(k) for k, c in self._factors.items())
+        primes = self._index_factors()
+        degree = sum(c * _totient(k, primes[k]) for k, c in self._factors.items())
         check_printable(degree, "the degree")
         return degree
 
     def trace(self) -> int:
         """Sum of all roots with multiplicity: sum_k c_k * mobius(k)."""
-        return sum(c * mobius(k) for k, c in self._factors.items())
+        primes = self._index_factors()
+        return sum(c * _mobius(primes[k]) for k, c in self._factors.items())
 
     def expand(self) -> MultiPoly:
         """The product multiplied out, as a one-variable ``MultiPoly`` in t.

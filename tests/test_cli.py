@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lenumbers import CentralArrangement3, ConstraintReport, parse_poly
+from lenumbers import CentralArrangement3, ConstraintReport, cyclo, parse_poly
 from lenumbers.arrangements import validate_slice_form
 from lenumbers.cli import main
 from lenumbers.intlinalg import as_matrix, identity, mat_sub
@@ -224,19 +224,30 @@ PRIMORIAL_16 = prod(p for p in range(2, 54) if all(p % q for q in range(2, p)))
 PRIMORIAL_17 = PRIMORIAL_16 * 59
 
 
-def test_homchar_lists_at_most_2_to_the_16_divisors(capsys):
-    # every divisor is listed, factored and printed, so the cap bounds the time
+def test_homchar_lists_at_most_2_to_the_16_divisors(capsys, monkeypatch):
+    # every divisor is listed, factored once and printed, so the cap bounds the time
+    factored = []
+    factorize = cyclo._factorize
+
+    def counted(k):
+        factored.append(k)
+        return factorize(k)
+
+    monkeypatch.setattr(cyclo, "_factorize", counted)
     with alarm_after(1):
         code, out, err = run(capsys, "cyclo", "homchar", "2", str(PRIMORIAL_17))
     assert code == 3
     assert out == ""
     assert err.startswith(f"resource limit: {PRIMORIAL_17} has 131072 divisors, "
                           "over the cap of 65536")
+    factored.clear()
     with alarm_after(10):
         code, out, _ = run(capsys, "cyclo", "--format", "json", "homchar", "2", str(PRIMORIAL_16))
     assert code == 0
     summary = json.loads(out)
     assert (summary["degree"], summary["trace"]) == ((PRIMORIAL_16 - 1) ** 2, 1)
+    # N itself, then each divisor once for both the degree and the trace
+    assert len(factored) <= 2**16 + 1
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -20,6 +20,7 @@ from lenumbers import (
     smith_normal_form,
     SliceSetup,
 )
+from lenumbers.arrangements import CentralArrangement3, multiple_points, to_setup
 from lenumbers.cyclo import homogeneous_char
 from lenumbers.intlinalg import as_matrix
 from lenumbers.constraints import (
@@ -33,8 +34,9 @@ from lenumbers.constraints import (
     lambda1_from_components,
     rank_bound,
 )
-from lenumbers import intlinalg
-from lenumbers.intlinalg import block_cycle_matrix, fixed_space_rank, identity, mat_pow, mat_sub
+from lenumbers import constraints, intlinalg
+from lenumbers.intlinalg import (bareiss_rank, block_cycle_matrix, fixed_space_rank, identity,
+                                 mat_mul, mat_pow, mat_sub)
 
 
 def triple_planes_setup():
@@ -128,6 +130,56 @@ def test_smith_normal_form_size_cap():
             smith_normal_form([[1] * shape[1]] * shape[0])
     with pytest.raises(ResourceLimitError, match="over the size cap of 96 rows and columns"):
         fixed_space_rank(identity(size + 1))
+    # a block cycle is built only for its rank, so it is capped before it is built
+    assert len(block_cycle_matrix([[1]], size)) == size
+    with pytest.raises(ResourceLimitError, match=f"^a Smith normal form of a {size + 1} x "
+                                                 f"{size + 1} matrix is over the size cap"):
+        block_cycle_matrix([[1]], size + 1)
+
+
+def _oracle_rank(rows):
+    """The rank by the two oracles: rational elimination and the Smith form."""
+    by_gauss = rank_gauss(rows)
+    assert sum(1 for d in smith_normal_form(rows) if d) == by_gauss
+    return by_gauss
+
+
+def test_bareiss_rank_against_gaussian_elimination_and_smith():
+    # rectangular, with zero rows and columns, dependent rows and entries up to 2^64
+    rng = random.Random(71)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        bound = 2 ** rng.choice([1, 8, 64])
+        mat = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        for i in range(1, rows):
+            if rng.random() < 0.3:
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                mat[i] = [a * x + b * y for x, y in zip(mat[rng.randrange(i)],
+                                                         mat[rng.randrange(i)])]
+        for i in range(rows):
+            if rng.random() < 0.15:
+                mat[i] = [0] * cols
+        for j in range(cols):
+            if rng.random() < 0.15:
+                for row in mat:
+                    row[j] = 0
+        copy = [list(row) for row in mat]
+        assert bareiss_rank(mat) == _oracle_rank(mat), mat
+        assert mat == copy
+
+
+def test_bareiss_rank_at_the_size_cap():
+    # products of random factors of inner size r have rank r here
+    size = intlinalg.MAX_SMITH_SIZE
+    rng = random.Random(73)
+    for (rows, cols), r, bound in [((size, size), 8, 1), ((size, 40), 12, 1),
+                                   ((40, size), 12, 1), ((size, size), 3, 2**64)]:
+        left = tuple(tuple(rng.randint(-bound, bound) for _ in range(r)) for _ in range(rows))
+        right = tuple(tuple(rng.randint(-1, 1) for _ in range(cols)) for _ in range(r))
+        mat = mat_mul(left, right)
+        assert bareiss_rank(mat) == _oracle_rank(mat) == r
+    assert bareiss_rank(identity(size)) == size
+    assert bareiss_rank([[0] * size] * size) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -143,23 +195,31 @@ def test_cyclic_kernel_examples():
 
 
 def test_cyclic_kernel_randomized(monkeypatch):
-    # one Smith normal form per call, of id minus the block cycle
-    forms = []
-    snf = intlinalg.smith_normal_form
+    # one elimination per call, of id minus the block cycle, which is never
+    # read through as_matrix: only tau is
+    forms, validated = [], []
+    rank, read = intlinalg.bareiss_rank, intlinalg.as_matrix
 
     def counted(mat):
         forms.append(mat)
-        return snf(mat)
+        return rank(mat)
 
-    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    def reading(mat, *name):
+        validated.append(mat)
+        return read(mat, *name)
+
+    monkeypatch.setattr(intlinalg, "bareiss_rank", counted)
+    monkeypatch.setattr(intlinalg, "as_matrix", reading)
     rng = random.Random(61)
     for _ in range(40):
         m = rng.randint(1, 4)
         k = rng.randint(1, 4)
         tau = tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(m))
         forms.clear()
+        validated.clear()
         result = cyclic_kernel_rank(tau, k)
         assert len(forms) == 1 and len(forms[0]) == k * m
+        assert [len(mat) for mat in validated] == [m]
         # independent route: rational rank of id - tau^k (the cyclic kernel lemma)
         oracle = m - rank_gauss(mat_sub(identity(m), mat_pow(tau, k)))
         assert result == oracle
@@ -471,6 +531,39 @@ def test_setup_derived_data_stays_out_of_eq_repr_and_json():
     assert set(setup.to_dict()) == {"n", "mu0", "d0", "components"}
     full = SingularSetup(n=2, mu0=4, d0=3, components=comps[:1] * 3)
     assert full.component_product == CycloProduct({1: 3})
+
+
+def test_setup_builds_one_characteristic_polynomial_per_degree(monkeypatch):
+    # 20 planes through lines of multiplicity 6, 5 and 3, and generic ones
+    degrees = []
+    build = constraints.homogeneous_char
+
+    def counted(n, d):
+        degrees.append(d)
+        return build(n, d)
+
+    monkeypatch.setattr(constraints, "homogeneous_char", counted)
+    normals = ([(1, t, 0) for t in range(5)] + [(0, 1, t) for t in range(1, 5)]
+               + [(t, 0, 1) for t in range(1, 4)] + [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
+               + [(1, t, t * t * t + 2) for t in range(2, 7)])
+    arr = CentralArrangement3(normals)
+    setup = to_setup(arr)
+    multiplicities = [p.multiplicity for p in multiple_points(arr)]
+    assert len(multiplicities) == 150 and set(multiplicities) == {2, 3, 5, 6}
+    assert sorted(degrees) == sorted([*set(multiplicities), arr.d0])
+    assert setup.component_product == CycloProduct(
+        [f for m in multiplicities for f in homogeneous_char(2, m).factors.items()])
+
+
+@pytest.mark.parametrize("later,message", [
+    ({"k": 1, "mu": 4, "d": 2}, "^component 2: mu = 4 but degree d = 2 forces Milnor number 1$"),
+    ({"k": 2, "mu": 1, "d": 2, "charH": "Phi_2"},
+     "^component 2: explicit charH disagrees with degree d = 2$"),
+], ids=["wrong-mu", "wrong-charH"])
+def test_a_repeated_degree_is_checked_for_each_component(later, message):
+    first = {"k": 1, "mu": 1, "d": 2}
+    with pytest.raises(InputError, match=message):
+        SingularSetup.from_dict({"n": 2, "mu0": 9, "components": [first, first, later]})
 
 
 @pytest.mark.parametrize("verdict,mu0,lambda1,message", [
