@@ -44,13 +44,13 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
 # a dense matrix of this size takes about 0.11 s with entries in {-1, 0, 1},
 # 0.7 s with 16-bit entries and 5 s with 64-bit ones; its Smith form takes
 # about 0.7 s and 14 s for the first two (Python 3.11, one core of a shared VM).
-MAX_SMITH_SIZE = 96
+MAX_RANK_SIZE = 96
 
 
-def _check_smith_size(rows: int, cols: int) -> None:
-    if max(rows, cols) > MAX_SMITH_SIZE:
-        raise ResourceLimitError(f"a Smith normal form of a {rows} x {cols} matrix is over "
-                                 f"the size cap of {MAX_SMITH_SIZE} rows and columns")
+def _check_size(rows: int, cols: int, what: str = "the rank") -> None:
+    if max(rows, cols) > MAX_RANK_SIZE:
+        raise ResourceLimitError(f"{what} of a {rows} x {cols} matrix is over "
+                                 f"the size cap of {MAX_RANK_SIZE} rows and columns")
 
 
 def smith_normal_form(mat) -> list[int]:
@@ -64,11 +64,11 @@ def smith_normal_form(mat) -> list[int]:
     that p does not divide is added to the first.  Once p divides everything
     left, |p| is a diagonal entry and its row and column are dropped.
     Re-picking the least entry every pass keeps the entries of a dense
-    matrix from growing.  A matrix with more than ``MAX_SMITH_SIZE`` rows or
+    matrix from growing.  A matrix with more than ``MAX_RANK_SIZE`` rows or
     columns raises ``ResourceLimitError`` before any pass.
     """
     A = [list(row) for row in as_matrix(mat)]
-    _check_smith_size(len(A), len(A[0]))
+    _check_size(len(A), len(A[0]), "a Smith normal form")
     size = min(len(A), len(A[0]))
     diag: list[int] = []
     while A and A[0]:
@@ -139,7 +139,7 @@ def fixed_rank(A: IntMatrix) -> int:
     """Rank of ker(id - A) for a square ``IntMatrix`` A, which is not read
     again: its size minus the rank of id - A, after the size cap."""
     n = len(A)
-    _check_smith_size(n, n)
+    _check_size(n, n)
     return n - bareiss_rank([[(i == j) - v for j, v in enumerate(row)]
                              for i, row in enumerate(A)])
 
@@ -148,7 +148,7 @@ def block_cycle_matrix(tau, k: int) -> IntMatrix:
     """The k-fold cyclic block matrix sending (v_1,..,v_k) to (T v_k, T v_1, ..).
 
     A matrix of more than ``MAX_MONOMIALS`` entries, and then one of more
-    than ``MAX_SMITH_SIZE`` rows, raises ``ResourceLimitError`` before it is
+    than ``MAX_RANK_SIZE`` rows, raises ``ResourceLimitError`` before it is
     allocated: the block cycle is built only for its fixed rank.
     """
     T = as_matrix(tau)
@@ -161,7 +161,7 @@ def block_cycle_matrix(tau, k: int) -> IntMatrix:
     if size * size > MAX_MONOMIALS:
         raise ResourceLimitError(f"a block-cycle matrix of size {size} has {size * size} "
                                  f"entries, over the cap of {MAX_MONOMIALS}")
-    _check_smith_size(size, size)
+    _check_size(size, size)
     # block row b holds T in block column b - 1 (mod k), zeros elsewhere
     zeros = (0,) * m
     return tuple(zeros * ((b - 1) % k) + row + zeros * (-b % k) for b in range(k) for row in T)

@@ -10,27 +10,28 @@ Cohen-Macaulay curve and a parameter h, length equals intersection
 multiplicity, and every curve the pipeline accepts is Cohen-Macaulay:
 
 * When mu0 = colength(I + (z0)) is finite, the n non-slice partials
-  I = (d_1 f, ..., d_n f) cut out a curve in C^{n+1}, a complete
-  intersection, so O/I is Cohen-Macaulay.  Multiplication by f embeds
-  O/(I : f) in O/I, so O/J is zero or Cohen-Macaulay of dimension 1 for
-  J = (I : f), and for its saturation by f (Matsumura, Commutative Ring
-  Theory, sections 14 and 17).
-* A finite omega = colength(J + (f)) makes f a parameter, hence a
-  nonzerodivisor, of O/J: J = (I : f^infinity) after one colon step.
+  I = (d_1 f, ..., d_n f) cut out a curve in C^{n+1}, an unmixed complete
+  intersection, so O/I is Cohen-Macaulay.
+* Then neither f nor ∂f/∂z0 vanishes on a branch of the polar curve, since
+  d(f)/dt = ∂f/∂z0 · d(z0)/dt there, and both vanish on Σ(f), so
+  Γ = (I : f^infinity) = (I : (∂f/∂z0)^infinity) (Massey, LNM 1615).
+* Multiplication by ∂f/∂z0 embeds O/J in O/I for J = (I : ∂f/∂z0), and for
+  its saturation, so O/J is zero or Cohen-Macaulay of dimension 1
+  (Matsumura, Commutative Ring Theory, sections 14 and 17).  A finite
+  omega = colength(J + (f)) makes f a parameter, hence a nonzerodivisor, of
+  O/J, so no branch of O/J lies in Σ(f) and ∂f/∂z0 is a nonzerodivisor too:
+  J = Γ after one colon step.
 * colength(J + (z0)) = e(z0; O/J) >= e(m; O/J), with equality iff z0 is
   transverse to the curve; a larger colength is a genericity verdict.
   Equality alone makes z0 a nonzerodivisor, so O/J is Cohen-Macaulay even
   for a direct caller whose mu0 is infinite.
-* omega is finite once mu0 is: f is then a nonzerodivisor of the saturated
-  curve Γ = (I : f^infinity), a parameter of O/Γ, so Γ + (f) is m-primary.
-* For f homogeneous of degree d, Euler's identity d·f = z0·∂f/∂z0 +
-  Σ z_i·∂f/∂z_i gives (I : f) = ((I : ∂f/∂z0) : z0), so the colon is taken
-  by ∂f/∂z0.  O/J is then graded, and colength(J + (f)) = d·e(m; O/J) +
-  length(0 :_{O/J} f), so omega = d·e(m; O/J) makes f a nonzerodivisor and
-  O/J Cohen-Macaulay.  The parameter z0 is then a nonzerodivisor, so
-  (J : z0) = J, and colength(J + (z0)) = e(m; O/J), since a linear
-  parameter generates a reduction of m: the curve is certified without
-  that colength.
+* omega is finite once mu0 is: f is then a nonzerodivisor of Γ, a
+  parameter of O/Γ, so Γ + (f) is m-primary.
+* For f homogeneous of degree d, O/J is graded, and colength(J + (f)) =
+  d·e(m; O/J) + length(0 :_{O/J} f), so omega = d·e(m; O/J) makes f a
+  nonzerodivisor and O/J Cohen-Macaulay.  The linear parameter z0 then
+  generates a reduction of m, so colength(J + (z0)) = e(m; O/J): the curve
+  is certified without that colength.
 
 The curve carries two intersection numbers, with z0 and with f; lambda0, the
 third, follows from them by Teissier's lemma (see ``lambda0``).
@@ -118,45 +119,39 @@ class PolarCurve:
 
 
 def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
-    """The relative polar curve: the non-slice partials saturated by f.
+    """The relative polar curve: the non-slice partials saturated by ∂f/∂z0.
 
-    The critical locus lies inside V(f), so saturating by f itself removes
-    exactly the critical components and keeps every polar component.  The
-    form is expected to have a finite mu0, so that the checks of the module
-    docstring apply: J = (I : f) is the curve when it is the unit ideal or
-    omega(J) is finite, and otherwise the curve is ``saturate(J, f)``, since
-    (I : f^infinity) = ((I : f) : f^infinity).  For f homogeneous of degree
-    d, J is (I : ∂f/∂z0) instead, the unit ideal when ∂f/∂z0 = 0 (then f
-    lies in I by Euler's identity), and omega = d·e(m; O/J) certifies it in
-    place of the tangent check below.  J, not I, is handed in because the
-    elimination basis grows with its input: from I it took 1.4 s
-    on 6 planes and more than 60 s on 7, from J 0.01–0.02 s and 0.04–0.07 s
-    (single runs on one core of a shared VM).  An infinite omega on the
-    saturated curve, so an infinite mu0, raises omega's verdict.  A finite
-    omega makes lambda0 and lambda1 finite: the other partials vanish on a
-    branch of Γ, so d(f)/dt = ∂f/∂z0 · d(z0)/dt, and f vanishes on any
-    branch where z0 or ∂f/∂z0 does.
+    The form is expected to have a finite mu0, so that the checks of the
+    module docstring apply: J = (I : ∂f/∂z0) is the curve when it is the unit
+    ideal or omega(J) is finite, and otherwise the curve is
+    ``saturate(J, ∂f/∂z0)``.  J is the unit ideal when ∂f/∂z0 = 0: then
+    Σ(f) = V(I), and no branch is left.  J, not I, is handed in because the
+    elimination basis grows with its input: from I it took 1.4 s on 6 planes
+    and more than 60 s on 7, from J 0.01–0.02 s and 0.04–0.07 s (single runs
+    on one core of a shared VM).  An infinite omega on the saturated curve,
+    so an infinite mu0, raises omega's verdict.  A finite omega makes lambda0
+    and lambda1 finite: d(f)/dt = ∂f/∂z0 · d(z0)/dt on a branch of Γ, so f
+    vanishes on any branch where z0 or ∂f/∂z0 does.
+    For f homogeneous of degree d, omega = d·e(m; O/J) certifies the curve.
     Without that certificate, colength(Γ + (z0)) is checked against the
     multiplicity once: a slice form tangent to the curve raises
-    ``GenericityError``, with any mu0.  Equality makes z0 a nonzerodivisor,
-    so it certifies the colon by ∂f/∂z0 too.
+    ``GenericityError``, with any mu0.
     """
     f, n, d = setup.f, setup.f.nvars, setup.f.total_degree()
     budget = budget if budget is not None else Budget()
     unit = ideal([MultiPoly.constant(1, n)], n)
-    homogeneous = all(sum(mono) == d for mono in f.terms)
-    g = f.partial(0) if homogeneous else f
+    g = f.partial(0)
     J = ideal_quotient(ideal([f.partial(i) for i in range(1, n)], n), g, budget) if g else unit
     if J == unit:
         return PolarCurve(J, 0, 0)
     f_colength = colength(ideal_sum(J, ideal([f], n)), budget)
     if f_colength is None:
-        J = saturate(J, f, budget)
+        J = saturate(J, g, budget)
         if J == unit:
             return PolarCurve(J, 0, 0)
         f_colength = _finite(colength(ideal_sum(J, ideal([f], n)), budget), _OMEGA_INFINITE)
     e = multiplicity(standard_basis(J, budget=budget), budget)
-    if homogeneous and e is not None and f_colength == d * e:
+    if e is not None and f_colength == d * e and all(sum(m) == d for m in f.terms):
         return PolarCurve(J, e, f_colength)
     slice_colength = colength(ideal_sum(J, ideal([MultiPoly.variable(0, n)], n)), budget)
     if slice_colength != e:

@@ -6,7 +6,9 @@ degree at least 2 per term.  ``census_job`` runs ``analyze_poly`` on one germ
 and one slice form and says how it ended.
 
 Run as a script, it prints one JSON line per job, so that two versions of the
-package can be compared by diffing their outputs:
+package can be compared by diffing their outputs, and ends with one line per
+outcome class on stderr (generic, verdict, or the error's class name) that
+counts its jobs:
 
     PYTHONPATH=src python tests/census.py --seed 1 --count 120 \\
         --forms auto 1,1,-5 1,0,1 1,2,3 --max-monomials 200000 --alarm 3
@@ -16,6 +18,8 @@ import argparse
 import json
 import random
 import signal
+import sys
+from collections import Counter
 from itertools import islice
 
 from lenumbers import Budget, LeNumbersError, analyze_poly, parse_poly
@@ -81,6 +85,7 @@ def main(argv=None):
     forms = [None if form == "auto" else tuple(int(c) for c in form.split(","))
              for form in args.forms]
     signal.signal(signal.SIGALRM, _timeout)
+    tally = Counter()
     for text in islice(random_germs(args.seed), args.count):
         for z0 in forms:
             signal.alarm(args.alarm)
@@ -90,7 +95,10 @@ def main(argv=None):
                 outcome = "error", "TimeoutError"
             finally:
                 signal.alarm(0)
+            tally[outcome[1] if outcome[0] == "error" else outcome[0]] += 1
             print(json.dumps([text, z0, *outcome]), flush=True)
+    for outcome, jobs in tally.most_common():
+        print(f"{outcome}: {jobs}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ def test_census_of_fifty_germs_is_pinned():
     with alarm_after(10):
         jobs = _census_of_fifty()
     counts = Counter(detail if kind == "error" else kind for _, kind, detail in jobs)
-    assert counts == {"generic": 5, "verdict": 35, "ResourceLimitError": 10}
+    assert counts == {"generic": 7, "verdict": 35, "ResourceLimitError": 8}
     assert jobs == json.loads(DATA.read_text())
 
 

@@ -339,7 +339,7 @@ def test_smith_forms_past_the_size_cap_exit_3(capsys, fmt, size, component):
         code, out, err = run(capsys, "constraints", "--format", fmt, "--input", job)
     assert code == 3
     assert out == ""
-    assert err.startswith(f"resource limit: a Smith normal form of a {size} x {size} matrix "
+    assert err.startswith(f"resource limit: the rank of a {size} x {size} matrix "
                           "is over the size cap of 96 rows and columns")
 
 

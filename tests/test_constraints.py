@@ -120,19 +120,20 @@ def test_smith_normal_form_rejects_ragged_and_empty_matrices(mat):
 
 
 def test_smith_normal_form_size_cap():
-    # MAX_SMITH_SIZE rows and columns still pass; one more raises before any pass
-    size = intlinalg.MAX_SMITH_SIZE
+    # MAX_RANK_SIZE rows and columns still pass; one more raises before any pass
+    size = intlinalg.MAX_RANK_SIZE
     assert smith_normal_form(identity(size)) == [1] * size
     assert fixed_space_rank([[0] * size] * size) == 0
     for shape in [(size + 1, 1), (1, size + 1)]:
         with pytest.raises(ResourceLimitError, match=f"^a Smith normal form of a {shape[0]} x "
                                                      f"{shape[1]} matrix is over the size cap"):
             smith_normal_form([[1] * shape[1]] * shape[0])
-    with pytest.raises(ResourceLimitError, match="over the size cap of 96 rows and columns"):
+    with pytest.raises(ResourceLimitError, match=f"^the rank of a {size + 1} x {size + 1} "
+                                                 "matrix is over the size cap of 96 rows and columns"):
         fixed_space_rank(identity(size + 1))
     # a block cycle is built only for its rank, so it is capped before it is built
     assert len(block_cycle_matrix([[1]], size)) == size
-    with pytest.raises(ResourceLimitError, match=f"^a Smith normal form of a {size + 1} x "
+    with pytest.raises(ResourceLimitError, match=f"^the rank of a {size + 1} x "
                                                  f"{size + 1} matrix is over the size cap"):
         block_cycle_matrix([[1]], size + 1)
 
@@ -170,7 +171,7 @@ def test_bareiss_rank_against_gaussian_elimination_and_smith():
 
 def test_bareiss_rank_at_the_size_cap():
     # products of random factors of inner size r have rank r here
-    size = intlinalg.MAX_SMITH_SIZE
+    size = intlinalg.MAX_RANK_SIZE
     rng = random.Random(73)
     for (rows, cols), r, bound in [((size, size), 8, 1), ((size, 40), 12, 1),
                                    ((40, size), 12, 1), ((size, size), 3, 2**64)]:

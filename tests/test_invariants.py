@@ -548,17 +548,17 @@ def test_polar_curve_of_golden_germs_is_certified(colon_calls, text, seed):
     ("x^2 + y^2*z + z^3*y", [3, 9, 6], 2),
 ], ids=["umbrella", "cubic"])
 def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
-    # omega is finite on J = (I : f), so J is the curve, and z0 = (1, 0, 1)
-    # meets it with more than its multiplicity: the form is tangent
+    # omega is finite on J = (I : df/dz0), so J is the curve, and
+    # z0 = (1, 0, 1) meets it with more than its multiplicity: the form is tangent
     result = analyze_poly(parse_poly(text, XYZ), z0=(1, 0, 1))
     inv = result.invariants
     assert not inv.genericity_ok and result.polar is None
     assert (inv.lambda0, inv.lambda1, inv.omega) == (None, None, None)
     assert inv.warnings[-1] == (f"the slice form is tangent to the polar curve: colength(polar "
                                 f"+ (z0)) = {numbers[0]} exceeds its multiplicity {e}")
-    jacobian = _nonslice_jacobian(result.setup)
-    J = ideal_quotient(jacobian, result.setup.f)
-    assert colon_calls == {"ideal_quotient": [(jacobian, result.setup.f)], "saturate": []}
+    jacobian, g = _nonslice_jacobian(result.setup), result.setup.f.partial(0)
+    J = ideal_quotient(jacobian, g)
+    assert colon_calls == {"ideal_quotient": [(jacobian, g)], "saturate": []}
     gamma = _saturated_polar(result.setup)
     assert ideals_equal(J, gamma)
     assert multiplicity(standard_basis(gamma)) == e
@@ -569,18 +569,19 @@ def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
 
 
 def test_infinite_omega_on_the_colon_falls_back(colon_calls):
-    # here J = (I : f) is a curve that z0 cuts in e(m; O/J) = 4 points, but
-    # f vanishes on a component of J: omega is infinite, so J is not
-    # accepted and the curve is its saturation, which is (J : f)
+    # here J = (I : df/dz0) is a curve that z0 cuts in e(m; O/J) = 4 points,
+    # but f vanishes on a component of J: omega is infinite, so J is not
+    # accepted and the curve is its saturation, which is (J : df/dz0) and (J : f)
     setup, _ = slice_with_form(parse_poly("y^4 - y^3*z^2 + 2*x*y*z^4", XYZ), (1, 1, -5))
-    jacobian = _nonslice_jacobian(setup)
-    J = ideal_quotient(jacobian, setup.f)
+    jacobian, g = _nonslice_jacobian(setup), setup.f.partial(0)
+    J = ideal_quotient(jacobian, g)
     w = MultiPoly.variable(0, 3)
     assert multiplicity(standard_basis(J)) == colength(ideal_sum(J, ideal([w]))) == 4
     assert colength(ideal_sum(J, ideal([setup.f]))) is None
     polar = polar_ideal(setup)
-    assert colon_calls == {"ideal_quotient": [(jacobian, setup.f)], "saturate": [(J, setup.f)]}
-    # e(m; O/Γ) = colength(Γ + (z0)) = 3 and omega = 20 on Γ = (J : f)
+    assert colon_calls == {"ideal_quotient": [(jacobian, g)], "saturate": [(J, g)]}
+    # e(m; O/Γ) = colength(Γ + (z0)) = 3 and omega = 20 on Γ
+    assert ideals_equal(polar.ideal, ideal_quotient(J, g))
     assert ideals_equal(polar.ideal, ideal_quotient(J, setup.f))
     assert (polar.slice_colength, polar.f_colength) == (3, 20)
     assert multiplicity(standard_basis(polar.ideal)) == 3
@@ -606,26 +607,32 @@ def test_fallback_saturation_matches_the_colon_chain(text, z0):
 
 # germs with a finite mu0 at a form: the golden germs and RANDOM_GERMS at the
 # automatic form, the two tangent forms above, and polarC, whose (I : f) has
-# an infinite omega.  On one germ the colon by z0 runs away in the kernel
-# (about 120 s on the default budget, with 21 pairs): it must exit 3.
+# an infinite omega.  On one germ the colon of (I : f) by z0 runs away in the
+# kernel (about 120 s on the default budget, with 21 pairs): it must exit 3.
 COLON_RUNAWAY = pytest.mark.xfail(raises=ResourceLimitError, strict=True,
                                   reason="the elimination basis of (J : z0) runs away")
 FINITE_MU0_FORMS = (
     [(text, None) for text in GENERIC_LE_NUMBERS]
-    + [pytest.param(text, None, marks=COLON_RUNAWAY) if text == "2*x*y^2*z^2 + 3*y*z^4 + 3*x*y*z"
-       else (text, None) for text, _ in RANDOM_GERMS]
+    + [(text, None) for text, _ in RANDOM_GERMS]
     + [("x^2 - y^2*z", (1, 0, 1)), ("x^2 + y^2*z + z^3*y", (1, 0, 1)),
        ("y^4 - y^3*z^2 + 2*x*y*z^4", (1, 1, -5))])
 
 
-@pytest.mark.parametrize("text,z0", FINITE_MU0_FORMS)
+def _finite_mu0_setup(text, z0):
+    f = parse_poly(text, XYZ)
+    setup = analyze_poly(f).setup if z0 is None else slice_with_form(f, z0)[0]
+    mu0(setup)
+    return setup
+
+
+@pytest.mark.parametrize("text,z0", [
+    pytest.param(*job, marks=COLON_RUNAWAY) if job[0] == "2*x*y^2*z^2 + 3*y*z^4 + 3*x*y*z"
+    else job for job in FINITE_MU0_FORMS])
 def test_colon_by_f_is_cohen_macaulay_when_mu0_is_finite(text, z0):
     # with mu0 finite, I is a complete intersection curve and O/(I : f)
     # embeds in O/I through f, so it is Cohen-Macaulay: the parameter z0 is
     # a nonzerodivisor on it, and it meets a curve J at least e(m; O/J) times
-    f = parse_poly(text, XYZ)
-    setup = analyze_poly(f).setup if z0 is None else slice_with_form(f, z0)[0]
-    mu0(setup)
+    setup = _finite_mu0_setup(text, z0)
     J = ideal_quotient(_nonslice_jacobian(setup), setup.f)
     w = MultiPoly.variable(0, 3)
     assert ideals_equal(ideal_quotient(J, w, Budget(max_monomials=20000)), J)
@@ -637,6 +644,26 @@ def test_colon_by_f_is_cohen_macaulay_when_mu0_is_finite(text, z0):
     # omega(J) = 0 only for the unit ideal, which is no curve
     elif omega_J:
         assert colength(ideal_sum(J, ideal([w]))) >= multiplicity(standard_basis(J))
+
+
+@pytest.mark.parametrize("text,z0", FINITE_MU0_FORMS)
+def test_colon_by_the_slice_partial_is_cohen_macaulay_when_mu0_is_finite(text, z0):
+    # O/(I : df/dz0) embeds in O/I through df/dz0, so the parameter z0 is a
+    # nonzerodivisor on it; f is one on the curve the pipeline returns, or on
+    # J itself where the form is tangent to it, as saturating by f or by
+    # df/dz0 gives the same curve.  Where f does not depend on z0, the colon
+    # by df/dz0 = 0 is the unit ideal
+    setup = _finite_mu0_setup(text, z0)
+    g = setup.f.partial(0)
+    J = ideal_quotient(_nonslice_jacobian(setup), g) if g else ideal([MultiPoly.constant(1, 3)])
+    w = MultiPoly.variable(0, 3)
+    assert ideals_equal(ideal_quotient(J, w, Budget(max_monomials=20000)), J)
+    try:
+        gamma = polar_ideal(setup).ideal
+    except GenericityError as exc:
+        assert "tangent" in str(exc)
+        gamma = J
+    assert ideals_equal(ideal_quotient(gamma, setup.f), gamma)
 
 
 def test_infinite_mu0_is_omegas_verdict_in_polar_ideal():
@@ -651,8 +678,11 @@ def test_infinite_mu0_is_omegas_verdict_in_polar_ideal():
 
 
 def test_unit_colon_is_the_polar_curve_at_once(colon_calls):
-    # f = x^2 + y^3 lies in (d_x f, d_y f) = (x, y^2), so (I : f) = (1)
-    setup, _ = slice_with_form(parse_poly("x^2 + y^3", XYZ), (0, 0, 1))
+    # for f = (1 + z)*x^2 + y^3 and the form z, df/dz = x^2 lies in
+    # (d_x f, d_y f) = (x, y^2), so (I : df/dz) = (1): the critical locus
+    # is the z-axis, and the polar curve is empty
+    setup, _ = slice_with_form(parse_poly("x^2 + y^3 + z*x^2", XYZ), (0, 0, 1))
+    assert mu0(setup) == 2
     polar = polar_ideal(setup)
     assert polar == invariants.PolarCurve(ideal([MultiPoly.constant(1, 3)]), 0, 0)
     assert len(colon_calls["ideal_quotient"]) == 1 and colon_calls["saturate"] == []

@@ -228,19 +228,50 @@ def test_le_iomdine_colength_work_is_pinned(text, mu, pairs, monomials):
 # reach them in bounded time
 RUNAWAYS = [
     # polynomial, slice form (None: the automatic search), pairs_used, monomials_used
-    ("x*y^3*z + z^3 - x^4*z^4", None, 8, 1001651),
-    ("-y^3 + x*y*z^2 + x^4*y^4*z^3", None, 11, 1002037),
-    ("x*y^2 + x^4*y^3*z^4 + 2*x^3*z^3", None, 13, 1000174),
-    ("-y^2*z^4 + x^2*z + 2*x^2*y^4*z", None, 10, 1001831),
+    ("x*y^3*z + z^3 - x^4*z^4", None, 11, 1002104),
+    ("-y^3 + x*y*z^2 + x^4*y^4*z^3", None, 13, 1000025),
+    ("y^2 - x^3 - x^2*z^2", (1, 1, -5), 14, 1000167),
 ]
 
 
-@pytest.mark.parametrize("text,z0,pairs,monomials", RUNAWAYS, ids=["R1", "R2", "R3", "R4"])
+@pytest.mark.parametrize("text,z0,pairs,monomials", RUNAWAYS, ids=["R1", "R2", "polarA"])
 def test_runaways_exit_on_the_default_budget(text, z0, pairs, monomials):
     with alarm_after(20), pytest.raises(ResourceLimitError) as raised:
         analyze_poly(P(text), z0=z0)
     assert str(raised.value) == (f"stage polar: monomial budget of 1000000 exhausted "
                                  f"(pairs_used={pairs}, monomials_used={monomials})")
+
+
+# runaways of the colon by f that the colon by df/dz0 answers
+FORMER_RUNAWAYS = [
+    # polynomial, slice form, (mu0, lambda0, lambda1, omega), pairs_used, monomials_used
+    ("x^3 + y^2*z^3 + x*y*z^2", (1, 1, -5), (7, 7, 5, 9), 84, 101129),
+    ("x*y^2 + x^4*y^3*z^4 + 2*x^3*z^3", None, (7, 5, 6, 6), 36, 23803),
+    ("-y^2*z^4 + x^2*z + 2*x^2*y^4*z", None, (7, 5, 6, 6), 33, 2657),
+]
+
+
+@pytest.mark.parametrize("text,z0,le,pairs,monomials", FORMER_RUNAWAYS,
+                         ids=["polarB", "R3", "R4"])
+def test_former_runaways_answer_on_the_default_budget(text, z0, le, pairs, monomials):
+    budget = Budget()
+    with alarm_after(20):
+        result = analyze_poly(P(text), z0=z0, budget=budget)
+    inv = result.invariants
+    assert inv.genericity_ok
+    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == le
+    assert (budget.pairs_used, budget.monomials_used) == (pairs, monomials)
+    # lambda0 by the third colength, which the pipeline does not compute
+    g = result.setup.f
+    assert colength(ideal_sum(result.polar.ideal, ideal([g.partial(0)]))) == inv.lambda0
+    # Le-Iomdine past every polar quotient: mu(g + w^N) = lambda0 + (N - 1)*lambda1
+    for N in (inv.omega + 1, inv.omega + 2):
+        F = g + MultiPoly.variable(0, 3) ** N
+        jacobian = [F.partial(i) for i in range(3)]
+        mu = inv.lambda0 + (N - 1) * inv.lambda1
+        assert colength(ideal(jacobian)) == mu
+        if z0 is not None:
+            assert macaulay_colength(jacobian, 3)[0] == mu
 
 
 def _polar_steps(monkeypatch):
@@ -259,7 +290,7 @@ def _polar_steps(monkeypatch):
 
 
 def test_polarC_answers_on_the_default_budget(monkeypatch):
-    # (I : f) has infinite omega, so the curve is its saturation:
+    # (I : df/dz0) has infinite omega, so the curve is its saturation:
     # e(m; O/Γ) = colength(Γ + (z0)) = 3 and omega = 20
     steps = _polar_steps(monkeypatch)
     budget = Budget()
@@ -268,7 +299,7 @@ def test_polarC_answers_on_the_default_budget(monkeypatch):
     inv = result.invariants
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (17, 17, 14, 20)
     assert [len(steps["ideal_quotient"]), len(steps["saturate"])] == [1, 1]
-    assert (budget.pairs_used, budget.monomials_used) == (278, 181461)
+    assert (budget.pairs_used, budget.monomials_used) == (135, 1070)
     # Teissier: omega = (Γ . V(dg/dw)) + (mu0 - lambda1), with the first
     # number computed here, since the pipeline derives lambda0 from omega
     g = result.setup.f
@@ -283,7 +314,7 @@ def test_polarC_answers_on_the_default_budget(monkeypatch):
 
 def test_two_round_polar_curve_work_is_pinned(monkeypatch):
     # the first form, (1, 0, 0), is tangent to the smooth polar curve
-    # J = (I : f), whose omega is finite: it meets it twice, above
+    # J = (I : df/dz0), whose omega is finite: it meets it twice, above
     # e(m; O/J) = 1.  The search moves on: (0, 1, 0) and (0, 0, 1) give an
     # infinite mu0, and (1, 1, 1) passes in one colon step with the generic
     # (4, 4, 3, 5) that forms such as (1, 1, -5) give too.  No form saturates.
@@ -294,4 +325,4 @@ def test_two_round_polar_curve_work_is_pinned(monkeypatch):
     assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == (4, 4, 3, 5)
     assert result.setup.z0_coefficients == (1, 1, 1)
     assert [len(steps["ideal_quotient"]), len(steps["saturate"])] == [2, 0]
-    assert (budget.pairs_used, budget.monomials_used) == (97, 1872)
+    assert (budget.pairs_used, budget.monomials_used) == (95, 509)
