@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import InputError, ResourceLimitError
-from .polynomials import MAX_MONOMIALS, integer, square_and_multiply
+from .polynomials import MAX_MONOMIALS, integer
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -19,25 +19,6 @@ def as_matrix(rows, name: str = "matrix") -> IntMatrix:
     if any(len(r) != width for r in mat):
         raise InputError("matrix rows must have equal length")
     return mat
-
-
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
-
-
-def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    if integer(k, "power") < 0:
-        raise InputError("negative matrix power")
-    return square_and_multiply(a, k, identity(len(a)), mat_mul)
 
 
 # The most rows or columns a rank or a Smith normal form takes.  The rank of
@@ -124,15 +105,6 @@ def bareiss_rank(rows) -> int:
                 for j, row in enumerate(rows) if j != i]
         rank, prev = rank + 1, p
     return rank
-
-
-def fixed_space_rank(mat) -> int:
-    """Rank of ker(id - A) for a square integer matrix A read through
-    ``as_matrix``: see ``fixed_rank``."""
-    A = as_matrix(mat)
-    if len(A) != len(A[0]):
-        raise InputError("matrix must be square")
-    return fixed_rank(A)
 
 
 def fixed_rank(A: IntMatrix) -> int:

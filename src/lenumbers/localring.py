@@ -116,23 +116,20 @@ class LocalOrder:
 
 
 class EliminationOrder(LocalOrder):
-    """Tag-variable block compared globally first, then LocalOrder on the rest.
+    """The exponent of the tag variable x_0 compared globally first, then
+    LocalOrder on the rest.
 
-    Any monomial containing a tag variable beats every tag-free monomial, so a
-    standard basis with respect to this order eliminates the tag block.
+    Any monomial containing the tag beats every tag-free monomial, so a
+    standard basis with respect to this order eliminates the tag.
     """
 
-    def __init__(self, ntags: int):
-        if ntags < 1:
-            raise InputError("need at least one tag variable")
-        self.ntags = ntags
+    ntags = 1
 
     def key(self, m: Monomial):
-        t, z = m[: self.ntags], m[self.ntags:]
-        return (mono_deg(t), t, -mono_deg(z), z)
+        return (m[0], -mono_deg(m), m[1:])
 
     def __repr__(self) -> str:
-        return f"EliminationOrder(ntags={self.ntags})"
+        return "EliminationOrder()"
 
 
 def leading(p: MultiPoly, order: LocalOrder) -> tuple[Monomial, Fraction]:
@@ -627,9 +624,9 @@ def multiplicity(sb: StandardBasis, budget: Budget | None = None) -> int | None:
 
 def _intersect(lifted: list[MultiPoly], n: int, budget: Budget, contract) -> Ideal:
     """contract(h) for the tag-free h of a standard basis of the lifted ideal of
-    O[t] under ``EliminationOrder(1)``, t dropped: these h generate its
+    O[t] under ``EliminationOrder``, t dropped: these h generate its
     intersection with O (Greuel–Pfister, §1.8)."""
-    sb = standard_basis(ideal(lifted, n + 1), EliminationOrder(1), budget)
+    sb = standard_basis(ideal(lifted, n + 1), EliminationOrder(), budget)
     gens = [contract(h.restrict_first_var()) for h in sb.basis if not any(m[0] for m in h.terms)]
     # in the local ring a nonzero constant term makes a generator a unit
     if any(q.constant_term() for q in gens):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm, prod
-from operator import add, le, mul
+from operator import add, le
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, PolyParseError, ResourceLimitError
@@ -201,7 +201,16 @@ class MultiPoly:
         # power have up to exponent * log2(max(D, |D * self|_1)) bits
         d, scaled = scaled_terms(self._terms)
         check_power_bits(max(d, sum(map(abs, scaled.values()))), exponent)
-        return square_and_multiply(self, exponent, MultiPoly.constant(1, self.nvars), mul)
+        # repeated squaring: one product per bit after the first for the squares,
+        # one per set bit for the result
+        base, result = self, MultiPoly.constant(1, self.nvars)
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     def term_mul(self, mono: Monomial, coeff: Fraction) -> "MultiPoly":
         """Multiply by the single term coeff * x^mono."""
@@ -247,15 +256,18 @@ class MultiPoly:
         rows = [[rational(v) for v in row] for row in matrix]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("matrix size must match the variable count")
-        if not _det(rows):
-            raise InputError("singular matrix in linear change of coordinates")
+        from .intlinalg import bareiss_rank  # intlinalg imports this module
+
         # integer arithmetic, as in a product: variable i goes to images[i] / dens[i],
         # and the result has one denominator, d * prod(dens[i] ** tops[i]) with
         # tops[i] the top exponent of variable i
-        d, scaled = scaled_terms(self._terms)
         dens = [lcm(*(c.denominator for c in row)) for row in rows]
-        images = [{(0,) * j + (1,) + (0,) * (n - j - 1): int(c * den)
-                   for j, c in enumerate(row) if c} for row, den in zip(rows, dens)]
+        cleared = [[int(c * den) for c in row] for row, den in zip(rows, dens)]
+        if bareiss_rank(cleared) < n:
+            raise InputError("singular matrix in linear change of coordinates")
+        d, scaled = scaled_terms(self._terms)
+        images = [{(0,) * j + (1,) + (0,) * (n - j - 1): v for j, v in enumerate(row) if v}
+                  for row in cleared]
         tops = [max((m[i] for m in scaled), default=0) for i in range(n)]
         powers: list[list[dict[Monomial, int]]] = [[{(0,) * n: 1}] for _ in range(n)]
         out: dict[Monomial, int] = {}
@@ -340,39 +352,6 @@ def check_power_bits(base: int, exponent: int) -> None:
     if bits > MAX_MONOMIALS:
         raise ResourceLimitError(f"raising to the power {exponent} needs about {bits} "
                                  f"coefficient bits, over the cap of {MAX_MONOMIALS}")
-
-
-def square_and_multiply(base, exponent: int, one, times):
-    """base ** exponent for a nonnegative int exponent, by repeated squaring: one
-    ``times`` per bit after the first for the squares, one per set bit for the result."""
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = times(result, base)
-        exponent >>= 1
-        if exponent:
-            base = times(base, base)
-    return result
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from lenumbers.arrangements import arrangement_report, multiple_points, to_setup
 from lenumbers.localring import saturate, standard_basis
 from lenumbers.constraints import (VERDICT_EXPONENTS, VERDICT_NON_SPLITTING, cyclic_kernel_rank,
                                    lambda1_from_components)
-from lenumbers.intlinalg import fixed_space_rank, mat_pow
+from lenumbers.intlinalg import fixed_rank
 from lenumbers.cyclo import cyclo_product, divisors, homogeneous_char
 from ideal_equality import ideals_equal
+from matrix_oracle import mat_pow
 from staircase_oracle import staircase_oracle
 from unipoly_oracle import t_poly, t_power_minus_one, unipoly_gcd
 
@@ -202,7 +203,7 @@ def test_criterion_08_cyclic_kernel_lemma():
             k = rng.randint(1, 4)
             tau = tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(m))
             result = cyclic_kernel_rank(tau, k)
-            assert result == fixed_space_rank(mat_pow(tau, k))
+            assert result == fixed_rank(mat_pow(tau, k))
 
     criterion(8, "cyclic kernel rank equals the k-th power kernel rank (100 cases)",
               body)

@@ -4,7 +4,7 @@ The cases are random ideals in 2 and 3 variables under ``LocalOrder()``,
 half of them with one generator per variable carrying a pure power of it
 (mostly zero-dimensional, so the highest-corner cap engages), and the
 tag-variable lifts that ``ideal_quotient`` builds to divide a few of them by
-a binomial linear form, under ``EliminationOrder(1)``.  For each the
+a binomial linear form, under ``EliminationOrder()``.  For each the
 recording keeps the printed basis elements, the staircase and the
 highest-corner cap, so any change to the completion (pair order, reducer
 choice, truncation, normalization) shows.
@@ -74,7 +74,7 @@ def _cases():
         tag = MultiPoly.variable(0, n + 1)
         lifted = [tag * f.insert_var(0) for f in base.generators]
         lifted.append((MultiPoly.constant(1, n + 1) - tag) * g.insert_var(0))
-        cases.append((f"lift{k}", ideal(lifted, n + 1), EliminationOrder(1)))
+        cases.append((f"lift{k}", ideal(lifted, n + 1), EliminationOrder()))
     return cases
 
 
@@ -140,7 +140,7 @@ def test_every_spolynomial_of_the_basis_reduces_to_zero(name, I, order):
 def test_recording_covers_both_orders_and_caps(recorded):
     assert len(recorded) == RANDOM_IDEALS + QUOTIENT_LIFTS
     assert {case["order"] for case in recorded.values()} == {
-        "LocalOrder()", "EliminationOrder(ntags=1)"}
+        "LocalOrder()", "EliminationOrder()"}
     capped = sum(case["cap"] is not None for case in recorded.values())
     assert 0 < capped < len(recorded)
 

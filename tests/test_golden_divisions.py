@@ -2,7 +2,7 @@
 
 The cases divide a random f with rational coefficients by 1 to 3 random
 generators without constant term, some of them zero, under ``LocalOrder()``
-in 2 and 3 variables and under ``EliminationOrder(1)`` in 3 variables, and
+in 2 and 3 variables and under ``EliminationOrder()`` in 3 variables, and
 by 1 or 2 small generators of which at least one has a constant term, so that
 a generator may be a unit and lead with the monomial 1, under both.  For
 each the recording keeps the printed remainder, unit and quotients of
@@ -60,7 +60,7 @@ def _cases():
             # or its lowest-degree part, so that remainders are remembered
             top = min(map(sum, f.terms))
             f = MultiPoly({m: c for m, c in f.terms.items() if sum(m) <= top}, nvars)
-        order = LocalOrder() if local else EliminationOrder(1)
+        order = LocalOrder() if local else EliminationOrder()
         cases.append((f"{'local' if local else 'elim'}{k}", f, gens, order))
     return cases + _unit_cases()
 
@@ -73,7 +73,7 @@ def _unit_cases():
         gens = [_random_poly(rng, nvars, 1, 2, 2) for _ in range(rng.randint(1, 2))]
         gens[0] = gens[0] + MultiPoly.constant(rng.choice((-2, 1, 3)), nvars)
         f = _random_poly(rng, nvars, 0, 3, 3) + _random_poly(rng, nvars, 1, 3, 3)
-        order = LocalOrder() if k % 2 == 0 else EliminationOrder(1)
+        order = LocalOrder() if k % 2 == 0 else EliminationOrder()
         cases.append((f"unit{k}", f, gens, order))
     return cases
 
@@ -109,14 +109,14 @@ def test_mora_division_matches_recording(recorded, name, f, gens, order):
 def test_recording_covers_orders_zero_slots_and_remainders(recorded):
     assert len(recorded) == LOCAL_CASES + ELIMINATION_CASES + UNIT_CASES
     assert {case["order"] for case in recorded.values()} == {
-        "LocalOrder()", "EliminationOrder(ntags=1)"}
+        "LocalOrder()", "EliminationOrder()"}
     assert any("0" in case["gens"] for case in recorded.values())
     assert any(len(case["gens"]) == 3 for case in recorded.values())
     zero = sum(case["r"] == "0" for case in recorded.values())
     assert 0 < zero < len(recorded)
     assert any(case["u"] != "1" for case in recorded.values())
     units = [case for name, case in recorded.items() if name.startswith("unit")]
-    assert {case["order"] for case in units} == {"LocalOrder()", "EliminationOrder(ntags=1)"}
+    assert {case["order"] for case in units} == {"LocalOrder()", "EliminationOrder()"}
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def _rand_poly(rng, nvars, low=0):
 
 def test_mora_divide_witness_identity_any_inputs():
     # f and the generators may have a constant term, so generators may be units
-    for order in (LocalOrder(), EliminationOrder(1)):
+    for order in (LocalOrder(), EliminationOrder()):
         rng = random.Random(17)
         for _ in range(30):
             nvars = rng.randint(2, 3)
@@ -102,7 +102,7 @@ def test_mora_divide_witness_identity_any_inputs():
 
 
 def test_mora_divide_witness_identity():
-    for order in (LocalOrder(), EliminationOrder(1)):
+    for order in (LocalOrder(), EliminationOrder()):
         rng = random.Random(17)
         units = 0
         for trial in range(40):

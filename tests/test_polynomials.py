@@ -297,8 +297,15 @@ def test_linear_change_shear_example():
 
 
 def test_linear_change_rejects_singular_matrix():
-    with pytest.raises(InputError, match="singular"):
-        P("x", XY).linear_change([[1, 1], [1, 1]])
+    # the rows of [[1/2, 1/3], [3, 2]] are dependent only over Q: cleared of
+    # denominators they are [3, 2] twice
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for m in ([[1, 1], [1, 1]], [[half, third], [3, 2]]):
+        with pytest.raises(InputError, match="^singular matrix in linear change of coordinates$"):
+            P("x", XY).linear_change(m)
+    with pytest.raises(InputError, match="^singular matrix"):
+        P("x*y*z").linear_change([[1, 2, 3], [0, 1, 1], [1, 3, 4]])
+    assert P("x + y", XY).linear_change([[half, third], [3, 1]]) == P("7/2*x + 4/3*y", XY)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """README.md documents the package: every export is named there, and its
-Python examples run."""
+Python examples run.  Every function of the package has a caller."""
 
+import ast
 import re
 from pathlib import Path
 from types import ModuleType
 
 import lenumbers
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "lenumbers"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_export_is_named_in_the_readme():
@@ -25,3 +29,31 @@ def test_readme_python_blocks_run_in_order():
     namespace = {}
     for block in blocks:
         exec(block, namespace)
+
+
+def _traced_functions() -> set[tuple[str, str]]:
+    """The (module, function) keys of ``SPANNED`` and ``COUNTED`` in the
+    benchmark's tracer, read from its source."""
+    traced = set()
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and {t.id for t in node.targets} & {"SPANNED", "COUNTED"}:
+            traced |= {(key.elts[0].id, key.elts[1].value) for key in node.value.keys}
+    return traced
+
+
+def test_every_package_function_has_a_caller():
+    # a module-level function is named somewhere in the package, exported, or
+    # traced by the benchmark; the tracer alone keeps leading and mora_reduce
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    kept = used | {name for name in vars(lenumbers) if not name.startswith("__")}
+    traced = _traced_functions()
+    assert traced
+    uncalled = [f"{module}.{node.name}" for module, tree in sorted(trees.items())
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name not in kept
+                and (module, node.name) not in traced]
+    assert uncalled == []
