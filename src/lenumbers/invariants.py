@@ -46,8 +46,8 @@ from itertools import chain, count, islice
 from typing import Sequence
 
 from .errors import GenericityError, InputError, ResourceLimitError
-from .localring import (Budget, Ideal, colength, ideal, ideal_quotient, ideal_sum,
-                        multiplicity, saturate, standard_basis)
+from .localring import (Budget, Ideal, LocalOrder, colength, ideal, ideal_quotient, ideal_sum,
+                        leading, multiplicity, saturate)
 from .polynomials import MultiPoly, integer, rational, variable_index
 
 GENERICITY_SCOPE_WARNING = (
@@ -135,7 +135,9 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
     For f homogeneous of degree d, omega = d·e(m; O/J) certifies the curve.
     Without that certificate, colength(Γ + (z0)) is checked against the
     multiplicity once: a slice form tangent to the curve raises
-    ``GenericityError``, with any mu0.
+    ``GenericityError``, with any mu0.  e(m; O/J) is read off the leading
+    monomials of J's generators, which ``ideal_quotient`` and ``saturate``
+    return as a ``LocalOrder`` standard basis, so J is not completed again.
     """
     f, n, d = setup.f, setup.f.nvars, setup.f.total_degree()
     budget = budget if budget is not None else Budget()
@@ -150,7 +152,7 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
         if J == unit:
             return PolarCurve(J, 0, 0)
         f_colength = _finite(colength(ideal_sum(J, ideal([f], n)), budget), _OMEGA_INFINITE)
-    e = multiplicity(standard_basis(J, budget=budget), budget)
+    e = multiplicity([leading(q, LocalOrder())[0] for q in J.generators], n, budget)
     if e is not None and f_colength == d * e and all(sum(m) == d for m in f.terms):
         return PolarCurve(J, e, f_colength)
     slice_colength = colength(ideal_sum(J, ideal([MultiPoly.variable(0, n)], n)), budget)

@@ -24,7 +24,7 @@ import pytest
 
 from lenumbers import ideal, parse_poly
 from lenumbers.cli import main
-from ideal_equality import ideals_equal
+from ideal_equality import ideals_equal, is_local_standard_basis
 
 DATA = Path(__file__).resolve().parent / "data" / "polar_ideals.json"
 
@@ -63,6 +63,9 @@ def test_polar_ideal_equals_recording(recorded, germ, seed):
     got, want = run_job(germ, seed), recorded[f"{germ}-seed{seed}"]
     assert got["slice_variables"] == want["slice_variables"]
     assert ideals_equal(_polar(got), _polar(want))
+    # the printed generators are a local standard basis, off which
+    # polar_ideal reads the curve's multiplicity
+    assert is_local_standard_basis(_polar(got))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from lenumbers import invariants
 from lenumbers.localring import (ideal_quotient, ideal_sum, multiplicity, saturate,
                                  standard_basis)
 from arrangement_pipeline import arrangement_pipeline
-from ideal_equality import ideals_equal
+from ideal_equality import ideals_equal, is_local_standard_basis
 from macaulay_oracle import macaulay_colength
 from saturation_oracle import colon_saturation
 
@@ -509,6 +509,7 @@ def test_homogeneous_polar_curve_is_the_euler_colon_certified_by_omega(colon_cal
     assert colon_calls == {"ideal_quotient": [(_nonslice_jacobian(setup), f.partial(0))],
                            "saturate": []}
     assert ideal_sum(polar.ideal, ideal([w])) not in colengths
+    assert is_local_standard_basis(polar.ideal)
     gamma = _saturated_polar(setup)
     assert ideals_equal(polar.ideal, gamma)
     numbers = _curve_numbers(gamma, f)
@@ -561,7 +562,7 @@ def test_tangent_slice_is_a_genericity_verdict(colon_calls, text, numbers, e):
     assert colon_calls == {"ideal_quotient": [(jacobian, g)], "saturate": []}
     gamma = _saturated_polar(result.setup)
     assert ideals_equal(J, gamma)
-    assert multiplicity(standard_basis(gamma)) == e
+    assert multiplicity(standard_basis(gamma).staircase, 3) == e
     # the curve meets V(z0), V(f) and V(df/dz0) finitely, and Teissier's lemma
     # holds on it: the verdict is tangency alone
     assert _curve_numbers(gamma, result.setup.f) == numbers
@@ -576,7 +577,7 @@ def test_infinite_omega_on_the_colon_falls_back(colon_calls):
     jacobian, g = _nonslice_jacobian(setup), setup.f.partial(0)
     J = ideal_quotient(jacobian, g)
     w = MultiPoly.variable(0, 3)
-    assert multiplicity(standard_basis(J)) == colength(ideal_sum(J, ideal([w]))) == 4
+    assert multiplicity(standard_basis(J).staircase, 3) == colength(ideal_sum(J, ideal([w]))) == 4
     assert colength(ideal_sum(J, ideal([setup.f]))) is None
     polar = polar_ideal(setup)
     assert colon_calls == {"ideal_quotient": [(jacobian, g)], "saturate": [(J, g)]}
@@ -584,7 +585,7 @@ def test_infinite_omega_on_the_colon_falls_back(colon_calls):
     assert ideals_equal(polar.ideal, ideal_quotient(J, g))
     assert ideals_equal(polar.ideal, ideal_quotient(J, setup.f))
     assert (polar.slice_colength, polar.f_colength) == (3, 20)
-    assert multiplicity(standard_basis(polar.ideal)) == 3
+    assert multiplicity(standard_basis(polar.ideal).staircase, 3) == 3
     assert _curve_numbers(polar.ideal, setup.f) == [3, 20, lambda0(polar)]
     assert lambda0(polar) == 17
 
@@ -601,6 +602,7 @@ def test_fallback_saturation_matches_the_colon_chain(text, z0):
     # a nonzerodivisor on the curve
     setup, _ = slice_with_form(parse_poly(text, XYZ), z0)
     gamma = _saturated_polar(setup)
+    assert is_local_standard_basis(gamma)
     assert ideals_equal(gamma, colon_saturation(_nonslice_jacobian(setup), setup.f))
     assert ideals_equal(ideal_quotient(gamma, setup.f), gamma)
 
@@ -643,7 +645,7 @@ def test_colon_by_f_is_cohen_macaulay_when_mu0_is_finite(text, z0):
         assert colength(ideal_sum(saturate(J, setup.f), ideal([setup.f]))) is not None
     # omega(J) = 0 only for the unit ideal, which is no curve
     elif omega_J:
-        assert colength(ideal_sum(J, ideal([w]))) >= multiplicity(standard_basis(J))
+        assert colength(ideal_sum(J, ideal([w]))) >= multiplicity(standard_basis(J).staircase, 3)
 
 
 @pytest.mark.parametrize("text,z0", FINITE_MU0_FORMS)
@@ -664,6 +666,8 @@ def test_colon_by_the_slice_partial_is_cohen_macaulay_when_mu0_is_finite(text, z
         assert "tangent" in str(exc)
         gamma = J
     assert ideals_equal(ideal_quotient(gamma, setup.f), gamma)
+    # polar_ideal reads e(m; O/Γ) off these generators without completing them
+    assert is_local_standard_basis(J) and is_local_standard_basis(gamma)
 
 
 def test_infinite_mu0_is_omegas_verdict_in_polar_ideal():
