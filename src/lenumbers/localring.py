@@ -17,8 +17,12 @@ every step updates alike, so leading monomials, ecarts and reducer choices
 are those over Q.  Content is divided out in three places only: a remainder
 joining a basis, or a basis element cut at the highest corner, is made
 primitive (so the bases are those over Q); a division ends by dividing by
-U(0); ``ideal`` normalizes generators.  A reduction never divides its state.
-Polynomials cross the module boundary with ``Fraction`` coefficients.
+U(0), or a colon generator is made primitive; ``ideal`` normalizes
+generators.  A reduction never divides its state.  Polynomials cross the
+module boundary with ``Fraction`` coefficients only when read: a
+``StandardBasis`` keeps the completion's integer records, ``colength`` reads
+the completion's own staircase count, and ``ideal_quotient`` divides the
+elimination basis's records by g in the same packed layout.
 
 Inside that loop a monomial is one int (Bachmann and Schönemann, "Monomial
 representations for Gröbner bases computations", ISSAC 1998): the fields
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import product
 from math import gcd, prod
@@ -175,7 +179,7 @@ class _Packing:
     """
 
     def __init__(self, nvars: int, maxdeg: int, order: LocalOrder):
-        self.nvars = nvars
+        self.nvars, self.maxdeg = nvars, maxdeg
         self.bits = bits = max(maxdeg, 1).bit_length() + _HEADROOM_BITS
         width = bits + 1
         self.deg_shift = width * nvars
@@ -307,33 +311,41 @@ def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
     """Mora division with witnesses: returns (r, u, q) with u*f = sum(q_i*g_i) + r.
 
     u is a local unit with constant term 1; the identity is exact and can be
-    checked term by term.  A zero generator gets a zero quotient.
-
-    The division is ``_reduce`` on the state [h, U, Q_1..Q_k], started from
-    h = d·f, U = d, Q = 0 for the d that clears f's denominators; g_i enters
-    as the record of [D_i·g_i, 0, .., −D_i, .., 0], so the identity holds for
-    the g_i themselves.  Each state is then c·(r, u, q) for the state of
-    Mora's division over Q and some integer c ≠ 0, with the same leading
-    monomials, ecarts, reducer choices and budget charges.  Over Q, u starts
-    at 1 and a step by a remembered remainder subtracts a multiple of x^a·u_r
-    with a ≠ 0, so u(0) = 1 throughout, and dividing by c = U(0) gives the
-    division over Q term for term.
+    checked term by term.  A zero generator gets a zero quotient.  The
+    division is ``_divide``, ended by dividing its state by U(0).
     """
     gens = list(gens)
     if any(g.nvars != f.nvars for g in gens):
         raise InputError("generators must share the variable count")
     budget = budget if budget is not None else Budget()
     packing = _Packing(f.nvars, max(p.total_degree() for p in (f, *gens)), order or LocalOrder())
-    # the packed unit monomial is 0
-    cleared = [(d, packing.terms(h)) for d, h in (scaled_terms(g.terms) for g in gens)]
-    reducers = [_reducer([h, {}] + [{0: -d} if j == i else {} for j in range(len(gens))], packing)
-                for i, (d, h) in enumerate(cleared) if h]
+    divisors = [(d, packing.terms(h)) for d, h in (scaled_terms(g.terms) for g in gens)]
     d, h = scaled_terms(f.terms)
-    start = [packing.terms(h), {0: d}] + [{} for _ in gens]
-    state = _reduce(start, reducers, packing, budget, None)
+    state = _divide(packing.terms(h), d, divisors, packing, budget)
     c = state[1][0]
     r, u, *q = (packing.poly(p, c) for p in state)
     return r, u, q
+
+
+def _divide(h: dict[int, int], d: int, divisors: list[tuple[int, dict[int, int]]],
+            packing: _Packing, budget: Budget) -> list[dict[int, int]]:
+    """The final state [r, U, Q_1..Q_k] of Mora's division of f = h/d by the
+    g_i = G_i/D_i, given as ``divisors`` [(D_i, G_i)] with packed integer terms.
+
+    The division is ``_reduce`` on the state [h, U, Q_1..Q_k], started from
+    U = d, Q = 0; g_i enters as the record of [G_i, 0, .., −D_i, .., 0], so
+    U·f = Σ Q_i·g_i + r holds throughout.  Each state is then c·(r, u, q) for
+    the state of Mora's division over Q and some integer c ≠ 0, with the same
+    leading monomials, ecarts, reducer choices and budget charges.  Over Q, u
+    starts at 1 and a step by a remembered remainder subtracts a multiple of
+    x^a·u_r with a ≠ 0, so u(0) = 1 throughout, and dividing by c = U(0)
+    gives the division over Q term for term.
+    """
+    # the packed unit monomial is 0
+    reducers = [_reducer([g, {}] + [{0: -D} if j == i else {} for j in range(len(divisors))],
+                         packing)
+                for i, (D, g) in enumerate(divisors) if g]
+    return _reduce([h, {0: d}] + [{} for _ in divisors], reducers, packing, budget, None)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +376,9 @@ def ideal(gens: Iterable[MultiPoly], nvars: int | None = None) -> Ideal:
     """Normalize generators: drop zeros, scale to primitive form, deduplicate.
 
     The primitive form has coprime integer coefficients and a positive
-    grlex-leading one, as the standard-basis kernel makes its elements.
+    grlex-leading one, as the standard-basis kernel makes its elements; a
+    generator already in it is kept as it is.  Duplicates are found by their
+    integer terms.
     """
     cleaned: list[MultiPoly] = []
     seen = set()
@@ -373,12 +387,15 @@ def ideal(gens: Iterable[MultiPoly], nvars: int | None = None) -> Ideal:
             nvars = g.nvars
         if g.is_zero:
             continue
-        h = scaled_terms(g.terms)[1]
-        h = _primitive(h, max(h, key=lambda m: (mono_deg(m), m)))
-        g = MultiPoly._raw({m: Fraction(c) for m, c in h.items()}, g.nvars)
-        if g not in seen:
-            seen.add(g)
-            cleaned.append(g)
+        d, h = scaled_terms(g.terms)
+        p = _primitive(h, max(h, key=lambda m: (mono_deg(m), m)))
+        key = frozenset(p.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        if d != 1 or p is not h:
+            g = MultiPoly._raw({m: Fraction(c) for m, c in p.items()}, g.nvars)
+        cleaned.append(g)
     if nvars is None:
         raise InputError("cannot infer the variable count of an empty ideal")
     return Ideal(tuple(cleaned), nvars)
@@ -391,7 +408,10 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     return ideal(list(a.generators) + list(b.generators), a.nvars)
 
 
-@dataclass(frozen=True)
+# the count of a basis whose completion did not count its staircase
+_UNCOUNTED = object()
+
+
 class StandardBasis:
     """A completed local standard basis together with its leading staircase.
 
@@ -400,13 +420,28 @@ class StandardBasis:
     zero-dimensional or the order is not a local degree order.  A basis
     element whose leading monomial has degree < K has no term of degree >= K;
     any other element is its leading monomial.
+
+    The completion's packed integer records stay on the basis, with the
+    exponent tuples of their leading monomials and, under ``LocalOrder``, the
+    ``_staircase_count`` of those that set the last cap.  ``basis`` (the
+    elements with ``Fraction`` coefficients) and ``staircase`` (the minimal
+    leading monomials) are built when first read.  Two bases compare by
+    identity.
     """
 
-    basis: tuple[MultiPoly, ...]
-    order: LocalOrder
-    staircase: tuple[Monomial, ...]
-    nvars: int
-    cap: int | None = None
+    def __init__(self, order: LocalOrder, nvars: int, cap: int | None = None,
+                 packing: _Packing | None = None, records: Sequence[tuple] = (),
+                 lms: Sequence[Monomial] = (), counted=_UNCOUNTED):
+        self.order, self.nvars, self.cap = order, nvars, cap
+        self._packing, self._records, self._lms, self._counted = packing, records, lms, counted
+
+    @cached_property
+    def basis(self) -> tuple[MultiPoly, ...]:
+        return tuple(self._packing.poly(polys[0]) for _, _, _, polys in self._records)
+
+    @cached_property
+    def staircase(self) -> tuple[Monomial, ...]:
+        return _minimal_monomials(self._lms)
 
     def contains(self, f: MultiPoly, budget: Budget | None = None) -> bool:
         """Ideal membership in the local ring via Mora reduction.
@@ -467,21 +502,19 @@ def _staircase_count(lead: Sequence[Monomial], nvars: int,
 
 
 def _lower_cap(basis: list[tuple], lms: list[Monomial], cap: int | None, packing: _Packing,
-               budget: Budget) -> tuple[int | None, list[tuple]]:
-    """The records' highest-corner cap (1 + the largest degree of a standard monomial of
-    their leading monomials ``lms``, read off ``_staircase_count``; None while there are
-    infinitely many), and the records truncated to it if it fell."""
+               budget: Budget) -> tuple[tuple[int, int] | None, int | None, list[tuple]]:
+    """The ``_staircase_count`` of the records' leading monomials ``lms``, their
+    highest-corner cap (1 + the largest degree of a standard monomial; None while there
+    are infinitely many), and the records truncated to the cap if it fell."""
     counted = _staircase_count(lms, packing.nvars, budget)
-    if counted is None:
-        return cap, basis
+    if counted is None or 1 + counted[1] == cap:
+        return counted, cap, basis
     new_cap = 1 + counted[1]
-    if new_cap == cap:
-        return cap, basis
     budget.tick_monomials(sum(len(polys[0]) for _, _, _, polys in basis))
     cut = packing.cut(new_cap)
     truncated = [{lm: 1} if lm >= cut else {m: c for m, c in polys[0].items() if m < cut}
                  for lm, _, _, polys in basis]
-    return new_cap, [_reducer([_primitive(h, max(h))], packing) for h in truncated]
+    return counted, new_cap, [_reducer([_primitive(h, max(h))], packing) for h in truncated]
 
 
 def standard_basis(I: Ideal, order: LocalOrder | None = None,
@@ -508,10 +541,11 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     integer multiple of the same step over Q, so leading monomials, ecarts
     and reducer choices agree with Mora's algorithm over Q.  A remainder is
     made primitive only when it joins the basis, and is then the one Q would
-    give.  The basis is one list of records (lm, lc, ecart, [poly]), returned
-    with ``Fraction`` coefficients; every element is primitive, as ``ideal``
-    makes generators, with a positive grlex-leading coefficient.  Order keys
-    are computed once.
+    give.  The basis is one list of records (lm, lc, ecart, [poly]), kept on
+    the returned ``StandardBasis``, which builds the ``Fraction`` polynomials
+    when they are first read; every element is primitive, as ``ideal`` makes
+    generators, with a positive grlex-leading coefficient.  Order keys are
+    computed once.
 
     The records' monomials are packed ints (``_Packing``): fields (total
     degree, x_0, .., x_(n-1)) from high bits to low, each under a guard bit,
@@ -534,20 +568,22 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     this changes nothing modulo I and keeps coefficients from growing.  K is
     recomputed whenever an element is added and can only fall; it is read off
     ``_staircase_count``, which counts the monomials outside L(G) in runs along
-    one variable and returns their largest degree beside their number.
+    one variable and returns their largest degree beside their number.  The
+    last count, on the leading monomials of the final basis, is kept for
+    ``colength``.
     """
     order = order or LocalOrder()
     budget = budget if budget is not None else Budget()
     gens = [g for g in I.generators if not g.is_zero]
     if not gens:
-        return StandardBasis((), order, (), I.nvars)
+        return StandardBasis(order, I.nvars)
     packing = _Packing(I.nvars, max(g.total_degree() for g in gens), order)
     basis = [_reducer([packing.terms(scaled_terms(g.terms)[1])], packing) for g in gens]
     # the leading monomials as exponent tuples, for lcms and the staircase
     lms = [packing.unpack(lm) for lm, _, _, _ in basis]
-    cap = None
+    cap, counted = None, _UNCOUNTED
     if order.ntags == 0:
-        cap, basis = _lower_cap(basis, lms, cap, packing, budget)
+        counted, cap, basis = _lower_cap(basis, lms, cap, packing, budget)
     cut, guard = packing.cut(cap), packing.guard
     # the pending pairs (i, j), i < j, and a heap of (degree of lcm(lm_i, lm_j), i, j) over them
     pending = {(i, j) for j in range(len(basis)) for i in range(j)}
@@ -574,21 +610,24 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
         basis.append(_reducer([_primitive(r, max(r))], packing))
         lms.append(packing.unpack(basis[-1][0]))
         if order.ntags == 0:
-            cap, basis = _lower_cap(basis, lms, cap, packing, budget)
+            counted, cap, basis = _lower_cap(basis, lms, cap, packing, budget)
             cut = packing.cut(cap)
         new = len(basis) - 1
         for k in range(new):
             heappush(queue, (mono_deg(mono_lcm(lms[k], lms[new])), k, new))
             pending.add((k, new))
-    return StandardBasis(tuple(packing.poly(polys[0]) for _, _, _, polys in basis),
-                         order, _minimal_monomials(lms), I.nvars, cap)
+    return StandardBasis(order, I.nvars, cap, packing, basis, lms, counted)
 
 
 def colength(I: Ideal | StandardBasis, budget: Budget | None = None) -> int | None:
     """Dimension over Q of the local ring modulo the ideal, or None if infinite.
 
-    Counts the standard monomials (those outside the leading ideal) in runs,
-    with ``_staircase_count``.  The count is finite iff the staircase contains
+    The number of standard monomials (those outside the leading ideal), as
+    ``_staircase_count`` counts them in runs.  The completion under
+    ``LocalOrder`` counted them for its last highest-corner cap, on the
+    leading monomials of the final basis, and that count is read; a basis
+    without one, such as one completed under ``EliminationOrder``, has its
+    staircase counted here.  The count is finite iff the staircase contains
     a pure power of every variable; otherwise some axis direction escapes and
     None is returned.
     For a finite count the standard basis was computed with the highest-corner
@@ -597,7 +636,9 @@ def colength(I: Ideal | StandardBasis, budget: Budget | None = None) -> int | No
     """
     budget = budget if budget is not None else Budget()
     sb = I if isinstance(I, StandardBasis) else standard_basis(I, budget=budget)
-    counted = _staircase_count(sb.staircase, sb.nvars, budget)
+    counted = sb._counted
+    if counted is _UNCOUNTED:
+        counted = _staircase_count(sb.staircase, sb.nvars, budget)
     return None if counted is None else counted[0]
 
 
@@ -631,30 +672,47 @@ def multiplicity(lead: Sequence[Monomial], nvars: int,
     return e
 
 
-def _intersect(lifted: list[MultiPoly], n: int, budget: Budget, contract) -> Ideal:
-    """contract(h) for the tag-free h of a standard basis of the lifted ideal of
-    O[t] under ``EliminationOrder``, t dropped: these h generate its
-    intersection K with O (Greuel–Pfister, §1.8).
+def _intersect(lifted: list[MultiPoly], n: int, budget: Budget,
+               g: MultiPoly | None = None) -> Ideal:
+    """The tag-free h of a standard basis of the lifted ideal of O[t] under
+    ``EliminationOrder``, t dropped, or with g their quotients by g: the h
+    generate its intersection K with O (Greuel–Pfister, §1.8).
 
-    They are a ``LocalOrder`` standard basis of K, and so are the contracted
-    generators when ``contract`` divides by g with K ⊆ (g) and returns the
-    quotient.  A monomial with the tag beats every tag-free one, so an
+    They are a ``LocalOrder`` standard basis of K, and so are the quotients
+    when K ⊆ (g).  A monomial with the tag beats every tag-free one, so an
     element of the basis whose leading monomial divides that of an element
     of K is tag-free; on tag-free monomials the order is ``LocalOrder``.  A
     division u·h = q·g with u a local unit (leading monomial 1) gives
     LM(q) = LM(h)/LM(g), and for a in (K : g), LM(a)·LM(g) = LM(a·g) is a
     multiple of some LM(h), so LM(a) is a multiple of that LM(q).
+
+    The h are the completion's packed records whose leading monomial has no
+    tag, so that no term has one.  Each is divided by g with ``_divide``, in
+    a ``LocalOrder`` packing of the same layout, which orders tag-free
+    monomials as ``LocalOrder`` in n variables: the quotient Q is c·h/g for
+    an integer c ≠ 0, and the generator is Q made primitive with a positive
+    grlex-leading coefficient, as ``ideal`` makes h/g.
     """
     sb = standard_basis(ideal(lifted, n + 1), EliminationOrder(), budget)
     # the generators are not interreduced (y*z - 278*z^2 may stay beside
     # y - 278*z): dropping those whose leading monomial is not minimal made
     # the later bases slower, as in the polar curve of y^4 - y^3*z^2 + 2*x*y*z^4
     # at (1, 1, -5) and its saturation check, 208 s instead of 1.9 s
-    gens = [contract(h.restrict_first_var()) for h in sb.basis if not any(m[0] for m in h.terms)]
-    # in the local ring a nonzero constant term makes a generator a unit
-    if any(q.constant_term() for q in gens):
+    gens = [polys[0] for (_, _, _, polys), lm in zip(sb._records, sb._lms) if not lm[0]]
+    packing = sb._packing
+    if g is not None:
+        packing = _Packing(n + 1, packing.maxdeg, LocalOrder())
+        d, terms = scaled_terms(g.insert_var(0).terms)
+        divisor = [(d, packing.terms(terms))]
+        states = [_divide(h, 1, divisor, packing, budget) for h in gens]
+        if any(r for r, _, _ in states):
+            raise InvariantViolationError("intersection element failed to divide by g")
+        gens = [_primitive(q, max(q)) for _, _, q in states]
+    # in the local ring a nonzero constant term (the packed monomial 0) makes a generator a unit
+    if any(0 in h for h in gens):
         return ideal([MultiPoly.constant(1, n)], n)
-    return ideal(gens, n)
+    return ideal([MultiPoly._raw({packing.unpack(p)[1:]: Fraction(c) for p, c in h.items()}, n)
+                  for h in gens], n)
 
 
 def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
@@ -662,9 +720,10 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
 
     Computed by intersecting I with (g) through a tag variable under a mixed
     elimination order, followed by Mora division of each intersection
-    generator by g; the division quotients generate (I : g) because the
-    division unit is invertible in the local ring.  The generators returned
-    are a ``LocalOrder`` standard basis of (I : g) (see ``_intersect``), so
+    generator by g, in the completion's integer form and by the division of
+    ``mora_divide`` (see ``_intersect``); the division quotients generate
+    (I : g) because the division unit is invertible in the local ring.  The
+    generators returned are a ``LocalOrder`` standard basis of (I : g), so
     their leading monomials give ``multiplicity`` without a completion.
     """
     if g.is_zero:
@@ -674,14 +733,7 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
     budget = budget if budget is not None else Budget()
     tag, one = MultiPoly.variable(0, I.nvars + 1), MultiPoly.constant(1, I.nvars + 1)
     lifted = [tag * f.insert_var(0) for f in I.generators] + [(one - tag) * g.insert_var(0)]
-
-    def divide(h: MultiPoly) -> MultiPoly:
-        r, _, quots = mora_divide(h, [g], LocalOrder(), budget)
-        if not r.is_zero:
-            raise InvariantViolationError("intersection element failed to divide by g")
-        return quots[0]
-
-    return _intersect(lifted, I.nvars, budget, divide)
+    return _intersect(lifted, I.nvars, budget, g)
 
 
 def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
@@ -701,4 +753,4 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     budget = budget if budget is not None else Budget()
     tag, one = MultiPoly.variable(0, I.nvars + 1), MultiPoly.constant(1, I.nvars + 1)
     lifted = [f.insert_var(0) for f in I.generators] + [tag * g.insert_var(0) - one]
-    return _intersect(lifted, I.nvars, budget, lambda h: h)
+    return _intersect(lifted, I.nvars, budget)

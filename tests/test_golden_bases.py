@@ -15,7 +15,8 @@ which gives other elements of the same ideal in the cases named in
 and equality with the recorded ideal by mutual membership.  Every other case
 is compared element for element.  Independently of the recording, every
 returned basis is checked against Buchberger's criterion: the S-polynomial of
-each pair of its elements, formed here over Q, lies in the ideal.
+each pair of its elements, formed here over Q, lies in the ideal; and under
+``LocalOrder()`` ``colength`` is checked against the staircase oracle.
 
 Running this module as a script rewrites ``tests/data/standard_bases.json``;
 do that only when a change of the computed bases is intended.
@@ -30,9 +31,10 @@ from pathlib import Path
 
 import pytest
 
-from lenumbers import MultiPoly, ideal, parse_poly
+from lenumbers import MultiPoly, colength, ideal, parse_poly
 from lenumbers.localring import EliminationOrder, LocalOrder, standard_basis
 from lenumbers.polynomials import mono_deg, mono_lcm
+from staircase_oracle import staircase_oracle
 
 DATA = Path(__file__).resolve().parent / "data" / "standard_bases.json"
 RANDOM_IDEALS = 60
@@ -113,6 +115,10 @@ def test_standard_basis_matches_recording(recorded, name, I, order):
         assert all(c.denominator == 1 for c in coeffs)
         assert gcd(*(c.numerator for c in coeffs)) == 1
         assert g.terms[max(g.terms, key=lambda m: (mono_deg(m), m))] > 0
+    # colength reads the count the completion made for its last cap
+    if order.ntags == 0:
+        counted = staircase_oracle(sb.staircase, I.nvars)
+        assert colength(I) == (None if counted is None else counted[0])
 
 
 def _leading(g, order):

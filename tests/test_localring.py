@@ -14,6 +14,7 @@ from lenumbers import (
     ResourceLimitError,
     colength,
     ideal,
+    localring,
     parse_poly,
     slice_with_form,
 )
@@ -223,6 +224,24 @@ def test_staircase_count_matches_the_oracle(case):
     bounds = [min((m[v] for m in gens if sum(m) == m[v]), default=None) for v in range(nvars)]
     assert budget.monomials_used == (0 if None in bounds else prod(bounds))
     assert budget.pairs_used == 0
+
+
+def test_colength_reads_the_count_of_the_last_cap(monkeypatch):
+    # the highest-corner cap falls twice as elements join the basis, so a
+    # count taken before the last one joined would be too large
+    caps = []
+    lower = localring._lower_cap
+
+    def spy(*args):
+        counted, cap, basis = lower(*args)
+        caps.append(cap)
+        return counted, cap, basis
+
+    monkeypatch.setattr(localring, "_lower_cap", spy)
+    I = ideal([P("x^5"), P("y^9"), P("2*x^2*y + y^3"), P("x^2*y^3 - x^3*y^2")])
+    assert colength(I) == 13
+    assert caps == [10, 9, 6]
+    assert staircase_oracle(standard_basis(I).staircase, 2) == (13, 5)
 
 
 def multiplicity_of(I):
@@ -577,6 +596,11 @@ def test_ideal_scales_generators_to_primitive_integer_form():
     g = MultiPoly({(1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 3)}, 2)
     assert ideal([g]).generators == (P("3*x - 2*y"),)
     assert ideal([P("2*x^2 + 4*y"), P("-x^2 - 2*y")]).generators == (P("x^2 + 2*y"),)
+    # first-seen order, a positive grlex-leading coefficient, and x, 2*x and -x as one
+    assert ideal([P("y - x^2"), P("x"), P("2*x"), P("-x")]).generators == (P("x^2 - y"), P("x"))
+    # a generator already in primitive form is kept as it is
+    h = P("x^2 - 3*y")
+    assert ideal([h]).generators[0] is h
 
 
 def test_budget_error_reports_counters():
