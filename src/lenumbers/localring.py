@@ -22,7 +22,7 @@ generators.  A reduction never divides its state.  Polynomials cross the
 module boundary with ``Fraction`` coefficients only when read: a
 ``StandardBasis`` keeps the completion's integer records, ``colength`` reads
 the completion's own staircase count, and ``ideal_quotient`` divides the
-elimination basis's records by g in the same packed layout.
+elimination basis's records by g in the completion's own packing.
 
 Inside that loop a monomial is one int (Bachmann and Schönemann, "Monomial
 representations for Gröbner bases computations", ISSAC 1998): the fields
@@ -175,11 +175,14 @@ class _Packing:
     returns the leading monomial, from int keys computed once per monomial
     without unpacking it: for ``LocalOrder`` the int with the degree field
     inverted, which orders as (−deg, m); for ``EliminationOrder`` that int
-    under a copy of the x_0 field, which orders as (m[0], −deg, m[1:]).
+    under a copy of the x_0 field, which orders as (m[0], −deg, m[1:]).  On a
+    monomial whose x_0 field is 0 the copy is 0, so the elimination key is
+    the local one, and ``_intersect`` divides tag-free records in the
+    elimination packing.
     """
 
     def __init__(self, nvars: int, maxdeg: int, order: LocalOrder):
-        self.nvars, self.maxdeg = nvars, maxdeg
+        self.nvars = nvars
         self.bits = bits = max(maxdeg, 1).bit_length() + _HEADROOM_BITS
         width = bits + 1
         self.deg_shift = width * nvars
@@ -270,21 +273,18 @@ def _reduce(state: list[dict[int, int]], reducers: list[tuple], packing: _Packin
     h has no term of degree >= K; none is created.  Returns the final state.
     """
     reducers = list(reducers)
-    lead, guard, shift, cut = packing.lead, packing.guard, packing.deg_shift, packing.cut(cap)
+    guard, cut = packing.guard, packing.cut(cap)
     while state[0]:
-        h = state[0]
-        lm_h = lead(h)
+        lm_h, lc_h, e_h, _ = current = _reducer(state, packing)
         red = None
         for r in reducers:
             if (red is None or r[2] < red[2]) and not (lm_h - r[0]) & guard:
                 red = r
         if red is None:
             break
-        lc_h = h[lm_h]
-        e_h = (max(h) >> shift) - (lm_h >> shift)
         if red[2] > e_h:
             # remember the current remainder so later reductions stay local
-            reducers.append((lm_h, lc_h, e_h, state))
+            reducers.append(current)
         gamma = gcd(red[1], lc_h)
         sh, a, sr = red[1] // gamma, lm_h - red[0], lc_h // gamma
         state = [_combine(p, sh, pr, a, sr, cut, packing) for p, pr in zip(state, red[3])]
@@ -408,31 +408,27 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     return ideal(list(a.generators) + list(b.generators), a.nvars)
 
 
-# the count of a basis whose completion did not count its staircase
-_UNCOUNTED = object()
-
-
 class StandardBasis:
     """A completed local standard basis together with its leading staircase.
 
-    ``cap`` is the certified highest-corner bound K with m^K inside the ideal
-    (see ``standard_basis``), or None when the leading ideal is not
-    zero-dimensional or the order is not a local degree order.  A basis
-    element whose leading monomial has degree < K has no term of degree >= K;
-    any other element is its leading monomial.
-
     The completion's packed integer records stay on the basis, with the
-    exponent tuples of their leading monomials and, under ``LocalOrder``, the
-    ``_staircase_count`` of those that set the last cap.  ``basis`` (the
-    elements with ``Fraction`` coefficients) and ``staircase`` (the minimal
-    leading monomials) are built when first read.  Two bases compare by
-    identity.
+    exponent tuples of their leading monomials and ``counted``: under
+    ``LocalOrder`` the ``_staircase_count`` of those leading monomials, None
+    when it is infinite or under ``EliminationOrder``.  ``cap`` is read off
+    it: the certified highest-corner bound K = 1 + the largest degree of a
+    standard monomial, with m^K inside the ideal (see ``standard_basis``), or
+    None.  A basis element whose leading monomial has degree < K has no term
+    of degree >= K; any other element is its leading monomial.  ``basis``
+    (the elements with ``Fraction`` coefficients) and ``staircase`` (the
+    minimal leading monomials) are built when first read.  Two bases compare
+    by identity.
     """
 
-    def __init__(self, order: LocalOrder, nvars: int, cap: int | None = None,
-                 packing: _Packing | None = None, records: Sequence[tuple] = (),
-                 lms: Sequence[Monomial] = (), counted=_UNCOUNTED):
-        self.order, self.nvars, self.cap = order, nvars, cap
+    def __init__(self, order: LocalOrder, nvars: int, packing: _Packing,
+                 records: Sequence[tuple], lms: Sequence[Monomial],
+                 counted: tuple[int, int] | None):
+        self.order, self.nvars = order, nvars
+        self.cap = None if counted is None else 1 + counted[1]
         self._packing, self._records, self._lms, self._counted = packing, records, lms, counted
 
     @cached_property
@@ -569,19 +565,17 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     recomputed whenever an element is added and can only fall; it is read off
     ``_staircase_count``, which counts the monomials outside L(G) in runs along
     one variable and returns their largest degree beside their number.  The
-    last count, on the leading monomials of the final basis, is kept for
-    ``colength``.
+    last count, on the leading monomials of the final basis (on none for an
+    ideal without generators), is kept for ``colength``.
     """
     order = order or LocalOrder()
     budget = budget if budget is not None else Budget()
     gens = [g for g in I.generators if not g.is_zero]
-    if not gens:
-        return StandardBasis(order, I.nvars)
-    packing = _Packing(I.nvars, max(g.total_degree() for g in gens), order)
+    packing = _Packing(I.nvars, max((g.total_degree() for g in gens), default=0), order)
     basis = [_reducer([packing.terms(scaled_terms(g.terms)[1])], packing) for g in gens]
     # the leading monomials as exponent tuples, for lcms and the staircase
     lms = [packing.unpack(lm) for lm, _, _, _ in basis]
-    cap, counted = None, _UNCOUNTED
+    cap, counted = None, None
     if order.ntags == 0:
         counted, cap, basis = _lower_cap(basis, lms, cap, packing, budget)
     cut, guard = packing.cut(cap), packing.guard
@@ -616,29 +610,24 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
         for k in range(new):
             heappush(queue, (mono_deg(mono_lcm(lms[k], lms[new])), k, new))
             pending.add((k, new))
-    return StandardBasis(order, I.nvars, cap, packing, basis, lms, counted)
+    return StandardBasis(order, I.nvars, packing, basis, lms, counted)
 
 
-def colength(I: Ideal | StandardBasis, budget: Budget | None = None) -> int | None:
+def colength(I: Ideal, budget: Budget | None = None) -> int | None:
     """Dimension over Q of the local ring modulo the ideal, or None if infinite.
 
     The number of standard monomials (those outside the leading ideal), as
-    ``_staircase_count`` counts them in runs.  The completion under
-    ``LocalOrder`` counted them for its last highest-corner cap, on the
-    leading monomials of the final basis, and that count is read; a basis
-    without one, such as one completed under ``EliminationOrder``, has its
-    staircase counted here.  The count is finite iff the staircase contains
+    ``_staircase_count`` counts them in runs.  The ``LocalOrder`` completion
+    of I counted them for its last highest-corner cap, on the leading
+    monomials of the final basis (on none for an ideal without generators),
+    and that count is read.  The count is finite iff the staircase contains
     a pure power of every variable; otherwise some axis direction escapes and
     None is returned.
     For a finite count the standard basis was computed with the highest-corner
     cap K of ``standard_basis``: m^K ⊆ I by Nakayama, so dropping terms of
     degree >= K along the way changes neither the ideal nor its staircase.
     """
-    budget = budget if budget is not None else Budget()
-    sb = I if isinstance(I, StandardBasis) else standard_basis(I, budget=budget)
-    counted = sb._counted
-    if counted is _UNCOUNTED:
-        counted = _staircase_count(sb.staircase, sb.nvars, budget)
+    counted = standard_basis(I, budget=budget)._counted
     return None if counted is None else counted[0]
 
 
@@ -687,10 +676,10 @@ def _intersect(lifted: list[MultiPoly], n: int, budget: Budget,
     multiple of some LM(h), so LM(a) is a multiple of that LM(q).
 
     The h are the completion's packed records whose leading monomial has no
-    tag, so that no term has one.  Each is divided by g with ``_divide``, in
-    a ``LocalOrder`` packing of the same layout, which orders tag-free
-    monomials as ``LocalOrder`` in n variables: the quotient Q is c·h/g for
-    an integer c ≠ 0, and the generator is Q made primitive with a positive
+    tag, so that no term has one.  Each is divided by g with ``_divide`` in
+    the completion's own packing, whose key orders tag-free monomials as
+    ``LocalOrder`` in n variables: the quotient Q is c·h/g for an integer
+    c ≠ 0, and the generator is Q made primitive with a positive
     grlex-leading coefficient, as ``ideal`` makes h/g.
     """
     sb = standard_basis(ideal(lifted, n + 1), EliminationOrder(), budget)
@@ -701,7 +690,6 @@ def _intersect(lifted: list[MultiPoly], n: int, budget: Budget,
     gens = [polys[0] for (_, _, _, polys), lm in zip(sb._records, sb._lms) if not lm[0]]
     packing = sb._packing
     if g is not None:
-        packing = _Packing(n + 1, packing.maxdeg, LocalOrder())
         d, terms = scaled_terms(g.insert_var(0).terms)
         divisor = [(d, packing.terms(terms))]
         states = [_divide(h, 1, divisor, packing, budget) for h in gens]
@@ -720,11 +708,12 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
 
     Computed by intersecting I with (g) through a tag variable under a mixed
     elimination order, followed by Mora division of each intersection
-    generator by g, in the completion's integer form and by the division of
-    ``mora_divide`` (see ``_intersect``); the division quotients generate
-    (I : g) because the division unit is invertible in the local ring.  The
-    generators returned are a ``LocalOrder`` standard basis of (I : g), so
-    their leading monomials give ``multiplicity`` without a completion.
+    generator by g, in the completion's own packed integer records and by
+    the division of ``mora_divide`` (see ``_intersect``); the division
+    quotients generate (I : g) because the division unit is invertible in
+    the local ring.  The generators returned are a ``LocalOrder`` standard
+    basis of (I : g), so their leading monomials give ``multiplicity``
+    without a completion.
     """
     if g.is_zero:
         raise InputError("quotient by the zero element")

@@ -6,6 +6,7 @@ never wrap, and that the budget charges of fixed jobs stay what they are, so
 that a change in pair order or reducer choice shows in tier-1.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -105,6 +106,20 @@ def test_leading_monomials_are_keyed_without_unpacking(monkeypatch, order):
         for b, pb in zip(monos, packed):
             assert packed[packing.lead({pa: 1, pb: 1})] == max(a, b, key=order.key)
     assert packed[packing.lead(dict.fromkeys(packed, 1))] == max(monos, key=order.key)
+    # on monomials without x_0 both keys are the local one, so _intersect
+    # divides the tag-free records of an elimination basis in its own packing
+    rng = random.Random(93)
+    for trial in range(60):
+        n, top = rng.randint(2, 5), E if trial % 3 == 0 else 3
+        tag_free = sorted({(0,) + tuple(rng.randint(0, top) for _ in range(n - 1))
+                           for _ in range(rng.randint(1, 8))})
+        maxdeg = max(map(mono_deg, tag_free))
+        packing, local = _Packing(n, maxdeg, order), _Packing(n, maxdeg, LocalOrder())
+        packed = {packing.pack(m): m for m in tag_free}
+        assert list(packed) == [local.pack(m) for m in tag_free]
+        terms = dict.fromkeys(packed, 1)
+        assert packing.lead(terms) == local.lead(terms)
+        assert packed[packing.lead(terms)] == max(tag_free, key=LocalOrder().key)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -380,3 +395,16 @@ def test_colength_and_the_colon_stay_in_the_integer_form(monkeypatch):
     # polarC takes the saturate route
     assert [len(steps["ideal_quotient"]), len(steps["saturate"])] == [2, 1]
     assert divisions == []
+    # the colon divides in its completion's own packing: one per call
+    packings = []
+    init = _Packing.__init__
+    monkeypatch.setattr(_Packing, "__init__",
+                        lambda self, *args: packings.append(args) or init(self, *args))
+    for text in ["x^2 - y^2*z", "x*y*z", "x*y*(x + y)"]:
+        g = slice_with_form(parse_poly(text, XYZ), (1, 1, -5))[0].f
+        packings.clear()
+        ideal_quotient(ideal([g.partial(1), g.partial(2)]), g.partial(0))
+        assert len(packings) == 1
+    # a generator-free ideal is counted by its completion, not off the staircase
+    assert colength(ideal([], 3)) is None
+    assert colength(ideal([MultiPoly.zero(3)])) is None

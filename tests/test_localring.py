@@ -170,7 +170,7 @@ def test_milnor_numbers_of_plane_curve_family():
             f = P(f"x^{a} + y^{b}")
             jac = ideal([f.partial(0), f.partial(1)])
             sb = standard_basis(jac)
-            assert colength(sb) == (a - 1) * (b - 1)
+            assert colength(jac) == (a - 1) * (b - 1)
             assert staircase_oracle(sb.staircase, 2)[0] == (a - 1) * (b - 1)
 
 
@@ -335,7 +335,7 @@ def test_highest_corner_cap_is_certified():
                    for el in sb.basis)
         box = [m for m in product(range(sb.cap + 1), repeat=nvars) if sum(m) <= sb.cap]
         standard = [m for m in box if not any(mono_divides(s, m) for s in sb.staircase)]
-        assert len(standard) == colength(sb)
+        assert len(standard) == colength(I)
         for m in box:
             mono = MultiPoly({m: 1}, nvars)
             if mono_deg(m) == sb.cap:
@@ -381,11 +381,11 @@ def test_plain_and_tracked_reduction_agree_on_membership():
 def test_highest_corner_cap_edge_cases():
     unit = standard_basis(unit_ideal(2))
     assert unit.cap == 0
-    assert colength(unit) == 0
+    assert colength(unit_ideal(2)) == 0
     assert unit.contains(P("x + 3"))
     line = standard_basis(ideal([P("x^2"), P("x*y")]))
     assert line.cap is None
-    assert colength(line) is None
+    assert colength(ideal([P("x^2"), P("x*y")])) is None
     assert not line.contains(P("y^7"))
 
 

@@ -1,5 +1,6 @@
 """README.md documents the package: every export is named there, and its
-Python examples run.  Every function of the package has a caller."""
+Python examples run.  Every function and module-level name of the package
+has a reader."""
 
 import ast
 import re
@@ -42,15 +43,22 @@ def _traced_functions() -> set[tuple[str, str]]:
 
 
 def test_every_package_function_has_a_caller():
-    # a module-level function is named somewhere in the package or exported;
+    # a module-level function is read somewhere in the package or exported;
     # only mora_reduce is kept by the benchmark's tracer alone, which names it
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in PACKAGE.glob("*.py")}
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
     kept = used | {name for name in vars(lenumbers) if not name.startswith("__")}
     uncalled = {(module, node.name) for module, tree in trees.items() for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name not in kept}
     assert uncalled == {("localring", "mora_reduce")}
     assert uncalled <= _traced_functions()
+    # so is every other module-level name, such as a constant or a sentinel
+    assigned = {(module, name.id) for module, tree in trees.items() for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and not name.id.startswith("__")}
+    assert {(module, name) for module, name in assigned if name not in kept} == set()
