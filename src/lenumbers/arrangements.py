@@ -91,14 +91,16 @@ def _dot(a: Sequence, b: Sequence):
 
 def _clear_denominators(v: Sequence[Fraction]) -> tuple[int, ...]:
     denom = lcm(*(c.denominator for c in v))
-    return tuple(int(c * denom) for c in v)
+    return tuple(c.numerator * (denom // c.denominator) for c in v)
 
 
 def _primitive_direction(v: Sequence[int]) -> tuple[int, int, int]:
-    g = gcd(*v)
-    ints = [c // g for c in v]
-    lead = next(c for c in ints if c)
-    return tuple(-c for c in ints) if lead < 0 else tuple(ints)
+    """v over the gcd of its entries, signed so that its first nonzero entry is positive."""
+    x, y, z = v
+    g = gcd(x, y, z)
+    if (x or y or z) < 0:
+        g = -g
+    return x // g, y // g, z // g
 
 
 def multiple_points(arr: CentralArrangement3) -> tuple[MultiplePoint, ...]:
@@ -118,9 +120,11 @@ def to_setup(arr: CentralArrangement3) -> SingularSetup:
     homogeneous of degree m with k = 1.
     """
     d0 = arr.d0
-    components = tuple(
-        ComponentData(k=1, mu=(p.multiplicity - 1) ** 2, d=p.multiplicity)
-        for p in multiple_points(arr))
+    points = multiple_points(arr)
+    # ComponentData is frozen, so the lines of one multiplicity share one
+    shared = {m: ComponentData(k=1, mu=(m - 1) ** 2, d=m)
+              for m in {p.multiplicity for p in points}}
+    components = tuple(shared[p.multiplicity] for p in points)
     return SingularSetup(n=2, mu0=(d0 - 1) ** 2, d0=d0, components=components)
 
 

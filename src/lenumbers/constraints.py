@@ -257,14 +257,15 @@ def rank_bound(setup: SingularSetup) -> int:
 def cyclic_kernel_rank(tau, k: int) -> int:
     """Rank of the fixed space of the cyclic block action built from tau.
 
-    One elimination, of id minus the k-fold block cycle of tau, which is
-    built from tau as read here and is not read again.  That rank equals the
-    one of tau^k (the cyclic kernel lemma, which the tests check against
-    tau^k), but the block cycle has no entry larger than tau's and its size
-    is capped before it is built, where the entries of tau^k grow with k
-    unbounded.
+    One elimination, of id minus the k-fold block cycle of tau, which
+    ``block_cycle_matrix`` builds as it reads tau, once; the block cycle is
+    not read again.
+    That rank equals the one of tau^k (the cyclic kernel lemma, which the
+    tests check against tau^k), but the block cycle has no entry larger than
+    tau's and its size is capped before it is built, where the entries of
+    tau^k grow with k unbounded.
     """
-    return fixed_rank(block_cycle_matrix(as_matrix(tau, "tau"), k))
+    return fixed_rank(block_cycle_matrix(tau, k))
 
 
 def _mu0_minus_lambda1(mu0: int, lambda1: int) -> int:

@@ -119,11 +119,12 @@ def fixed_rank(A: IntMatrix) -> int:
 def block_cycle_matrix(tau, k: int) -> IntMatrix:
     """The k-fold cyclic block matrix sending (v_1,..,v_k) to (T v_k, T v_1, ..).
 
-    A matrix of more than ``MAX_MONOMIALS`` entries, and then one of more
-    than ``MAX_RANK_SIZE`` rows, raises ``ResourceLimitError`` before it is
+    T is tau read through ``as_matrix``, so its errors name ``'tau'``.  A
+    matrix of more than ``MAX_MONOMIALS`` entries, and then one of more than
+    ``MAX_RANK_SIZE`` rows, raises ``ResourceLimitError`` before it is
     allocated: the block cycle is built only for its fixed rank.
     """
-    T = as_matrix(tau)
+    T = as_matrix(tau, "tau")
     m = len(T)
     if len(T[0]) != m:
         raise InputError("block must be square")

@@ -217,6 +217,11 @@ def test_slice_form_validation():
         validate_slice_form(arr, (0, 0, 1))  # kills the z-axis line
     with pytest.raises(InputError, match="vanishes"):
         arrangement_report(arr, z0=(1, 1, 0))
+    # the pencil's one line, the z-axis, meets both forms: the returned form
+    # is primitive and its first nonzero coefficient is positive
+    pencil = CentralArrangement3(PENCIL3)
+    assert validate_slice_form(pencil, (-2, 4, 6)) == (1, -2, -3)
+    assert validate_slice_form(pencil, (0, "-1/2", 1)) == (0, 1, -2)
 
 
 def test_arrangement_report_json_roundtrip():

@@ -8,10 +8,12 @@ from math import gcd, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenumbers import CentralArrangement3, ConstraintReport, cyclo, parse_poly
 from lenumbers.arrangements import validate_slice_form
-from lenumbers.cli import main
+from lenumbers.cli import _json, main
 from lenumbers.intlinalg import as_matrix
 from matrix_oracle import identity, mat_sub, rank_gauss
 from test_cyclo import alarm_after
@@ -47,6 +49,32 @@ def test_module_entry_point_exits_with_mains_code(argv, code, out):
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+# keys and strings drawn often from the characters JSON escapes
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aé€\U0001f600') | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200) | _TEXT,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_TEXT, inner)),
+    max_leaves=20)
+
+
+def _stdlib_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_the_stdlib(value):
+    assert _json(value) == _stdlib_json(value)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parent / "data").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_json_writer_matches_the_stdlib_on_the_recordings(path):
+    value = json.loads(path.read_text(encoding="utf-8"))
+    assert _json(value) == _stdlib_json(value)
 
 
 def test_cyclo_homchar(capsys):

@@ -180,7 +180,7 @@ def test_cyclic_kernel_examples():
 
 def test_cyclic_kernel_randomized(monkeypatch):
     # one elimination per call, of id minus the block cycle, which is never
-    # read through as_matrix: only tau is
+    # read through as_matrix: only tau is, once, in either module
     forms, validated = [], []
     rank, read = intlinalg.bareiss_rank, intlinalg.as_matrix
 
@@ -194,6 +194,7 @@ def test_cyclic_kernel_randomized(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "bareiss_rank", counted)
     monkeypatch.setattr(intlinalg, "as_matrix", reading)
+    monkeypatch.setattr(constraints, "as_matrix", reading)
     rng = random.Random(61)
     for _ in range(40):
         m = rng.randint(1, 4)
