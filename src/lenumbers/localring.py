@@ -19,10 +19,12 @@ joining a basis, or a basis element cut at the highest corner, is made
 primitive (so the bases are those over Q); a division ends by dividing by
 U(0), or a colon generator is made primitive; ``ideal`` normalizes
 generators.  A reduction never divides its state.  Polynomials cross the
-module boundary with ``Fraction`` coefficients only when read: a
-``StandardBasis`` keeps the completion's integer records, ``colength`` reads
-the completion's own staircase count, and ``ideal_quotient`` divides the
-elimination basis's records by g in the completion's own packing.
+module boundary with ``Fraction`` coefficients only when read: an ``Ideal``
+keeps its generators' integer terms, which ``ideal_sum`` concatenates and
+the completion packs; a ``StandardBasis`` keeps the completion's integer
+records, ``colength`` reads the completion's own staircase count, and
+``ideal_quotient`` lifts I's integer terms and divides the elimination
+basis's records by g in the completion's own packing.
 
 Inside that loop a monomial is one int (Bachmann and Schönemann, "Monomial
 representations for Gröbner bases computations", ISSAC 1998): the fields
@@ -42,7 +44,9 @@ degree K lies in the leading ideal, then m^K ⊆ I + m^(K+1), so m^K ⊆ I by
 Nakayama's lemma, and terms of degree >= K can be dropped everywhere without
 changing the ideal.  This bounds the polynomials and their coefficients.
 Completion skips the S-pairs that Buchberger's chain criterion makes
-redundant; the criterion holds for local and mixed orders too.
+redundant; the criterion holds for local and mixed orders too.  It forms no
+pair inside an ideal's standard prefix, the generators that ``ideal_quotient``
+and ``saturate`` return as a local standard basis.
 
 Blowups are caught by hard resource budgets: every completion and reduction
 is charged to a ``Budget`` (a default one when the caller passes none), and
@@ -138,6 +142,8 @@ class EliminationOrder(LocalOrder):
 
 def leading(p: MultiPoly, order: LocalOrder) -> tuple[Monomial, Fraction]:
     """Leading (monomial, coefficient) of a nonzero polynomial."""
+    if p.is_zero:
+        raise InputError("the zero polynomial has no leading term")
     m = max(p.terms, key=order.key)
     return m, p.terms[m]
 
@@ -355,15 +361,30 @@ def _divide(h: dict[int, int], d: int, divisors: list[tuple[int, dict[int, int]]
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal of the local ring, presented by polynomial generators."""
+    """An ideal of the local ring, presented by polynomial generators.
+
+    ``integer_terms`` holds each generator's integer terms, with exponent
+    tuples, which ``standard_basis`` packs: the primitive form of ``ideal``
+    for the ideals this module returns, and the generator times the lcm of
+    its denominators for an ``Ideal`` built directly.  ``standard`` counts
+    the leading generators that form a ``LocalOrder`` standard basis of the
+    ideal they generate, whose pairs a ``LocalOrder`` completion never
+    forms: all of the generators of ``ideal_quotient`` and ``saturate``, the
+    first summand's count for ``ideal_sum``, and 0 otherwise.  Neither field
+    is compared.
+    """
 
     generators: tuple[MultiPoly, ...]
     nvars: int
+    integer_terms: tuple[dict[Monomial, int], ...] = field(init=False, compare=False)
+    standard: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
         for g in self.generators:
             if g.nvars != self.nvars:
                 raise InputError("generators must share the variable count")
+        object.__setattr__(self, "integer_terms",
+                           tuple(scaled_terms(g.terms)[1] for g in self.generators))
 
     def to_strings(self, names: Sequence[str] | None = None) -> list[str]:
         return [g.to_string(names) for g in self.generators]
@@ -372,40 +393,65 @@ class Ideal:
         return f"Ideal([{', '.join(self.to_strings())}], nvars={self.nvars})"
 
 
+def _ideal(terms: Sequence[dict[Monomial, int]], nvars: int, standard: int = 0,
+           gens: Sequence[MultiPoly] | None = None) -> Ideal:
+    """The ``Ideal`` of these integer terms, taken as they are but without
+    zeros or repeats, with the given standard prefix; its generators are
+    gens, or the terms over Q."""
+    if gens is None:
+        gens = [MultiPoly._raw({m: Fraction(c) for m, c in h.items()}, nvars) for h in terms]
+    kept, seen = [], set()
+    for g, h in zip(gens, terms):
+        key = frozenset(h.items())
+        if h and key not in seen:
+            seen.add(key)
+            kept.append((g, h))
+    # the fields of a frozen dataclass, set without __init__'s checks
+    I = object.__new__(Ideal)
+    I.__dict__.update(generators=tuple(g for g, _ in kept), nvars=nvars,
+                      integer_terms=tuple(h for _, h in kept), standard=standard)
+    return I
+
+
 def ideal(gens: Iterable[MultiPoly], nvars: int | None = None) -> Ideal:
     """Normalize generators: drop zeros, scale to primitive form, deduplicate.
 
     The primitive form has coprime integer coefficients and a positive
     grlex-leading one, as the standard-basis kernel makes its elements; a
     generator already in it is kept as it is.  Duplicates are found by their
-    integer terms.
+    integer terms, which the ideal keeps.
     """
     cleaned: list[MultiPoly] = []
-    seen = set()
+    terms: list[dict[Monomial, int]] = []
     for g in gens:
         if nvars is None:
             nvars = g.nvars
         if g.is_zero:
             continue
+        if g.nvars != nvars:
+            raise InputError("generators must share the variable count")
         d, h = scaled_terms(g.terms)
         p = _primitive(h, max(h, key=lambda m: (mono_deg(m), m)))
-        key = frozenset(p.items())
-        if key in seen:
-            continue
-        seen.add(key)
         if d != 1 or p is not h:
-            g = MultiPoly._raw({m: Fraction(c) for m, c in p.items()}, g.nvars)
+            g = MultiPoly._raw({m: Fraction(c) for m, c in p.items()}, nvars)
         cleaned.append(g)
+        terms.append(p)
     if nvars is None:
         raise InputError("cannot infer the variable count of an empty ideal")
-    return Ideal(tuple(cleaned), nvars)
+    return _ideal(terms, nvars, gens=cleaned)
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    """Concatenated generators, normalized; realizes scheme intersection."""
+    """Concatenated generators, deduplicated; realizes scheme intersection.
+
+    The integer terms are concatenated as they are, without normalizing
+    them again, so for ideals that ``ideal`` normalized this is
+    ``ideal(a.generators + b.generators)``.  a's standard prefix stays one.
+    """
     if a.nvars != b.nvars:
         raise InputError("ideals live in different rings")
-    return ideal(list(a.generators) + list(b.generators), a.nvars)
+    return _ideal(a.integer_terms + b.integer_terms, a.nvars, a.standard,
+                  a.generators + b.generators)
 
 
 class StandardBasis:
@@ -530,6 +576,22 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     form zero, for any monomial order, so the criterion holds for local and
     mixed orders (Greuel–Pfister, §2.5).  The product criterion is not used.
 
+    Under ``LocalOrder`` the pairs inside the standard prefix of I (its first
+    ``I.standard`` generators) are never queued, so the chain criterion
+    counts them as done; ``EliminationOrder`` ignores the prefix.  The prefix
+    P is a standard basis of the ideal J it generates, so the S-polynomial s
+    of two of its elements has weak normal form zero with respect to P: a
+    standard representation u·s = Σ a_p·p with u a unit and LM(a_p·p) <=
+    LM(s), which is one with respect to any basis that contains P, and that
+    is all Buchberger's criterion asks of the pair (Greuel–Pfister, §1.7 and
+    §2.5).  Under a highest-corner cap K the completion runs modulo m^K, on
+    the prefix P' cut at K, and L(J + m^K) = L(J) + m^K: an element j + b of
+    J + m^K, b in m^K, whose leading monomial has degree < K shares its
+    terms of degree < K with j, so that monomial is LM(j), and any other has
+    it in m^K.  An element of P' keeps its leading monomial or becomes it,
+    so L(P') + m^K = L(J + m^K), P' with m^K is a standard basis of J + m^K,
+    and its pairs stay done for every cap.
+
     The completion is fraction-free: polynomials are integer dicts, the
     S-polynomial of f and g is lc_g·x^(L−lm_f)·f − lc_f·x^(L−lm_g)·g (over
     gcd(lc_f, lc_g)), and a Mora step replaces h by
@@ -545,7 +607,8 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
 
     The records' monomials are packed ints (``_Packing``): fields (total
     degree, x_0, .., x_(n-1)) from high bits to low, each under a guard bit,
-    sized from the generators' largest degree with 16 bits of headroom.
+    sized from the generators' largest degree with 16 bits of headroom.  The
+    first records are the ideal's ``integer_terms``, packed as they are.
     x^a·r adds a to each packed term of r, a reducer is found by one
     subtraction and a guard-bit test per record, and a product whose degree
     would reach the field limit raises ``ResourceLimitError`` instead of
@@ -570,9 +633,10 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     """
     order = order or LocalOrder()
     budget = budget if budget is not None else Budget()
-    gens = [g for g in I.generators if not g.is_zero]
-    packing = _Packing(I.nvars, max((g.total_degree() for g in gens), default=0), order)
-    basis = [_reducer([packing.terms(scaled_terms(g.terms)[1])], packing) for g in gens]
+    packing = _Packing(I.nvars, max((g.total_degree() for g in I.generators), default=0), order)
+    basis = [_reducer([packing.terms(h)], packing) for h in I.integer_terms if h]
+    # the pairs inside the standard prefix are done (see above)
+    done = I.standard if order.ntags == 0 else 0
     # the leading monomials as exponent tuples, for lcms and the staircase
     lms = [packing.unpack(lm) for lm, _, _, _ in basis]
     cap, counted = None, None
@@ -580,7 +644,7 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
         counted, cap, basis = _lower_cap(basis, lms, cap, packing, budget)
     cut, guard = packing.cut(cap), packing.guard
     # the pending pairs (i, j), i < j, and a heap of (degree of lcm(lm_i, lm_j), i, j) over them
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
+    pending = {(i, j) for j in range(done, len(basis)) for i in range(j)}
     queue = sorted((mono_deg(mono_lcm(lms[i], lms[j])), i, j) for i, j in pending)
     while queue:
         budget.tick_pair()
@@ -647,6 +711,8 @@ def multiplicity(lead: Sequence[Monomial], nvars: int,
     those counts: that sum is e.  Each count is ``_staircase_count`` of lead
     with x_v dropped.
     """
+    if any(len(m) != nvars for m in lead):
+        raise InputError(f"leading monomials must have {nvars} exponents")
     budget = budget if budget is not None else Budget()
     # the unit monomial counts as a pure power of every variable
     free = [v for v in range(nvars) if not any(mono_deg(m) == m[v] for m in lead)]
@@ -661,8 +727,7 @@ def multiplicity(lead: Sequence[Monomial], nvars: int,
     return e
 
 
-def _intersect(lifted: list[MultiPoly], n: int, budget: Budget,
-               g: MultiPoly | None = None) -> Ideal:
+def _intersect(lifted: Ideal, n: int, budget: Budget, g: MultiPoly | None = None) -> Ideal:
     """The tag-free h of a standard basis of the lifted ideal of O[t] under
     ``EliminationOrder``, t dropped, or with g their quotients by g: the h
     generate its intersection K with O (Greuel–Pfister, §1.8).
@@ -680,9 +745,16 @@ def _intersect(lifted: list[MultiPoly], n: int, budget: Budget,
     the completion's own packing, whose key orders tag-free monomials as
     ``LocalOrder`` in n variables: the quotient Q is c·h/g for an integer
     c ≠ 0, and the generator is Q made primitive with a positive
-    grlex-leading coefficient, as ``ideal`` makes h/g.
+    grlex-leading coefficient, as ``ideal`` makes h/g.  Without g, h is a
+    record of the completion, primitive with a positive grlex-leading
+    coefficient too.  No two records are equal, since a record that joins
+    the basis has a leading monomial that no earlier one divides, and the
+    tag-free records of a colon's basis all joined it, so their quotients
+    have distinct leading monomials.  The generators are therefore distinct,
+    and they are unpacked into the returned ideal's integer terms as they
+    are, all in its standard prefix.
     """
-    sb = standard_basis(ideal(lifted, n + 1), EliminationOrder(), budget)
+    sb = standard_basis(lifted, EliminationOrder(), budget)
     # the generators are not interreduced (y*z - 278*z^2 may stay beside
     # y - 278*z): dropping those whose leading monomial is not minimal made
     # the later bases slower, as in the polar curve of y^4 - y^3*z^2 + 2*x*y*z^4
@@ -698,9 +770,8 @@ def _intersect(lifted: list[MultiPoly], n: int, budget: Budget,
         gens = [_primitive(q, max(q)) for _, _, q in states]
     # in the local ring a nonzero constant term (the packed monomial 0) makes a generator a unit
     if any(0 in h for h in gens):
-        return ideal([MultiPoly.constant(1, n)], n)
-    return ideal([MultiPoly._raw({packing.unpack(p)[1:]: Fraction(c) for p, c in h.items()}, n)
-                  for h in gens], n)
+        gens = [{0: 1}]
+    return _ideal([{packing.unpack(p)[1:]: c for p, c in h.items()} for h in gens], n, len(gens))
 
 
 def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
@@ -720,9 +791,23 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
     if g.nvars != I.nvars:
         raise InputError("element and ideal live in different rings")
     budget = budget if budget is not None else Budget()
-    tag, one = MultiPoly.variable(0, I.nvars + 1), MultiPoly.constant(1, I.nvars + 1)
-    lifted = [tag * f.insert_var(0) for f in I.generators] + [(one - tag) * g.insert_var(0)]
-    return _intersect(lifted, I.nvars, budget, g)
+    return _intersect(_lift(I, g), I.nvars, budget, g)
+
+
+def _lift(I: Ideal, g: MultiPoly) -> Ideal:
+    """The ideal (t·f_1, .., t·f_k, (1 − t)·g) of O[t], t = x_0, built from
+    the integer terms of I's generators f_i: for an I that ``ideal``
+    normalized, the ideal ``ideal`` makes of those products.
+
+    t·f shifts the exponents of f's primitive terms, which stay primitive
+    with the same grlex-leading term.  With ĝ the primitive form of g, the
+    grlex-leading term of (1 − t)·ĝ is −t times that of ĝ, so its primitive
+    form is (t − 1)·ĝ: two copies of ĝ's terms, with and without t.
+    """
+    (gh,) = ideal([g]).integer_terms
+    terms = [{(1, *m): c for m, c in h.items()} for h in I.integer_terms]
+    terms.append({(1, *m): c for m, c in gh.items()} | {(0, *m): -c for m, c in gh.items()})
+    return _ideal(terms, I.nvars + 1)
 
 
 def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
@@ -742,4 +827,4 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
     budget = budget if budget is not None else Budget()
     tag, one = MultiPoly.variable(0, I.nvars + 1), MultiPoly.constant(1, I.nvars + 1)
     lifted = [f.insert_var(0) for f in I.generators] + [tag * g.insert_var(0) - one]
-    return _intersect(lifted, I.nvars, budget)
+    return _intersect(ideal(lifted, I.nvars + 1), I.nvars, budget)

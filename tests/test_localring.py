@@ -538,6 +538,51 @@ def test_ideal_sum_rejects_mixed_rings():
         mora_divide(P("x"), [parse_poly("x", XYZ)])
 
 
+COEFFICIENTS = st.fractions(-4, 4, max_denominator=5)
+POLYS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), COEFFICIENTS,
+                        max_size=3).map(lambda t: MultiPoly(t, 2))
+
+
+@st.composite
+def generator_lists(draw):
+    """Polynomials in x and y with Fraction coefficients, as a list of
+    scalar multiples of a few of them: duplicates, multiples and zeros."""
+    bases = draw(st.lists(POLYS, min_size=1, max_size=4))
+    scalars = COEFFICIENTS.filter(bool) | st.just(1)
+    return draw(st.lists(st.tuples(st.sampled_from(bases), scalars).map(lambda p: p[0] * p[1]),
+                         max_size=6))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(generator_lists(), generator_lists())
+def test_ideal_sum_is_the_normalized_concatenation(A, B):
+    a, b = ideal(A, 2), ideal(B, 2)
+    fast, slow = ideal_sum(a, b), ideal(a.generators + b.generators, 2)
+    assert fast.generators == slow.generators
+    assert fast.integer_terms == slow.integer_terms
+    assert all(type(c) is int for h in fast.integer_terms for c in h.values())
+    assert fast.standard == slow.standard == 0
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(generator_lists(), POLYS.filter(bool))
+def test_the_colon_lift_is_the_ideal_of_the_lifted_products(A, g):
+    I = ideal(A, 2)
+    t, one = MultiPoly.variable(0, 3), MultiPoly.constant(1, 3)
+    slow = ideal([t * f.insert_var(0) for f in I.generators] + [(one - t) * g.insert_var(0)], 3)
+    fast = localring._lift(I, g)
+    assert fast.generators == slow.generators
+    assert fast.integer_terms == slow.integer_terms
+
+
+def test_leading_and_multiplicity_reject_bad_input():
+    with pytest.raises(InputError, match="zero polynomial"):
+        leading(MultiPoly.zero(2), LocalOrder())
+    for lead in ([(1, 0)], [(1, 0, 0), (0, 1)], [(0, 0, 0, 1)]):
+        with pytest.raises(InputError, match="3 exponents"):
+            multiplicity(lead, 3)
+
+
 # ---------------------------------------------------------------------------
 # resource budgets
 # ---------------------------------------------------------------------------
@@ -601,6 +646,10 @@ def test_ideal_scales_generators_to_primitive_integer_form():
     # a generator already in primitive form is kept as it is
     h = P("x^2 - 3*y")
     assert ideal([h]).generators[0] is h
+    # the ideal keeps the primitive integer terms; an Ideal built directly
+    # keeps each generator times the lcm of its denominators
+    assert ideal([g]).integer_terms == ({(1, 0): 3, (0, 1): -2},)
+    assert localring.Ideal((g,), 2).integer_terms == ({(1, 0): -3, (0, 1): 2},)
 
 
 def test_budget_error_reports_counters():
