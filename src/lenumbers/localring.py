@@ -20,11 +20,12 @@ primitive (so the bases are those over Q); a division ends by dividing by
 U(0), or a colon generator is made primitive; ``ideal`` normalizes
 generators.  A reduction never divides its state.  Polynomials cross the
 module boundary with ``Fraction`` coefficients only when read: an ``Ideal``
-keeps its generators' integer terms, which ``ideal_sum`` concatenates and
-the completion packs; a ``StandardBasis`` keeps the completion's integer
-records, ``colength`` reads the completion's own staircase count, and
-``ideal_quotient`` lifts I's integer terms and divides the elimination
-basis's records by g in the completion's own packing.
+is stored once, as its generators' primitive integer terms, which
+``ideal_sum`` concatenates, the completion packs, and ``ideal_quotient`` and
+``saturate`` lift by shifting exponents; a ``StandardBasis`` keeps the
+completion's integer records, ``colength`` reads the completion's own
+staircase count, and a colon divides the elimination basis's records by g
+in the completion's own packing.
 
 Inside that loop a monomial is one int (Bachmann and Schönemann, "Monomial
 representations for Gröbner bases computations", ISSAC 1998): the fields
@@ -361,30 +362,30 @@ def _divide(h: dict[int, int], d: int, divisors: list[tuple[int, dict[int, int]]
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal of the local ring, presented by polynomial generators.
+    """An ideal of the local ring, stored as its generators' integer terms.
 
-    ``integer_terms`` holds each generator's integer terms, with exponent
-    tuples, which ``standard_basis`` packs: the primitive form of ``ideal``
-    for the ideals this module returns, and the generator times the lcm of
-    its denominators for an ``Ideal`` built directly.  ``standard`` counts
-    the leading generators that form a ``LocalOrder`` standard basis of the
-    ideal they generate, whose pairs a ``LocalOrder`` completion never
-    forms: all of the generators of ``ideal_quotient`` and ``saturate``, the
-    first summand's count for ``ideal_sum``, and 0 otherwise.  Neither field
-    is compared.
+    Each of ``integer_terms`` maps exponent tuples to a generator's coprime
+    integer coefficients, with a positive grlex-leading one, as ``ideal``
+    makes them; ``standard_basis`` packs them.  ``generators``, the same
+    polynomials with ``Fraction`` coefficients, is built when first read.
+    ``standard`` counts the leading generators that form a ``LocalOrder``
+    standard basis of the ideal they generate, whose pairs a ``LocalOrder``
+    completion never forms: all of the generators of ``ideal_quotient`` and
+    ``saturate``, the first summand's count for ``ideal_sum``, and 0
+    otherwise.  It is not compared.
     """
 
-    generators: tuple[MultiPoly, ...]
+    integer_terms: tuple[dict[Monomial, int], ...]
     nvars: int
-    integer_terms: tuple[dict[Monomial, int], ...] = field(init=False, compare=False)
-    standard: int = field(default=0, init=False, compare=False)
+    standard: int = field(default=0, compare=False)
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.nvars != self.nvars:
-                raise InputError("generators must share the variable count")
-        object.__setattr__(self, "integer_terms",
-                           tuple(scaled_terms(g.terms)[1] for g in self.generators))
+    @cached_property
+    def generators(self) -> tuple[MultiPoly, ...]:
+        return tuple(MultiPoly._raw({m: Fraction(c) for m, c in h.items()}, self.nvars)
+                     for h in self.integer_terms)
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, *(frozenset(h.items()) for h in self.integer_terms)))
 
     def to_strings(self, names: Sequence[str] | None = None) -> list[str]:
         return [g.to_string(names) for g in self.generators]
@@ -393,65 +394,53 @@ class Ideal:
         return f"Ideal([{', '.join(self.to_strings())}], nvars={self.nvars})"
 
 
-def _ideal(terms: Sequence[dict[Monomial, int]], nvars: int, standard: int = 0,
-           gens: Sequence[MultiPoly] | None = None) -> Ideal:
-    """The ``Ideal`` of these integer terms, taken as they are but without
-    zeros or repeats, with the given standard prefix; its generators are
-    gens, or the terms over Q."""
-    if gens is None:
-        gens = [MultiPoly._raw({m: Fraction(c) for m, c in h.items()}, nvars) for h in terms]
-    kept, seen = [], set()
-    for g, h in zip(gens, terms):
-        key = frozenset(h.items())
-        if h and key not in seen:
-            seen.add(key)
-            kept.append((g, h))
-    # the fields of a frozen dataclass, set without __init__'s checks
-    I = object.__new__(Ideal)
-    I.__dict__.update(generators=tuple(g for g, _ in kept), nvars=nvars,
-                      integer_terms=tuple(h for _, h in kept), standard=standard)
-    return I
+def _grlex_primitive(h: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Nonzero integer terms over their content, with a positive grlex-leading
+    coefficient."""
+    return _primitive(h, max(h, key=lambda m: (mono_deg(m), m)))
+
+
+def _ideal(terms: Iterable[dict[Monomial, int]], nvars: int, standard: int = 0) -> Ideal:
+    """The ``Ideal`` of these nonzero primitive integer terms, without repeats
+    (the first of equal ones kept), with the given standard prefix."""
+    kept: dict[frozenset, dict[Monomial, int]] = {}
+    for h in terms:
+        kept.setdefault(frozenset(h.items()), h)
+    return Ideal(tuple(kept.values()), nvars, standard)
 
 
 def ideal(gens: Iterable[MultiPoly], nvars: int | None = None) -> Ideal:
-    """Normalize generators: drop zeros, scale to primitive form, deduplicate.
+    """The ideal of these generators, with zeros dropped, each scaled to its
+    primitive form and duplicates dropped, in first-seen order.
 
     The primitive form has coprime integer coefficients and a positive
-    grlex-leading one, as the standard-basis kernel makes its elements; a
-    generator already in it is kept as it is.  Duplicates are found by their
-    integer terms, which the ideal keeps.
+    grlex-leading one, as the standard-basis kernel makes its elements; it
+    is what the ideal stores.  Every generator, a zero one too, must have
+    ``nvars`` variables, or the first generator's count when nvars is None.
     """
-    cleaned: list[MultiPoly] = []
-    terms: list[dict[Monomial, int]] = []
+    terms = []
     for g in gens:
         if nvars is None:
             nvars = g.nvars
-        if g.is_zero:
-            continue
         if g.nvars != nvars:
             raise InputError("generators must share the variable count")
-        d, h = scaled_terms(g.terms)
-        p = _primitive(h, max(h, key=lambda m: (mono_deg(m), m)))
-        if d != 1 or p is not h:
-            g = MultiPoly._raw({m: Fraction(c) for m, c in p.items()}, nvars)
-        cleaned.append(g)
-        terms.append(p)
+        if not g.is_zero:
+            terms.append(_grlex_primitive(scaled_terms(g.terms)[1]))
     if nvars is None:
         raise InputError("cannot infer the variable count of an empty ideal")
-    return _ideal(terms, nvars, gens=cleaned)
+    return _ideal(terms, nvars)
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     """Concatenated generators, deduplicated; realizes scheme intersection.
 
-    The integer terms are concatenated as they are, without normalizing
-    them again, so for ideals that ``ideal`` normalized this is
-    ``ideal(a.generators + b.generators)``.  a's standard prefix stays one.
+    Both ideals store primitive terms, so concatenating them gives
+    ``ideal(a.generators + b.generators)`` without normalizing again.  a's
+    standard prefix stays one.
     """
     if a.nvars != b.nvars:
         raise InputError("ideals live in different rings")
-    return _ideal(a.integer_terms + b.integer_terms, a.nvars, a.standard,
-                  a.generators + b.generators)
+    return _ideal(a.integer_terms + b.integer_terms, a.nvars, a.standard)
 
 
 class StandardBasis:
@@ -633,8 +622,9 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     """
     order = order or LocalOrder()
     budget = budget if budget is not None else Budget()
-    packing = _Packing(I.nvars, max((g.total_degree() for g in I.generators), default=0), order)
-    basis = [_reducer([packing.terms(h)], packing) for h in I.integer_terms if h]
+    packing = _Packing(I.nvars, max((mono_deg(m) for h in I.integer_terms for m in h), default=0),
+                       order)
+    basis = [_reducer([packing.terms(h)], packing) for h in I.integer_terms]
     # the pairs inside the standard prefix are done (see above)
     done = I.standard if order.ntags == 0 else 0
     # the leading monomials as exponent tuples, for lcms and the staircase
@@ -762,8 +752,8 @@ def _intersect(lifted: Ideal, n: int, budget: Budget, g: MultiPoly | None = None
     gens = [polys[0] for (_, _, _, polys), lm in zip(sb._records, sb._lms) if not lm[0]]
     packing = sb._packing
     if g is not None:
-        d, terms = scaled_terms(g.insert_var(0).terms)
-        divisor = [(d, packing.terms(terms))]
+        d, terms = scaled_terms(g.terms)
+        divisor = [(d, packing.terms({(0, *m): c for m, c in terms.items()}))]
         states = [_divide(h, 1, divisor, packing, budget) for h in gens]
         if any(r for r, _, _ in states):
             raise InvariantViolationError("intersection element failed to divide by g")
@@ -796,15 +786,14 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
 
 def _lift(I: Ideal, g: MultiPoly) -> Ideal:
     """The ideal (t·f_1, .., t·f_k, (1 − t)·g) of O[t], t = x_0, built from
-    the integer terms of I's generators f_i: for an I that ``ideal``
-    normalized, the ideal ``ideal`` makes of those products.
+    the primitive terms of I's generators f_i.
 
     t·f shifts the exponents of f's primitive terms, which stay primitive
     with the same grlex-leading term.  With ĝ the primitive form of g, the
     grlex-leading term of (1 − t)·ĝ is −t times that of ĝ, so its primitive
     form is (t − 1)·ĝ: two copies of ĝ's terms, with and without t.
     """
-    (gh,) = ideal([g]).integer_terms
+    gh = _grlex_primitive(scaled_terms(g.terms)[1])
     terms = [{(1, *m): c for m, c in h.items()} for h in I.integer_terms]
     terms.append({(1, *m): c for m, c in gh.items()} | {(0, *m): -c for m, c in gh.items()})
     return _ideal(terms, I.nvars + 1)
@@ -816,15 +805,19 @@ def saturate(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Ideal:
 
     If g^k·a lies in I, then a = (1 − (t·g)^k)·a + t^k·g^k·a lies in
     I + (t·g − 1); conversely t = 1/g maps that ideal to zero in (O/I)_g.
-    The basis grows with I: ``polar_ideal`` says why it hands in a colon.
-    The generators returned are a ``LocalOrder`` standard basis of the
-    saturation (see ``_intersect``).
+    The lift is built from the primitive terms of I's generators, with a 0
+    exponent of t put in front, and the primitive form of t·G − d, where
+    G = d·g has integer coefficients.  The basis grows with I:
+    ``polar_ideal`` says why it hands in a colon.  The generators returned
+    are a ``LocalOrder`` standard basis of the saturation (see
+    ``_intersect``).
     """
     if g.is_zero:
         raise InputError("saturation by the zero element")
     if g.nvars != I.nvars:
         raise InputError("element and ideal live in different rings")
     budget = budget if budget is not None else Budget()
-    tag, one = MultiPoly.variable(0, I.nvars + 1), MultiPoly.constant(1, I.nvars + 1)
-    lifted = [f.insert_var(0) for f in I.generators] + [tag * g.insert_var(0) - one]
-    return _intersect(ideal(lifted, I.nvars + 1), I.nvars, budget)
+    d, G = scaled_terms(g.terms)
+    terms = [{(0, *m): c for m, c in h.items()} for h in I.integer_terms]
+    terms.append(_grlex_primitive({(1, *m): c for m, c in G.items()} | {(0,) * (I.nvars + 1): -d}))
+    return _intersect(_ideal(terms, I.nvars + 1), I.nvars, budget)

@@ -5,8 +5,13 @@ elimination basis.  This oracle takes the colon chain
 (I : g) ⊆ (I : g^2) ⊆ ... instead, one ``ideal_quotient`` at a time, and stops
 when a step adds nothing, certified by standard-basis membership.  The chain
 stabilizes because the local ring is Noetherian.
+
+``multipoly_saturation`` is the same elimination as ``saturate``, with the
+lift I + (t·g - 1) built by ``MultiPoly`` arithmetic and normalized by
+``ideal`` instead of from I's integer terms.
 """
 
+from lenumbers import Budget, MultiPoly, localring
 from lenumbers.localring import ideal, ideal_quotient
 from ideal_equality import contains_all
 
@@ -20,3 +25,11 @@ def colon_saturation(I, g, rounds=64):
             return current
         current = nxt
     raise AssertionError(f"the colon chain did not stabilize in {rounds} steps")
+
+
+def multipoly_saturation(I, g):
+    """(I + (t·g - 1)) ∩ O from the lift that ``insert_var`` and ``ideal`` make."""
+    n = I.nvars
+    t, one = MultiPoly.variable(0, n + 1), MultiPoly.constant(1, n + 1)
+    lifted = [f.insert_var(0) for f in I.generators] + [t * g.insert_var(0) - one]
+    return localring._intersect(ideal(lifted, n + 1), n, Budget())

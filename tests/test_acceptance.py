@@ -35,6 +35,7 @@ from lenumbers.intlinalg import fixed_rank
 from lenumbers.cyclo import cyclo_product, divisors, homogeneous_char
 from ideal_equality import ideals_equal
 from matrix_oracle import mat_pow
+from saturation_oracle import multipoly_saturation
 from staircase_oracle import staircase_oracle
 from unipoly_oracle import t_poly, t_power_minus_one, unipoly_gcd
 
@@ -124,8 +125,13 @@ def test_criterion_04_local_ring_semantics():
             g = rand_poly()
             if not gens or g.is_zero:
                 continue
-            first = saturate(ideal(gens, nvars), g)
-            assert ideals_equal(saturate(first, g), first)
+            I = ideal(gens, nvars)
+            first = saturate(I, g)
+            again = saturate(first, g)
+            assert ideals_equal(again, first)
+            # the integer-term lift gives the generators of the MultiPoly lift
+            assert first.generators == multipoly_saturation(I, g).generators
+            assert again.generators == multipoly_saturation(first, g).generators
             done += 1
 
     criterion(4, "unit absorption and saturation idempotence", body)

@@ -31,7 +31,7 @@ from lenumbers.localring import (ideal_quotient, ideal_sum, multiplicity, satura
 from arrangement_pipeline import arrangement_pipeline
 from ideal_equality import ideals_equal, is_local_standard_basis
 from macaulay_oracle import macaulay_colength
-from saturation_oracle import colon_saturation
+from saturation_oracle import colon_saturation, multipoly_saturation
 
 ZXY = ["z", "x", "y"]
 
@@ -601,7 +601,10 @@ def test_fallback_saturation_matches_the_colon_chain(text, z0):
     # saturate's one elimination basis against colon steps from I, and f is
     # a nonzerodivisor on the curve
     setup, _ = slice_with_form(parse_poly(text, XYZ), z0)
-    gamma = _saturated_polar(setup)
+    J = ideal_quotient(_nonslice_jacobian(setup), setup.f)
+    gamma = saturate(J, setup.f)
+    # the integer-term lift gives the generators of the MultiPoly lift
+    assert gamma.generators == multipoly_saturation(J, setup.f).generators
     assert is_local_standard_basis(gamma)
     assert ideals_equal(gamma, colon_saturation(_nonslice_jacobian(setup), setup.f))
     assert ideals_equal(ideal_quotient(gamma, setup.f), gamma)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +33,7 @@ from lenumbers.localring import (
 )
 from lenumbers.polynomials import mono_deg, mono_divides
 from ideal_equality import ideals_equal
-from saturation_oracle import colon_saturation
+from saturation_oracle import colon_saturation, multipoly_saturation
 from staircase_oracle import staircase_oracle
 
 XY = ["x", "y"]
@@ -470,12 +470,19 @@ def test_saturate_examples():
     assert ideals_equal(saturate(ideal([P("x*y^2")]), P("y")), ideal([P("x")]))
     assert ideals_equal(
         saturate(ideal([P("x"), P("y")]), P("x^2 + y^2")), unit_ideal(2))
+    # the integer-term lift gives the generators of the MultiPoly lift
+    halves = MultiPoly({(1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 3)}, 2)
+    for gens, g in [(["x*y^2"], P("y")), (["x", "y"], P("x^2 + y^2")),
+                    (["2*x^2 - y^3"], halves), (["x^2*y", "x*y^3"], P("3*y + 1"))]:
+        I = ideal([P(text) for text in gens])
+        assert saturate(I, g).generators == multipoly_saturation(I, g).generators
 
 
 def test_saturate_and_quotient_of_the_zero_ideal_are_zero():
     zero = ideal([], 2)
     for g in (P("x"), P("x + y^2"), P("1 + x")):
         assert not saturate(zero, g).generators
+        assert not multipoly_saturation(zero, g).generators
         assert not ideal_quotient(zero, g).generators
 
 
@@ -514,6 +521,7 @@ def test_saturate_idempotent_random():
     for I, g in _random_saturations():
         first = saturate(I, g)
         assert ideals_equal(first, saturate(first, g))
+        assert first.generators == multipoly_saturation(I, g).generators
 
 
 def test_saturate_matches_the_colon_chain_random():
@@ -553,6 +561,16 @@ def generator_lists(draw):
                          max_size=6))
 
 
+def assert_stored_form(I):
+    """I stores primitive integer terms with a positive grlex-leading
+    coefficient, and ``ideal`` of its generators gives I back, with its hash."""
+    for h in I.integer_terms:
+        assert h and all(type(c) is int for c in h.values())
+        assert gcd(*h.values()) == 1 and h[max(h, key=lambda m: (sum(m), m))] > 0
+    again = ideal(I.generators, I.nvars)
+    assert again == I and hash(again) == hash(I)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(generator_lists(), generator_lists())
 def test_ideal_sum_is_the_normalized_concatenation(A, B):
@@ -560,8 +578,9 @@ def test_ideal_sum_is_the_normalized_concatenation(A, B):
     fast, slow = ideal_sum(a, b), ideal(a.generators + b.generators, 2)
     assert fast.generators == slow.generators
     assert fast.integer_terms == slow.integer_terms
-    assert all(type(c) is int for h in fast.integer_terms for c in h.values())
     assert fast.standard == slow.standard == 0
+    for I in (a, b, fast):
+        assert_stored_form(I)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -573,6 +592,16 @@ def test_the_colon_lift_is_the_ideal_of_the_lifted_products(A, g):
     fast = localring._lift(I, g)
     assert fast.generators == slow.generators
     assert fast.integer_terms == slow.integer_terms
+    assert_stored_form(fast)
+    for operation in (ideal_quotient, saturate):
+        # the budget cuts off the few colons whose coefficients run away
+        try:
+            J = operation(I, g, Budget(max_monomials=5000))
+        except ResourceLimitError:
+            continue
+        assert_stored_form(J)
+        if operation is saturate:
+            assert J.generators == multipoly_saturation(I, g).generators
 
 
 def test_leading_and_multiplicity_reject_bad_input():
@@ -637,19 +666,22 @@ def test_membership_without_a_budget_is_charged(monomial_charges):
     assert monomial_charges
 
 
+def test_ideal_checks_the_variable_count_of_zero_generators():
+    # a zero generator in the wrong ring is an error, as a nonzero one is
+    with pytest.raises(InputError, match="variable count"):
+        ideal([P("x"), MultiPoly.zero(5)])
+    with pytest.raises(InputError, match="variable count"):
+        ideal([MultiPoly.zero(5)], 2)
+
+
 def test_ideal_scales_generators_to_primitive_integer_form():
     g = MultiPoly({(1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 3)}, 2)
     assert ideal([g]).generators == (P("3*x - 2*y"),)
     assert ideal([P("2*x^2 + 4*y"), P("-x^2 - 2*y")]).generators == (P("x^2 + 2*y"),)
     # first-seen order, a positive grlex-leading coefficient, and x, 2*x and -x as one
     assert ideal([P("y - x^2"), P("x"), P("2*x"), P("-x")]).generators == (P("x^2 - y"), P("x"))
-    # a generator already in primitive form is kept as it is
-    h = P("x^2 - 3*y")
-    assert ideal([h]).generators[0] is h
-    # the ideal keeps the primitive integer terms; an Ideal built directly
-    # keeps each generator times the lcm of its denominators
+    # the ideal stores the primitive integer terms
     assert ideal([g]).integer_terms == ({(1, 0): 3, (0, 1): -2},)
-    assert localring.Ideal((g,), 2).integer_terms == ({(1, 0): -3, (0, 1): 2},)
 
 
 def test_budget_error_reports_counters():

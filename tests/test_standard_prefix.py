@@ -20,7 +20,7 @@ import pytest
 from lenumbers import (Budget, CentralArrangement3, MultiPoly, analyze_poly, compute_all,
                        defining_polynomial, invariants, localring, pick_slice_form,
                        slice_with_form)
-from lenumbers.localring import Ideal, ideal, ideal_sum, standard_basis
+from lenumbers.localring import ideal, ideal_sum, standard_basis
 from census import census_job, random_germs
 from ideal_equality import is_local_standard_basis
 from test_cyclo import alarm_after
@@ -102,7 +102,7 @@ def test_only_colons_claim_a_prefix_and_every_claim_holds():
         prefix = I.generators[:I.standard]
         assert prefix in prefixes, name
         # a completion from scratch finds no new minimal leading monomial
-        assert is_local_standard_basis(Ideal(prefix, I.nvars)), name
+        assert is_local_standard_basis(ideal(prefix, I.nvars)), name
 
 
 def test_prefix_completion_counts_what_the_full_completion_counts():
@@ -110,8 +110,8 @@ def test_prefix_completion_counts_what_the_full_completion_counts():
         for h in (f, MultiPoly.variable(0, J.nvars)):
             summed = ideal_sum(J, ideal([h]))
             assert summed.standard == J.standard, name
-            # an Ideal built directly claims no prefix
-            full = Ideal(J.generators + (h,), J.nvars)
+            # ideal claims no prefix
+            full = ideal(J.generators + (h,), J.nvars)
             fast, slow = standard_basis(summed), standard_basis(full)
             assert fast._counted == slow._counted, name
             assert fast.staircase == slow.staircase, name
@@ -128,6 +128,6 @@ def test_eight_planes_form_no_pair_inside_the_prefix(monkeypatch):
     assert (k, fast.pairs_used, len(popped)) == (28, 1000, 1000)
     assert min(j for _, _, j in popped) == k
     popped.clear()
-    assert localring.colength(Ideal(J.generators + (f,), J.nvars), slow) == omega == 168
+    assert localring.colength(ideal(J.generators + (f,), J.nvars), slow) == omega == 168
     assert (slow.pairs_used, len(popped)) == (1378, 1378)
     assert sum(j < k for _, _, j in popped) == k * (k - 1) // 2
