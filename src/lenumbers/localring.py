@@ -33,11 +33,12 @@ representations for Gröbner bases computations", ISSAC 1998): the fields
 bit above it.  A product of monomials is a sum of ints; the int order is
 grlex, so a grlex-leading term and the largest degree of an ecart are a plain
 ``max``; the degree is a shift; and x^a divides x^b iff b − a sets no guard
-bit.  Each call sizes the fields from its inputs' largest degree with 16 bits
-of headroom, and a product whose degree would reach the field limit raises
-``ResourceLimitError`` instead of wrapping into the next field.  Monomials
-are packed where polynomials enter the loop and unpacked where they leave it;
-everywhere else a monomial is an exponent tuple.
+bit.  The lcm of an S-pair is taken on the packed ints too, once, when the
+pair is queued.  Each call sizes the fields from its inputs' largest degree
+with 16 bits of headroom, and a product or lcm whose degree would reach the
+field limit raises ``ResourceLimitError`` instead of wrapping into the next
+field.  Monomials are packed where polynomials enter the loop and unpacked
+where they leave it; everywhere else a monomial is an exponent tuple.
 
 Under a local degree order, a standard basis whose leading ideal becomes
 zero-dimensional is truncated at its highest corner: if every monomial of
@@ -74,7 +75,6 @@ from .polynomials import (
     integer,
     mono_deg,
     mono_divides,
-    mono_lcm,
     scaled_terms,
 )
 
@@ -198,6 +198,11 @@ class _Packing:
         self.top = 1 << (bits + self.deg_shift)
         mask = (1 << width) - 1
         flip = mask << self.deg_shift
+        # for lcm: the exponent fields; the multiplier that adds every exponent
+        # field into the degree field; the degree field with its guard bit
+        self._exponents = (1 << self.deg_shift) - 1
+        self._ones = sum(1 << (width * k) for k in range(1, nvars + 1))
+        self._degree = flip
         if order.ntags:
             tag, above = self.shifts[1], self.deg_shift + width
 
@@ -213,6 +218,21 @@ class _Packing:
     def unpack(self, p: int) -> Monomial:
         mask = (1 << self.bits) - 1
         return tuple([(p >> s) & mask for s in self.shifts[1:]])
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of packed monomials; ``ResourceLimitError`` if its
+        degree reaches 2^bits.
+
+        Each field of (a with its guard bits set) − b keeps its guard bit iff
+        a_i >= b_i, and g − (g >> bits) widens those bits to field masks.
+        Multiplying the exponents e by ``_ones`` adds e_0 .. e_(n-1) into the
+        degree field without a carry: every partial sum is at most deg a +
+        deg b < 2^(bits+1), the width of a field with its guard bit.
+        """
+        g = ((a | self.guard) - b) & self.guard
+        sel = g - (g >> self.bits)
+        e = (a & sel | b & ~sel) & self._exponents
+        return self.check(e * self._ones & self._degree | e)
 
     def check(self, p: int) -> int:
         """p, unless its degree reached 2^bits: then ``ResourceLimitError``."""
@@ -244,7 +264,11 @@ def _primitive(h: dict, top) -> dict:
 
 def _combine(h: dict[int, int], sh: int, r: dict[int, int], a: int, sr: int, cut: int,
              packing: _Packing) -> dict[int, int]:
-    """sh·h − sr·x^a·r; terms of x^a·r at or above ``cut`` are dropped, h has none."""
+    """sh·h − sr·x^a·r; terms of x^a·r at or above ``cut`` are dropped, h has none.
+
+    The S-polynomial is two of these; ``_reduce`` runs the same step inline,
+    once per state entry, because it is the kernel's innermost loop.
+    """
     out = dict(h) if sh == 1 else {m: sh * c for m, c in h.items()}
     for m, c in r.items():
         m += a
@@ -272,30 +296,53 @@ def _reduce(state: list[dict[int, int]], reducers: list[tuple], packing: _Packin
 
     The state is [h], or [h, U, Q_1..Q_k] with U·f = Σ Q_i·g_i + h when
     dividing; each record (lm, lc, ecart, polys) in ``reducers``, which is not
-    modified, carries in polys a state of the same length.  Each step applies
+    modified, carries in polys a state of the same length.  Each step reads
+    h's leading term and ecart, takes the first reducer of least ecart whose
+    leading monomial divides h's (the scan stops at ecart 0), and applies
     h ← sh·h − sr·x^a·r to every entry alike, a nonzero integer multiple of
-    Mora's step over Q, and never divides by a content, so reducer choices,
-    remembered remainders and budget charges are those over Q.  With
-    a cap K (plain reduction only), m^K lies in the ideal of the reducers and
-    h has no term of degree >= K; none is created.  Returns the final state.
+    Mora's step over Q; it never divides by a content, so reducer choices,
+    remembered remainders and budget charges are those over Q.  A record of
+    the state is built only when it is remembered.  With a cap K (plain
+    reduction only), m^K lies in the ideal of the reducers and h has no term
+    of degree >= K; none is created.  Returns the final state.
     """
     reducers = list(reducers)
-    guard, cut = packing.guard, packing.cut(cap)
-    while state[0]:
-        lm_h, lc_h, e_h, _ = current = _reducer(state, packing)
+    guard, cut, lead, shift = packing.guard, packing.cut(cap), packing.lead, packing.deg_shift
+    h = state[0]
+    while h:
+        lm_h = lead(h)
+        e_h = (max(h) >> shift) - (lm_h >> shift)
         red = None
         for r in reducers:
             if (red is None or r[2] < red[2]) and not (lm_h - r[0]) & guard:
                 red = r
+                if not r[2]:
+                    break
         if red is None:
             break
-        if red[2] > e_h:
+        lm_r, lc_r, e_r, polys = red
+        lc_h = h[lm_h]
+        if e_r > e_h:
             # remember the current remainder so later reductions stay local
-            reducers.append(current)
-        gamma = gcd(red[1], lc_h)
-        sh, a, sr = red[1] // gamma, lm_h - red[0], lc_h // gamma
-        state = [_combine(p, sh, pr, a, sr, cut, packing) for p, pr in zip(state, red[3])]
-        budget.tick_monomials(max(1, len(state[0])))
+            reducers.append((lm_h, lc_h, e_h, state))
+        gamma = gcd(lc_r, lc_h)
+        sh, a, sr = lc_r // gamma, lm_h - lm_r, lc_h // gamma
+        new = []
+        for p, pr in zip(state, polys):
+            out = dict(p) if sh == 1 else {m: sh * c for m, c in p.items()}
+            for m, c in pr.items():
+                m += a
+                if m >= cut:
+                    packing.check(m)
+                    continue
+                v = out.get(m, 0) - sr * c
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+            new.append(out)
+        state, h = new, new[0]
+        budget.tick_monomials(max(1, len(h)))
     return state
 
 
@@ -554,8 +601,10 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
 
     Pair selection is deterministic: minimal degree of the leading-monomial
     lcm, then first-created order.  The pending pairs (i, j) are a set, with a
-    heap of (degree, i, j) beside it; the keys are unique, so the heap pops the
-    pair that a scan for the least key would pick.  Each selected pair is
+    heap of (lcm degree, i, j, packed lcm) beside it, the lcm taken by
+    ``_Packing.lcm`` when the pair is queued; the keys (lcm degree, i, j) are
+    unique, so the heap pops the pair that a scan for the least key would
+    pick, and never compares two lcms.  Each selected pair is
     charged to the budget, then skipped by Buchberger's chain criterion
     (Gebauer–Möller) when some other element k has lm_k | lcm(lm_i, lm_j) and
     neither (i, k) nor (j, k) is still pending: the leading-term syzygy of
@@ -601,8 +650,9 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     x^a·r adds a to each packed term of r, a reducer is found by one
     subtraction and a guard-bit test per record, and a product whose degree
     would reach the field limit raises ``ResourceLimitError`` instead of
-    wrapping.  The exponent tuples of the leading monomials are kept beside
-    the records for the lcms and the staircase.
+    wrapping; so does a pair lcm, when the pair is queued.  The exponent
+    tuples of the leading monomials are kept beside the records only for the
+    staircase and for ``_intersect``'s tag test.
 
     Highest-corner truncation (Greuel–Pfister; Singular's ``highcorner``),
     under a local degree order only: once the leading monomials of the
@@ -627,21 +677,25 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
     basis = [_reducer([packing.terms(h)], packing) for h in I.integer_terms]
     # the pairs inside the standard prefix are done (see above)
     done = I.standard if order.ntags == 0 else 0
-    # the leading monomials as exponent tuples, for lcms and the staircase
+    # the leading monomials as exponent tuples, for the staircase and _intersect
     lms = [packing.unpack(lm) for lm, _, _, _ in basis]
     cap, counted = None, None
     if order.ntags == 0:
         counted, cap, basis = _lower_cap(basis, lms, cap, packing, budget)
-    cut, guard = packing.cut(cap), packing.guard
-    # the pending pairs (i, j), i < j, and a heap of (degree of lcm(lm_i, lm_j), i, j) over them
+    cut, guard, shift = packing.cut(cap), packing.guard, packing.deg_shift
+
+    def entry(i: int, j: int) -> tuple[int, int, int, int]:
+        lcm_ij = packing.lcm(basis[i][0], basis[j][0])
+        return lcm_ij >> shift, i, j, lcm_ij
+
+    # the pending pairs (i, j), i < j, and a heap of (lcm degree, i, j, packed lcm) over them
     pending = {(i, j) for j in range(done, len(basis)) for i in range(j)}
-    queue = sorted((mono_deg(mono_lcm(lms[i], lms[j])), i, j) for i, j in pending)
+    queue = sorted(entry(i, j) for i, j in pending)
     while queue:
         budget.tick_pair()
-        _, i, j = heappop(queue)
+        _, i, j, lcm_fg = heappop(queue)
         pending.remove((i, j))
         (lm_f, lc_f, _, (f,)), (lm_g, lc_g, _, (g,)) = basis[i], basis[j]
-        lcm_fg = packing.pack(mono_lcm(lms[i], lms[j]))
         # chain criterion: the done pairs (i, k) and (j, k) generate this one
         if any(not (lcm_fg - lm_k) & guard and k != i and k != j
                and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
@@ -662,7 +716,7 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
             cut = packing.cut(cap)
         new = len(basis) - 1
         for k in range(new):
-            heappush(queue, (mono_deg(mono_lcm(lms[k], lms[new])), k, new))
+            heappush(queue, entry(k, new))
             pending.add((k, new))
     return StandardBasis(order, I.nvars, packing, basis, lms, counted)
 
@@ -774,12 +828,17 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
     quotients generate (I : g) because the division unit is invertible in
     the local ring.  The generators returned are a ``LocalOrder`` standard
     basis of (I : g), so their leading monomials give ``multiplicity``
-    without a completion.
+    without a completion.  A generator with a nonzero constant term is a
+    unit, so I and (I : g) are the unit ideal, returned as ``_intersect``
+    returns it without completing the lift.
     """
     if g.is_zero:
         raise InputError("quotient by the zero element")
     if g.nvars != I.nvars:
         raise InputError("element and ideal live in different rings")
+    one = (0,) * I.nvars
+    if any(one in h for h in I.integer_terms):
+        return _ideal([{one: 1}], I.nvars, 1)
     budget = budget if budget is not None else Budget()
     return _intersect(_lift(I, g), I.nvars, budget, g)
 

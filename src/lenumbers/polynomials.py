@@ -61,10 +61,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 def mono_deg(a: Monomial) -> int:
     return sum(a)
 

@@ -77,6 +77,7 @@ def test_packed_monomials_agree_with_exponent_tuples(monos):
     for a, pa in zip(monos, packed):
         for b, pb in zip(monos, packed):
             assert packing.unpack(packing.check(pa + pb)) == mono_mul(a, b)
+            assert packing.unpack(packing.lcm(pa, pb)) == tuple(map(max, a, b))
             assert (not (pb - pa) & packing.guard) == mono_divides(a, b)
             # int order is grlex, as the content sign and the ecart read it
             assert (pa < pb) == ((mono_deg(a), a) < (mono_deg(b), b))
@@ -137,6 +138,12 @@ def test_a_product_at_the_field_limit_raises(n, maxdeg):
         packing.check(below + x0 + x0)
     with pytest.raises(ResourceLimitError, match="packed degree limit"):
         packing.pack((0,) * (n - 1) + (limit,))
+    # so does an lcm, whose degree exceeds both degrees only in two variables or more
+    if n > 1:
+        x1 = packing.pack((0, 1) + (0,) * (n - 2))
+        assert packing.lcm(below, x1) == below + x1
+        with pytest.raises(ResourceLimitError, match="packed degree limit"):
+            packing.lcm(below + x0, x1)
     # the kernel's product x^a·r checks every term it makes
     r = {below: 1, 0: 1}
     assert _combine({}, 1, r, x0, -1, packing.cut(None), packing) == {below + x0: 1, x0: 1}

@@ -126,8 +126,8 @@ def test_eight_planes_form_no_pair_inside_the_prefix(monkeypatch):
     fast, slow = Budget(), Budget()
     omega = localring.colength(ideal_sum(J, ideal([f])), fast)
     assert (k, fast.pairs_used, len(popped)) == (28, 1000, 1000)
-    assert min(j for _, _, j in popped) == k
+    assert min(entry[2] for entry in popped) == k
     popped.clear()
     assert localring.colength(ideal(J.generators + (f,), J.nvars), slow) == omega == 168
     assert (slow.pairs_used, len(popped)) == (1378, 1378)
-    assert sum(j < k for _, _, j in popped) == k * (k - 1) // 2
+    assert sum(entry[2] < k for entry in popped) == k * (k - 1) // 2
