@@ -264,11 +264,7 @@ def _primitive(h: dict, top) -> dict:
 
 def _combine(h: dict[int, int], sh: int, r: dict[int, int], a: int, sr: int, cut: int,
              packing: _Packing) -> dict[int, int]:
-    """sh·h − sr·x^a·r; terms of x^a·r at or above ``cut`` are dropped, h has none.
-
-    The S-polynomial is two of these; ``_reduce`` runs the same step inline,
-    once per state entry, because it is the kernel's innermost loop.
-    """
+    """sh·h − sr·x^a·r; terms of x^a·r at or above ``cut`` are dropped, h has none."""
     out = dict(h) if sh == 1 else {m: sh * c for m, c in h.items()}
     for m, c in r.items():
         m += a
@@ -327,21 +323,8 @@ def _reduce(state: list[dict[int, int]], reducers: list[tuple], packing: _Packin
             reducers.append((lm_h, lc_h, e_h, state))
         gamma = gcd(lc_r, lc_h)
         sh, a, sr = lc_r // gamma, lm_h - lm_r, lc_h // gamma
-        new = []
-        for p, pr in zip(state, polys):
-            out = dict(p) if sh == 1 else {m: sh * c for m, c in p.items()}
-            for m, c in pr.items():
-                m += a
-                if m >= cut:
-                    packing.check(m)
-                    continue
-                v = out.get(m, 0) - sr * c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-            new.append(out)
-        state, h = new, new[0]
+        state = [_combine(p, sh, pr, a, sr, cut, packing) for p, pr in zip(state, polys)]
+        h = state[0]
         budget.tick_monomials(max(1, len(h)))
     return state
 
