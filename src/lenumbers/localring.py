@@ -6,7 +6,9 @@ orders are anti-graded (1 is the largest monomial), division is Mora's weak
 normal form with ecart bookkeeping, and standard bases are computed by
 S-polynomial completion.  Colengths of zero-dimensional ideals realize
 intersection multiplicities and Milnor numbers; ``colength`` returns None for
-an ideal that is not zero-dimensional, whose colength is infinite.
+an ideal that is not zero-dimensional, whose colength is infinite.  Before it
+completes, ``colength`` substitutes each exactly linear generator's first
+variable into the others and drops it, which keeps the quotient ring.
 
 Standard-basis completion, ideal membership and Mora division run one
 fraction-free Mora loop, ``_reduce``: the polynomials are dicts from packed
@@ -72,6 +74,7 @@ from .polynomials import (
     MAX_MONOMIALS,
     Monomial,
     MultiPoly,
+    eliminate_linear,
     integer,
     mono_deg,
     mono_divides,
@@ -707,9 +710,18 @@ def standard_basis(I: Ideal, order: LocalOrder | None = None,
 def colength(I: Ideal, budget: Budget | None = None) -> int | None:
     """Dimension over Q of the local ring modulo the ideal, or None if infinite.
 
-    The number of standard monomials (those outside the leading ideal), as
-    ``_staircase_count`` counts them in runs.  The ``LocalOrder`` completion
-    of I counted them for its last highest-corner cap, on the leading
+    First ``eliminate_linear`` eliminates each exactly linear generator ℓ
+    (every term of degree 1): it drops ℓ, puts x_v = −(ℓ − c_v·x_v)/c_v, for
+    x_v the first variable of ℓ, into the other generators and drops x_v,
+    until no generator is linear.  ℓ is a coordinate, so O/(ℓ) is the local
+    ring O' of the other variables, and O/I ≅ O'/I' for the substituted
+    ideal I': the count is I's, with no Mora step spent on x_v
+    (Greuel–Pfister; Singular's ``elimpart``).  The substitution is charged
+    to the budget.
+
+    The count is the number of standard monomials (those outside the leading
+    ideal), as ``_staircase_count`` counts them in runs.  The ``LocalOrder``
+    completion counted them for its last highest-corner cap, on the leading
     monomials of the final basis (on none for an ideal without generators),
     and that count is read.  The count is finite iff the staircase contains
     a pure power of every variable; otherwise some axis direction escapes and
@@ -718,6 +730,10 @@ def colength(I: Ideal, budget: Budget | None = None) -> int | None:
     cap K of ``standard_basis``: m^K ⊆ I by Nakayama, so dropping terms of
     degree >= K along the way changes neither the ideal nor its staircase.
     """
+    budget = budget if budget is not None else Budget()
+    terms, n = eliminate_linear(I.integer_terms, I.nvars, budget.tick_monomials)
+    if n < I.nvars:
+        I = _ideal(map(_grlex_primitive, terms), n)
     counted = standard_basis(I, budget=budget)._counted
     return None if counted is None else counted[0]
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, le
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, PolyParseError, ResourceLimitError
 
@@ -235,13 +235,6 @@ class MultiPoly:
         out = {m[1:]: c for m, c in self._terms.items() if m[0] == 0}
         return MultiPoly._raw(out, self.nvars - 1)
 
-    def insert_var(self, position: int = 0) -> "MultiPoly":
-        """Reinterpret in one more variable, with exponent 0 at ``position``."""
-        if not 0 <= position <= self.nvars:
-            raise InputError("bad insertion position")
-        out = {m[:position] + (0,) + m[position:]: c for m, c in self._terms.items()}
-        return MultiPoly._raw(out, self.nvars + 1)
-
     def linear_change(self, matrix: Sequence[Sequence]) -> "MultiPoly":
         """Compose with the substitution z -> M z.
 
@@ -456,3 +449,44 @@ def parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
     if not take("end"):
         raise PolyParseError(f"unexpected token {tokens[i][1]!r}", tokens[i][2])
     return result
+
+
+def eliminate_linear(hs: Sequence[dict[Monomial, int]], nvars: int,
+                     charge: Callable[[int], object]) -> tuple[list[dict[Monomial, int]], int]:
+    """(hs', n'): while some lin in hs is exactly linear (every term of degree
+    1), lin = c·x_v + rest with x_v its first variable is dropped, and each
+    other h becomes c^e·h with x_v = −rest/c substituted and x_v dropped,
+    over its content, zeros dropped, for e the top exponent of x_v in h (0
+    when rest = 0); n' is nvars less the number dropped.  All on integer
+    terms.  ``charge`` gets the terms of each power of −rest built, and of
+    each result, at least 1; rest = 0 builds no power."""
+    while lin := next((h for h in hs if all(mono_deg(m) == 1 for m in h)), None):
+        lm = max(lin)
+        v, c = lm.index(1), lin[lm]
+        image = {m[:v] + m[v + 1:]: -a for m, a in lin.items() if m != lm}
+        hs, nvars = [h for h in hs if h is not lin], nvars - 1
+        # the powers of −rest that the exponents of x_v call for
+        needed = {m[v] for h in hs for m in h} if image else {0}
+        powers, power = {}, {(0,) * nvars: 1}
+        for k in range(max(needed, default=0) + 1):
+            if k:
+                power = _product(power, image)
+                charge(len(power))
+            if k in needed:
+                powers[k] = power
+        out = []
+        for h in hs:
+            e, g = max(m[v] for m in h) if image else 0, {}
+            for m, a in h.items():
+                if m[v] in powers:
+                    a *= c ** (e - m[v])
+                    for p, b in powers[m[v]].items():
+                        p = mono_mul(m[:v] + m[v + 1:], p)
+                        g[p] = g.get(p, 0) + a * b
+            g = {m: a for m, a in g.items() if a}
+            charge(max(1, len(g)))
+            if g:
+                content = gcd(*g.values())
+                out.append({m: a // content for m, a in g.items()})
+        hs = out
+    return list(hs), nvars

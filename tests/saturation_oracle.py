@@ -7,8 +7,8 @@ when a step adds nothing, certified by standard-basis membership.  The chain
 stabilizes because the local ring is Noetherian.
 
 ``multipoly_saturation`` is the same elimination as ``saturate``, with the
-lift I + (t·g - 1) built by ``MultiPoly`` arithmetic and normalized by
-``ideal`` instead of from I's integer terms.
+lift I + (t·g - 1) built by ``MultiPoly`` arithmetic and ``insert_var``, and
+normalized by ``ideal``, instead of from I's integer terms.
 """
 
 from lenumbers import Budget, MultiPoly, localring
@@ -27,9 +27,14 @@ def colon_saturation(I, g, rounds=64):
     raise AssertionError(f"the colon chain did not stabilize in {rounds} steps")
 
 
+def insert_var(f):
+    """f in one more variable, put first, with exponent 0."""
+    return MultiPoly({(0, *m): c for m, c in f.terms.items()}, f.nvars + 1)
+
+
 def multipoly_saturation(I, g):
     """(I + (t·g - 1)) ∩ O from the lift that ``insert_var`` and ``ideal`` make."""
     n = I.nvars
     t, one = MultiPoly.variable(0, n + 1), MultiPoly.constant(1, n + 1)
-    lifted = [f.insert_var(0) for f in I.generators] + [t * g.insert_var(0) - one]
+    lifted = [insert_var(f) for f in I.generators] + [t * insert_var(g) - one]
     return localring._intersect(ideal(lifted, n + 1), n, Budget())

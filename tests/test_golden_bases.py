@@ -34,6 +34,7 @@ import pytest
 from lenumbers import MultiPoly, colength, ideal, parse_poly
 from lenumbers.localring import EliminationOrder, LocalOrder, standard_basis
 from lenumbers.polynomials import mono_deg
+from saturation_oracle import insert_var
 from staircase_oracle import staircase_oracle
 
 DATA = Path(__file__).resolve().parent / "data" / "standard_bases.json"
@@ -74,8 +75,8 @@ def _cases():
         g = MultiPoly({tuple(int(i == v) for i in range(n)): 1,
                        tuple(int(i == w) for i in range(n)): rng.choice((-2, -1, 1, 2))}, n)
         tag = MultiPoly.variable(0, n + 1)
-        lifted = [tag * f.insert_var(0) for f in base.generators]
-        lifted.append((MultiPoly.constant(1, n + 1) - tag) * g.insert_var(0))
+        lifted = [tag * insert_var(f) for f in base.generators]
+        lifted.append((MultiPoly.constant(1, n + 1) - tag) * insert_var(g))
         cases.append((f"lift{k}", ideal(lifted, n + 1), EliminationOrder()))
     return cases
 

@@ -33,7 +33,7 @@ from lenumbers.localring import (
 )
 from lenumbers.polynomials import mono_deg, mono_divides
 from ideal_equality import ideals_equal
-from saturation_oracle import colon_saturation, multipoly_saturation
+from saturation_oracle import colon_saturation, insert_var, multipoly_saturation
 from staircase_oracle import staircase_oracle
 from test_cyclo import alarm_after
 
@@ -603,7 +603,7 @@ def test_ideal_sum_is_the_normalized_concatenation(A, B):
 def test_the_colon_lift_is_the_ideal_of_the_lifted_products(A, g):
     I = ideal(A, 2)
     t, one = MultiPoly.variable(0, 3), MultiPoly.constant(1, 3)
-    slow = ideal([t * f.insert_var(0) for f in I.generators] + [(one - t) * g.insert_var(0)], 3)
+    slow = ideal([t * insert_var(f) for f in I.generators] + [(one - t) * insert_var(g)], 3)
     fast = localring._lift(I, g)
     assert fast.generators == slow.generators
     assert fast.integer_terms == slow.integer_terms

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from lenumbers import InputError, MultiPoly, PolyParseError, ResourceLimitError, parse_poly
-from lenumbers.polynomials import MAX_MONOMIALS, integer, rational
+from lenumbers.polynomials import MAX_MONOMIALS, eliminate_linear, integer, rational
 from test_cyclo import alarm_after
 from unipoly_oracle import primitive_positive, remainder, t_poly, unipoly_gcd
 
@@ -423,6 +423,22 @@ def test_linear_change_matches_composition_by_polynomial_arithmetic():
         f = MultiPoly([(tuple(rng.randint(0, 3) for _ in range(n)), entry())
                        for _ in range(rng.randint(0, 5))], n)
         assert f.linear_change(rows) == reference(f, rows)
+
+
+def test_eliminate_linear_scales_by_the_leading_coefficient():
+    # 2*x - y puts x = y/2 into x^2 + x*z + z, times 2^2: y^2 + 2*y*z + 4*z in
+    # y and z, after one power of y/2 of one term each for x^1 and x^2
+    charged = []
+    lin, h = {(1, 0, 0): 2, (0, 1, 0): -1}, {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 1): 1}
+    assert eliminate_linear([h, lin], 3, charged.append) == (
+        [{(2, 0): 1, (1, 1): 2, (0, 1): 4}], 2)
+    assert charged == [1, 1, 3]
+    # x puts x = 0, without a power: x^3 vanishes and is dropped, still
+    # charged, and 7*y^2 is divided by its content
+    charged = []
+    assert eliminate_linear([{(3, 0): 5}, {(1, 0): 1}, {(1, 1): 1, (0, 2): 7}], 2,
+                            charged.append) == ([{(2,): 1}], 1)
+    assert charged == [1, 1]
 
 
 def test_restrict_first_var():

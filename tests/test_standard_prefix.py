@@ -89,7 +89,7 @@ def test_the_corpus_covers_every_source():
     assert sources == {"umbrella", "dinf", "xyz", "census", "cone", "generic", "polarC",
                        "two_round"}
     assert [name for name in names if "saturate" in name] == ["polarC-saturate34"]
-    assert (len(names), len(claims)) == (37, 56)
+    assert (len(names), len(claims)) == (37, 13)
 
 
 def test_only_colons_claim_a_prefix_and_every_claim_holds():
