@@ -136,8 +136,9 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
     Without that certificate, colength(Γ + (z0)) is checked against the
     multiplicity once: a slice form tangent to the curve raises
     ``GenericityError``, with any mu0.  e(m; O/J) is read off the leading
-    monomials of J's generators, which ``ideal_quotient`` and ``saturate``
-    return as a ``LocalOrder`` standard basis, so J is not completed again.
+    monomials of J's generators, taken from its integer terms, which
+    ``ideal_quotient`` and ``saturate`` return as a ``LocalOrder`` standard
+    basis, so J is not completed again.
     """
     f, n, d = setup.f, setup.f.nvars, setup.f.total_degree()
     budget = budget if budget is not None else Budget()
@@ -152,7 +153,7 @@ def polar_ideal(setup: SliceSetup, budget: Budget | None = None) -> PolarCurve:
         if J == unit:
             return PolarCurve(J, 0, 0)
         f_colength = _finite(colength(ideal_sum(J, ideal([f], n)), budget), _OMEGA_INFINITE)
-    e = multiplicity([leading(q, LocalOrder())[0] for q in J.generators], n, budget)
+    e = multiplicity([leading(h, LocalOrder())[0] for h in J.integer_terms], n, budget)
     if e is not None and f_colength == d * e and all(sum(m) == d for m in f.terms):
         return PolarCurve(J, e, f_colength)
     slice_colength = colength(ideal_sum(J, ideal([MultiPoly.variable(0, n)], n)), budget)

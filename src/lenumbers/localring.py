@@ -7,24 +7,26 @@ normal form with ecart bookkeeping, and standard bases are computed by
 S-polynomial completion.  Colengths of zero-dimensional ideals realize
 intersection multiplicities and Milnor numbers; ``colength`` returns None for
 an ideal that is not zero-dimensional, whose colength is infinite.  Before it
-completes, ``colength`` substitutes each exactly linear generator's first
-variable into the others and drops it, which keeps the quotient ring.
+completes, ``colength`` substitutes one variable of each exactly linear
+generator, the one the others raise to the least power, into the others and
+drops it, which keeps the quotient ring.
 
 Standard-basis completion, ideal membership and Mora division run one
 fraction-free Mora loop, ``_reduce``: the polynomials are dicts from packed
 monomials to integer coefficients, and each S-polynomial and each Mora step
-is a nonzero integer multiple of the same step over Q.  Division tracks its
-unit and quotient witnesses as further entries of the reduction state, which
-every step updates alike, so leading monomials, ecarts and reducer choices
-are those over Q.  Content is divided out in three places only: a remainder
-joining a basis, or a basis element cut at the highest corner, is made
-primitive (so the bases are those over Q); a division ends by dividing by
-U(0), or a colon generator is made primitive; ``ideal`` normalizes
-generators.  A reduction never divides its state.  Polynomials cross the
-module boundary with ``Fraction`` coefficients only when read: an ``Ideal``
-is stored once, as its generators' primitive integer terms, which
-``ideal_sum`` concatenates, the completion packs, and ``ideal_quotient`` and
-``saturate`` lift by shifting exponents; a ``StandardBasis`` keeps the
+is a nonzero integer multiple of the same step over Q.  Division tracks the
+witnesses it reads as further entries of the reduction state, which every
+step updates alike: ``mora_divide`` its unit and quotients, a colon only its
+quotient.  Leading monomials, ecarts and reducer choices are those over Q.
+Content is divided out in three places only: a remainder joining a basis,
+or a basis element cut at the highest corner, is made primitive (so the
+bases are those over Q); ``mora_divide`` ends by dividing by U(0), and a
+colon generator is made primitive; ``ideal`` normalizes generators.  A
+reduction never divides its state.  Polynomials cross the module boundary
+with ``Fraction`` coefficients only when read: an ``Ideal`` is stored once,
+as its generators' primitive integer terms, which ``ideal_sum``
+concatenates, the completion packs, and ``ideal_quotient`` and ``saturate``
+lift by shifting exponents; a ``StandardBasis`` keeps the
 completion's integer records, ``colength`` reads the completion's own
 staircase count, and a colon divides the elimination basis's records by g
 in the completion's own packing.
@@ -111,6 +113,7 @@ class Budget:
                                  f"monomials_used={self.monomials_used})")
 
 
+@dataclass(frozen=True)
 class LocalOrder:
     """Anti-graded lexicographic order: lower total degree is larger, ties lex.
 
@@ -123,10 +126,8 @@ class LocalOrder:
     def key(self, m: Monomial):
         return (-mono_deg(m), m)
 
-    def __repr__(self) -> str:
-        return "LocalOrder()"
 
-
+@dataclass(frozen=True)
 class EliminationOrder(LocalOrder):
     """The exponent of the tag variable x_0 compared globally first, then
     LocalOrder on the rest.
@@ -140,16 +141,14 @@ class EliminationOrder(LocalOrder):
     def key(self, m: Monomial):
         return (m[0], -mono_deg(m), m[1:])
 
-    def __repr__(self) -> str:
-        return "EliminationOrder()"
 
-
-def leading(p: MultiPoly, order: LocalOrder) -> tuple[Monomial, Fraction]:
-    """Leading (monomial, coefficient) of a nonzero polynomial."""
-    if p.is_zero:
+def leading(terms: dict[Monomial, object], order: LocalOrder) -> tuple[Monomial, object]:
+    """Leading (monomial, coefficient) of a nonzero polynomial's term map, such
+    as ``MultiPoly.terms`` or one of ``Ideal.integer_terms``."""
+    if not terms:
         raise InputError("the zero polynomial has no leading term")
-    m = max(p.terms, key=order.key)
-    return m, p.terms[m]
+    m = max(terms, key=order.key)
+    return m, terms[m]
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +292,12 @@ def _reduce(state: list[dict[int, int]], reducers: list[tuple], packing: _Packin
             budget: Budget, cap: int | None) -> list[dict[int, int]]:
     """Mora weak normal form of state[0], up to a nonzero integer factor.
 
-    The state is [h], or [h, U, Q_1..Q_k] with U·f = Σ Q_i·g_i + h when
-    dividing; each record (lm, lc, ecart, polys) in ``reducers``, which is not
-    modified, carries in polys a state of the same length.  Each step reads
-    h's leading term and ecart, takes the first reducer of least ecart whose
-    leading monomial divides h's (the scan stops at ecart 0), and applies
+    The state is [h]; [h, U, Q_1..Q_k] with U·f = Σ Q_i·g_i + h in
+    ``mora_divide``; or [h, Q] in a colon, which reads no unit.  Each record
+    (lm, lc, ecart, polys) in ``reducers``, which is not modified, carries in
+    polys a state of the same length.  Each step reads h's leading term and
+    ecart, takes the first reducer of least ecart whose leading monomial
+    divides h's (the scan stops at ecart 0), and applies
     h ← sh·h − sr·x^a·r to every entry alike, a nonzero integer multiple of
     Mora's step over Q; it never divides by a content, so reducer choices,
     remembered remainders and budget charges are those over Q.  A record of
@@ -351,29 +351,11 @@ def mora_divide(f: MultiPoly, gens: Sequence[MultiPoly],
     """Mora division with witnesses: returns (r, u, q) with u*f = sum(q_i*g_i) + r.
 
     u is a local unit with constant term 1; the identity is exact and can be
-    checked term by term.  A zero generator gets a zero quotient.  The
-    division is ``_divide``, ended by dividing its state by U(0).
-    """
-    gens = list(gens)
-    if any(g.nvars != f.nvars for g in gens):
-        raise InputError("generators must share the variable count")
-    budget = budget if budget is not None else Budget()
-    packing = _Packing(f.nvars, max(p.total_degree() for p in (f, *gens)), order or LocalOrder())
-    divisors = [(d, packing.terms(h)) for d, h in (scaled_terms(g.terms) for g in gens)]
-    d, h = scaled_terms(f.terms)
-    state = _divide(packing.terms(h), d, divisors, packing, budget)
-    c = state[1][0]
-    r, u, *q = (packing.poly(p, c) for p in state)
-    return r, u, q
+    checked term by term.  A zero generator gets a zero quotient.
 
-
-def _divide(h: dict[int, int], d: int, divisors: list[tuple[int, dict[int, int]]],
-            packing: _Packing, budget: Budget) -> list[dict[int, int]]:
-    """The final state [r, U, Q_1..Q_k] of Mora's division of f = h/d by the
-    g_i = G_i/D_i, given as ``divisors`` [(D_i, G_i)] with packed integer terms.
-
-    The division is ``_reduce`` on the state [h, U, Q_1..Q_k], started from
-    U = d, Q = 0; g_i enters as the record of [G_i, 0, .., −D_i, .., 0], so
+    With f = h/d and g_i = G_i/D_i on packed integer terms, the division is
+    ``_reduce`` on the state [h, U, Q_1..Q_k], started from U = d, Q = 0;
+    g_i enters as the record of [G_i, 0, .., −D_i, .., 0], so
     U·f = Σ Q_i·g_i + r holds throughout.  Each state is then c·(r, u, q) for
     the state of Mora's division over Q and some integer c ≠ 0, with the same
     leading monomials, ecarts, reducer choices and budget charges.  Over Q, u
@@ -381,11 +363,21 @@ def _divide(h: dict[int, int], d: int, divisors: list[tuple[int, dict[int, int]]
     x^a·u_r with a ≠ 0, so u(0) = 1 throughout, and dividing by c = U(0)
     gives the division over Q term for term.
     """
+    gens = list(gens)
+    if any(g.nvars != f.nvars for g in gens):
+        raise InputError("generators must share the variable count")
+    budget = budget if budget is not None else Budget()
+    packing = _Packing(f.nvars, max(p.total_degree() for p in (f, *gens)), order or LocalOrder())
     # the packed unit monomial is 0
-    reducers = [_reducer([g, {}] + [{0: -D} if j == i else {} for j in range(len(divisors))],
-                         packing)
-                for i, (D, g) in enumerate(divisors) if g]
-    return _reduce([h, {0: d}] + [{} for _ in divisors], reducers, packing, budget, None)
+    reducers = [_reducer([packing.terms(G), {}]
+                         + [{0: -D} if j == i else {} for j in range(len(gens))], packing)
+                for i, (D, G) in enumerate(scaled_terms(g.terms) for g in gens) if G]
+    d, h = scaled_terms(f.terms)
+    state = _reduce([packing.terms(h), {0: d}] + [{} for _ in gens], reducers, packing, budget,
+                    None)
+    c = state[1][0]
+    r, u, *q = (packing.poly(p, c) for p in state)
+    return r, u, q
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +392,8 @@ class Ideal:
     Each of ``integer_terms`` maps exponent tuples to a generator's coprime
     integer coefficients, with a positive grlex-leading one, as ``ideal``
     makes them; ``standard_basis`` packs them.  ``generators``, the same
-    polynomials with ``Fraction`` coefficients, is built when first read.
+    polynomials with ``Fraction`` coefficients, is built when first read;
+    in the package only ``to_strings`` reads it.
     ``standard`` counts the leading generators that form a ``LocalOrder``
     standard basis of the ideal they generate, whose pairs a ``LocalOrder``
     completion never forms: all of the generators of ``ideal_quotient`` and
@@ -712,11 +705,11 @@ def colength(I: Ideal, budget: Budget | None = None) -> int | None:
 
     First ``eliminate_linear`` eliminates each exactly linear generator ℓ
     (every term of degree 1): it drops ℓ, puts x_v = −(ℓ − c_v·x_v)/c_v, for
-    x_v the first variable of ℓ, into the other generators and drops x_v,
-    until no generator is linear.  ℓ is a coordinate, so O/(ℓ) is the local
-    ring O' of the other variables, and O/I ≅ O'/I' for the substituted
-    ideal I': the count is I's, with no Mora step spent on x_v
-    (Greuel–Pfister; Singular's ``elimpart``).  The substitution is charged
+    x_v the first variable of ℓ that the other generators raise to the least
+    power, into them and drops x_v, until no generator is linear.  ℓ is a
+    coordinate, so O/(ℓ) is the local ring O' of the other variables, and
+    O/I ≅ O'/I' for the substituted ideal I': the count is I's, with no Mora
+    step spent on x_v (Greuel–Pfister; Singular's ``elimpart``).  The substitution is charged
     to the budget.
 
     The count is the number of standard monomials (those outside the leading
@@ -784,18 +777,21 @@ def _intersect(lifted: Ideal, n: int, budget: Budget, g: MultiPoly | None = None
     multiple of some LM(h), so LM(a) is a multiple of that LM(q).
 
     The h are the completion's packed records whose leading monomial has no
-    tag, so that no term has one.  Each is divided by g with ``_divide`` in
-    the completion's own packing, whose key orders tag-free monomials as
-    ``LocalOrder`` in n variables: the quotient Q is c·h/g for an integer
-    c ≠ 0, and the generator is Q made primitive with a positive
-    grlex-leading coefficient, as ``ideal`` makes h/g.  Without g, h is a
-    record of the completion, primitive with a positive grlex-leading
-    coefficient too.  No two records are equal, since a record that joins
-    the basis has a leading monomial that no earlier one divides, and the
-    tag-free records of a colon's basis all joined it, so their quotients
-    have distinct leading monomials.  The generators are therefore distinct,
-    and they are unpacked into the returned ideal's integer terms as they
-    are, all in its standard prefix.
+    tag, so that no term has one.  Each is divided by g = G/D with one
+    ``_reduce`` on the state [h, Q], started from Q = 0, against g's record
+    [G, −D], built once, in the completion's own packing, whose key orders
+    tag-free monomials as ``LocalOrder`` in n variables.  ``_reduce`` updates
+    each entry on its own, so h, Q, reducer choices and budget charges are
+    those of ``mora_divide``'s [h, U, Q], whose unit the colon does not read.
+    The quotient Q is c·h/g for an integer c ≠ 0, and the generator is Q
+    made primitive with a positive grlex-leading coefficient, as ``ideal``
+    makes h/g.  Without g, h is a record of the completion, primitive with a
+    positive grlex-leading coefficient too.  No two records are equal, since
+    a record that joins the basis has a leading monomial that no earlier one
+    divides, and the tag-free records of a colon's basis all joined it, so
+    their quotients have distinct leading monomials.  The generators are
+    therefore distinct, and they are unpacked into the returned ideal's
+    integer terms as they are, all in its standard prefix.
     """
     sb = standard_basis(lifted, EliminationOrder(), budget)
     # the generators are not interreduced (y*z - 278*z^2 may stay beside
@@ -805,12 +801,13 @@ def _intersect(lifted: Ideal, n: int, budget: Budget, g: MultiPoly | None = None
     gens = [polys[0] for (_, _, _, polys), lm in zip(sb._records, sb._lms) if not lm[0]]
     packing = sb._packing
     if g is not None:
-        d, terms = scaled_terms(g.terms)
-        divisor = [(d, packing.terms({(0, *m): c for m, c in terms.items()}))]
-        states = [_divide(h, 1, divisor, packing, budget) for h in gens]
-        if any(r for r, _, _ in states):
+        D, G = scaled_terms(g.terms)
+        # the packed unit monomial is 0
+        divisor = [_reducer([packing.terms({(0, *m): c for m, c in G.items()}), {0: -D}], packing)]
+        states = [_reduce([h, {}], divisor, packing, budget, None) for h in gens]
+        if any(r for r, _ in states):
             raise InvariantViolationError("intersection element failed to divide by g")
-        gens = [_primitive(q, max(q)) for _, _, q in states]
+        gens = [_primitive(q, max(q)) for _, q in states]
     # in the local ring a nonzero constant term (the packed monomial 0) makes a generator a unit
     if any(0 in h for h in gens):
         gens = [{0: 1}]
@@ -822,12 +819,12 @@ def ideal_quotient(I: Ideal, g: MultiPoly, budget: Budget | None = None) -> Idea
 
     Computed by intersecting I with (g) through a tag variable under a mixed
     elimination order, followed by Mora division of each intersection
-    generator by g, in the completion's own packed integer records and by
-    the division of ``mora_divide`` (see ``_intersect``); the division
-    quotients generate (I : g) because the division unit is invertible in
-    the local ring.  The generators returned are a ``LocalOrder`` standard
-    basis of (I : g), so their leading monomials give ``multiplicity``
-    without a completion.  A generator with a nonzero constant term is a
+    generator by g, in the completion's own packed integer records, with
+    the steps of ``mora_divide`` but no unit witness (see ``_intersect``);
+    the division quotients generate (I : g) because the division unit is
+    invertible in the local ring.  The generators returned are a
+    ``LocalOrder`` standard basis of (I : g), so their leading monomials give
+    ``multiplicity`` without a completion.  A generator with a nonzero constant term is a
     unit, so I and (I : g) are the unit ideal, returned as ``_intersect``
     returns it without completing the lift.
     """

@@ -454,17 +454,20 @@ def parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
 def eliminate_linear(hs: Sequence[dict[Monomial, int]], nvars: int,
                      charge: Callable[[int], object]) -> tuple[list[dict[Monomial, int]], int]:
     """(hs', n'): while some lin in hs is exactly linear (every term of degree
-    1), lin = c·x_v + rest with x_v its first variable is dropped, and each
-    other h becomes c^e·h with x_v = −rest/c substituted and x_v dropped,
-    over its content, zeros dropped, for e the top exponent of x_v in h (0
-    when rest = 0); n' is nvars less the number dropped.  All on integer
-    terms.  ``charge`` gets the terms of each power of −rest built, and of
-    each result, at least 1; rest = 0 builds no power."""
+    1), lin = c·x_v + rest is dropped, and each other h becomes c^e·h with
+    x_v = −rest/c substituted and x_v dropped, over its content, zeros
+    dropped, for e the top exponent of x_v in h (0 when rest = 0); n' is
+    nvars less the number dropped.  x_v is the first variable of lin whose
+    top exponent in the other h is least, so the fewest powers of −rest are
+    built.  All on integer terms.  ``charge`` gets the terms of each power
+    of −rest built, and of each result, at least 1; rest = 0 builds no
+    power."""
     while lin := next((h for h in hs if all(mono_deg(m) == 1 for m in h)), None):
-        lm = max(lin)
+        hs, nvars = [h for h in hs if h is not lin], nvars - 1
+        lm = min(sorted(lin, reverse=True),
+                 key=lambda x: max((m[x.index(1)] for h in hs for m in h), default=0))
         v, c = lm.index(1), lin[lm]
         image = {m[:v] + m[v + 1:]: -a for m, a in lin.items() if m != lm}
-        hs, nvars = [h for h in hs if h is not lin], nvars - 1
         # the powers of −rest that the exponents of x_v call for
         needed = {m[v] for h in hs for m in h} if image else {0}
         powers, power = {}, {(0,) * nvars: 1}

@@ -22,5 +22,5 @@ def ideals_equal(a, b, budget=None) -> bool:
 def is_local_standard_basis(I) -> bool:
     """Whether the leading monomials of I's generators under ``LocalOrder``
     generate the leading ideal that a completion of I finds."""
-    lead = [leading(g, LocalOrder())[0] for g in I.generators]
+    lead = [leading(g.terms, LocalOrder())[0] for g in I.generators]
     return _minimal_monomials(lead) == standard_basis(I).staircase

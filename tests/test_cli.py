@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import os
@@ -433,6 +434,30 @@ def test_missing_input_flag(capsys):
     assert "--input" in err
 
 
+@pytest.mark.parametrize("argv,stdin,message", [
+    (["analyze", "--input", '{"variables": ["x"]}'], None,
+     "analyze input is missing the key 'polynomial'"),
+    (["analyze", "--input", '{"polynomial": 1, "variables": ["x"]}'], None,
+     "'polynomial' must be a string"),
+    (["arrangement", "--input", "{}"], None, "arrangement input is missing the key 'normals'"),
+    (["cyclo", "phi", "x"], None, "expected an integer, got 'x'"),
+    (["cyclo", "phi"], None, "usage: cyclo phi K"),
+    (["constraints", "--input", "-"], "[1, 2]", "the JSON input must be an object"),
+], ids=["no_polynomial", "polynomial_type", "no_normals", "phi_x", "phi_usage",
+        "stdin_not_object"])
+def test_input_checks_name_the_fault(capsys, monkeypatch, argv, stdin, message):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_unreadable_input_path(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "constraints", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read input file: ") and str(path) in err
+
+
 def test_input_from_file(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(XYZ_JOB)
@@ -442,8 +467,6 @@ def test_input_from_file(tmp_path, capsys):
 
 
 def test_input_from_stdin(monkeypatch, capsys):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(XYZ_JOB))
     code, out, _ = run(capsys, "analyze", "--input", "-")
     assert code == 0

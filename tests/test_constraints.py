@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from math import gcd
 
@@ -301,6 +302,29 @@ def test_setup_validation():
     # consistent fixed rank derived from tau passes
     SingularSetup(n=2, mu0=4, d0=3,
                   components=(ComponentData(k=1, mu=1, tau=((1,),), fixed_rank=1),))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SingularSetup(n=2, mu0=4, char_h0=CycloProduct({1: 3})),
+     "charH0 has degree 3 but mu0 = 4"),
+    (lambda: SingularSetup(n=0, mu0=4), "ambient dimension n must be >= 1"),
+    (lambda: SingularSetup(n=2, mu0=-1), "mu0 must be nonnegative"),
+    (lambda: SingularSetup.from_dict({"n": 2}), "setup is missing the required key 'mu0'"),
+    (lambda: ComponentData(k=1, mu=0), "transverse Milnor number mu must be >= 1"),
+    (lambda: ComponentData(k=1, mu=2, tau=((1,),)), "tau must be a square matrix of size mu"),
+    (lambda: ComponentData.from_dict({"mu": 1}), "every component needs both 'k' and 'mu'"),
+    (lambda: block_cycle_matrix(((1, 2),), 2), "block must be square"),
+    (lambda: block_cycle_matrix(((1,),), 0), "cycle length must be positive"),
+], ids=["charH0_degree", "n", "mu0", "from_dict_mu0", "mu", "tau_size", "from_dict_k",
+        "block_square", "cycle_length"])
+def test_setup_component_and_block_checks_name_the_fault(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_full_report_warns_that_the_sliced_function_is_smooth():
+    report = full_report(SingularSetup(n=2, mu0=0, lambda1=0))
+    assert "mu0 = lambda1 = 0: the sliced function is smooth" in report.warnings
 
 
 def test_setup_json_roundtrip():

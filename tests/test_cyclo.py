@@ -132,6 +132,11 @@ def test_homogeneous_char_degree_and_trace_sweep():
             assert char.trace() == (-1) ** n
 
 
+def test_cyclo_product_rejects_a_negative_exponent():
+    with pytest.raises(InputError, match="^negative exponent for Phi_2$"):
+        CycloProduct({2: -1})
+
+
 def test_homogeneous_char_rejects_bad_input():
     with pytest.raises(InputError):
         homogeneous_char(0, 3)

@@ -55,6 +55,8 @@ def test_slice_setup_validation():
         SliceSetup(parse_poly("x + y^2", ZXY))
     with pytest.raises(InputError):
         SliceSetup(MultiPoly.zero(3))
+    with pytest.raises(InputError, match=r"^need at least two variables \(slice plus one\)$"):
+        SliceSetup(parse_poly("x^2", ["x"]))
 
 
 def test_mu0_examples():

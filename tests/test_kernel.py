@@ -232,14 +232,15 @@ def test_colength_substitutes_a_coordinate_by_0_without_powers():
 
 
 def test_colength_charges_each_power_of_a_linear_form():
-    # x = y + z calls for (y + z)^(2^40); each power is charged, so the
-    # default budget fires.  The completion of I itself answers 4 at once, as
-    # its highest corner cuts x^(2^40): a trade made on purpose for the
-    # Mora steps the elimination saves.
+    # x - y - z substitutes y, which x^(2^40) + z^2 does not raise: y = x - z
+    # builds (x - z)^2 only, and the count is that of the completion of I
     I = ideal([P("x - y - z"), P(f"x^{E} + z^2"), P("y^2")])
+    with alarm_after(10):
+        assert colength(I, Budget()) == 4 == standard_basis(I)._counted[0]
+    # every variable raised to 2^40: x = y + z calls for (y + z)^(2^40), each
+    # power is charged, and the default budget fires
     with alarm_after(10), pytest.raises(ResourceLimitError, match="monomial budget"):
-        colength(I, Budget())
-    assert standard_basis(I)._counted[0] == 4
+        colength(ideal([P("x - y - z"), P(f"x^{E} + y^{E} + z^{E}")]), Budget())
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ def test_arrangement_pipeline_work_is_pinned(normals, le, pairs, monomials):
     ("x^2 - y^2*z", 5, 15, 189),
     ("x*y*z", 11, 15, 162),
     ("x^2*y + z^2", 5, 6, 134),
-    ("x^2 + y^3", 6, 6, 33),
+    ("x^2 + y^3", 6, 1, 12),
     ("x*y*(x + y)", 12, 36, 329),
 ], ids=["umbrella", "xyz", "dinf", "cusp_line", "pencil"])
 def test_le_iomdine_colength_work_is_pinned(text, mu, pairs, monomials):
@@ -389,6 +390,30 @@ def test_two_round_polar_curve_work_is_pinned(monkeypatch):
     assert result.setup.z0_coefficients == (1, 1, 1)
     assert [len(steps["ideal_quotient"]), len(steps["saturate"])] == [2, 0]
     assert (budget.pairs_used, budget.monomials_used) == (66, 375)
+
+
+def test_polar_ideal_reads_no_fraction_generators(monkeypatch):
+    # e(m; O/J) is read off J's integer terms, so no Ideal on the way to the
+    # curve builds its Fraction generators: on 4 generic planes one colon
+    # gives the curve, on polarC the colon is saturated
+    def refuse(self):
+        raise AssertionError("read an Ideal's Fraction generators")
+
+    arr = CentralArrangement3(GENERIC[:4])
+    setups = [slice_with_form(defining_polynomial(arr), pick_slice_form(arr))[0],
+              slice_with_form(P("y^4 - y^3*z^2 + 2*x*y*z^4"), (1, 1, -5))[0]]
+    monkeypatch.setattr(localring.Ideal, "generators", property(refuse))
+    with alarm_after(20):
+        curves = [invariants.polar_ideal(setup) for setup in setups]
+    monkeypatch.undo()
+    assert [(c.slice_colength, c.f_colength, c.ideal.to_strings(["w", "u", "v"]))
+            for c in curves] == [
+        (3, 12, ["3*w*u - 7*w*v - 4*u^2 + 24*v^2", "w*v + u^2 - 6*u*v - 6*v^2",
+                 "w^2 - 19*w*v + 8*u*v + 48*v^2", "u^3 - 7*u^2*v + 8*u*v^2 + 6*v^3"]),
+        (3, 20, ["4*w*v^2 - 4*u*v^2 + 25*v^3 - u^2",
+                 "64*w^2*v - 138*w*u*v + 800*w*v^2 + 72*u^2*v - 865*u*v^2 + 2500*v^3",
+                 "2*w*v^2 - 4*u*v^2 + 10*v^3 + 16*w*u - 19*u^2 + 100*u*v",
+                 "8*w*v^2 + 60*v^3 - 64*w^2 + 74*w*u - 800*w*v + 465*u*v - 2500*v^2"])]
 
 
 def test_colength_and_the_colon_stay_in_the_integer_form(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -263,6 +264,31 @@ def test_partial_examples():
     assert P("x^3 - x*y^2", XY).partial(0) == P("3*x^2 - y^2", XY)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: MultiPoly({}, 0), "a polynomial needs at least one variable"),
+    (lambda: MultiPoly({(1,): 1}, 2), "bad exponent vector (1,) for 2 variable(s)"),
+    (lambda: MultiPoly({(1, -1): 1}, 2), "bad exponent vector (1, -1) for 2 variable(s)"),
+    (lambda: MultiPoly.variable(2, 2), "variable index 2 out of range for 2 variable(s)"),
+    (lambda: P("x", XY) + P("x"), "variable counts differ"),
+    (lambda: P("x", XY) * P("x"), "variable counts differ"),
+    (lambda: P("x", XY) ** -1, "negative polynomial power"),
+    (lambda: P("x", ["x"]).restrict_first_var(), "restriction needs at least two variables"),
+    (lambda: P("x", XY).linear_change([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "matrix size must match the variable count"),
+    (lambda: P("x", XY).to_string(XYZ), "wrong number of variable names"),
+], ids=["no_variables", "short_exponents", "negative_exponent", "variable_index", "add", "mul",
+        "negative_power", "restrict_one_variable", "linear_change_size", "names"])
+def test_polynomial_checks_name_the_fault(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_term_mul():
+    assert P("x + y", XY).term_mul((1, 2), Fraction(-3, 2)) == P("-3/2*x^2*y^2 - 3/2*x*y^3", XY)
+    assert P("x", XY).term_mul((1, 0), Fraction(0)).is_zero
+    assert MultiPoly.zero(2).term_mul((1, 0), Fraction(1)).is_zero
+
+
 def test_partial_index_out_of_range():
     with pytest.raises(InputError):
         P("x", XY).partial(2)
@@ -426,13 +452,20 @@ def test_linear_change_matches_composition_by_polynomial_arithmetic():
 
 
 def test_eliminate_linear_scales_by_the_leading_coefficient():
-    # 2*x - y puts x = y/2 into x^2 + x*z + z, times 2^2: y^2 + 2*y*z + 4*z in
-    # y and z, after one power of y/2 of one term each for x^1 and x^2
+    # 2*x - y puts x = y/2, as h raises x to a lower power than y, into
+    # h = x^2 + x*z + z + y^3, times 2^2: y^2 + 2*y*z + 4*z + 4*y^3 in y and z,
+    # after one power of y/2 of one term each for x^1 and x^2
     charged = []
-    lin, h = {(1, 0, 0): 2, (0, 1, 0): -1}, {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 1): 1}
+    lin = {(1, 0, 0): 2, (0, 1, 0): -1}
+    h = {(2, 0, 0): 1, (1, 0, 1): 1, (0, 0, 1): 1, (0, 3, 0): 1}
     assert eliminate_linear([h, lin], 3, charged.append) == (
-        [{(2, 0): 1, (1, 1): 2, (0, 1): 4}], 2)
-    assert charged == [1, 1, 3]
+        [{(2, 0): 1, (1, 1): 2, (0, 1): 4, (3, 0): 4}], 2)
+    assert charged == [1, 1, 4]
+    # x - 2*y beside x + y*z, which raises x and y to 1 both: the first, x = 2*y
+    charged = []
+    assert eliminate_linear([{(1, 0, 0): 1, (0, 1, 0): -2}, {(1, 0, 0): 1, (0, 1, 1): 1}], 3,
+                            charged.append) == ([{(1, 0): 2, (1, 1): 1}], 2)
+    assert charged == [1, 2]
     # x puts x = 0, without a power: x^3 vanishes and is dropped, still
     # charged, and 7*y^2 is divided by its content
     charged = []
