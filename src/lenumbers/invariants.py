@@ -43,12 +43,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
+from math import lcm
 from typing import Sequence
 
 from .errors import GenericityError, InputError, ResourceLimitError
 from .localring import (Budget, Ideal, LocalOrder, colength, ideal, ideal_quotient, ideal_sum,
                         leading, multiplicity, saturate)
-from .polynomials import MultiPoly, integer, rational, variable_index
+from .polynomials import MultiPoly, integer, rational, scaled_terms, substitute, variable_index
 
 GENERICITY_SCOPE_WARNING = (
     "genericity of the slice form is checked only through finiteness of mu0 "
@@ -287,6 +288,12 @@ def slice_with_form(f: MultiPoly, coefficients: Sequence,
     is the first coordinate, the slice variable is called ``w``, or the first
     of ``w0``, ``w1``, ... when a kept variable is called ``w``.  ``names``
     must be one distinct identifier per variable.
+
+    The new coordinates are (w, the other variables in their order): with
+    x_p the first variable of nonzero coefficient, q the lcm of the
+    coefficients' denominators and C = q·coefficients, x_p = (q·w − Σ C_i·x_i)/C_p
+    is put into f's integer terms by one ``substitute``; it is the change
+    ``MultiPoly.linear_change`` makes with that matrix.
     """
     n = f.nvars
     coeffs = tuple(rational(c) for c in coefficients)
@@ -302,13 +309,17 @@ def slice_with_form(f: MultiPoly, coefficients: Sequence,
         return SliceSetup(f, coeffs), tuple(names)
     pivot = next(i for i, c in enumerate(coeffs) if c)
     rest = [i for i in range(n) if i != pivot]
-    # new coordinates: (w, untouched originals); old pivot variable solved from w
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    matrix[pivot][0] = 1 / coeffs[pivot]
+    q = lcm(*(c.denominator for c in coeffs))
+    C = [c.numerator * (q // c.denominator) for c in coeffs]
+    image = {(1,) + (0,) * (n - 1): q}
     for col, i in enumerate(rest, start=1):
-        matrix[i][col] = Fraction(1)
-        matrix[pivot][col] = -coeffs[i] / coeffs[pivot]
-    transformed = f.linear_change(matrix)
+        if C[i]:
+            image[(0,) * col + (1,) + (0,) * (n - 1 - col)] = -C[i]
+    # a zero exponent of w in front, so the result is in (w, kept variables)
+    d, scaled = scaled_terms(f.terms)
+    [g] = substitute([{(0,) + m: a for m, a in scaled.items()}], pivot + 1, C[pivot], image, n)
+    den = d * C[pivot] ** max((m[pivot] for m in scaled), default=0)
+    transformed = MultiPoly._raw({m: Fraction(a, den) for m, a in g.items()}, n)
     kept = tuple(names[i] for i in rest)
     slice_name = next(name for name in ("w", *(f"w{k}" for k in range(n)))
                       if name not in kept)

@@ -191,22 +191,24 @@ class MultiPoly:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> "MultiPoly":
+        """self ** exponent, by repeated squaring of d·self's integer terms, d the lcm
+        of the denominators, with one division by d ** exponent per term at the end."""
         if integer(exponent, "exponent") < 0:
             raise InputError("negative polynomial power")
-        # with D the lcm of the denominators, numerators and denominators of the
-        # power have up to exponent * log2(max(D, |D * self|_1)) bits
+        # numerators and denominators of the power have up to
+        # exponent * log2(max(d, |d * self|_1)) bits
         d, scaled = scaled_terms(self._terms)
         check_power_bits(max(d, sum(map(abs, scaled.values()))), exponent)
-        # repeated squaring: one product per bit after the first for the squares,
-        # one per set bit for the result
-        base, result = self, MultiPoly.constant(1, self.nvars)
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        # one product per bit after the first for the squares, one per set bit for the result
+        base, result, k = scaled, {(0,) * self.nvars: 1}, exponent
+        while k:
+            if k & 1:
+                result = _product(result, base)
+            k >>= 1
+            if k:
+                base = _product(base, base)
+        den = d ** exponent
+        return MultiPoly._raw({m: Fraction(v, den) for m, v in result.items()}, self.nvars)
 
     def term_mul(self, mono: Monomial, coeff: Fraction) -> "MultiPoly":
         """Multiply by the single term coeff * x^mono."""
@@ -451,42 +453,54 @@ def parse_poly(text: str, names: Sequence[str]) -> MultiPoly:
     return result
 
 
+def substitute(hs: Sequence[dict[Monomial, int]], v: int, c: int, image: dict[Monomial, int],
+               nvars: int,
+               charge: Callable[[int], object] | None = None) -> list[dict[Monomial, int]]:
+    """[c^e·h with x_v = image/c put in and x_v dropped, for each h in hs], all on
+    integer terms, for e the top exponent of x_v in h; image has ``nvars``
+    variables, those of h without x_v.  An empty image puts x_v = 0 with e = 0:
+    each term with x_v goes and no power is built.  ``charge`` gets the terms of
+    each power of image built; only the powers the exponents of x_v call for
+    are kept."""
+    needed = {m[v] for h in hs for m in h} if image else {0}
+    powers, power = {}, {(0,) * nvars: 1}
+    for k in range(max(needed, default=0) + 1):
+        if k:
+            power = _product(power, image)
+            if charge:
+                charge(len(power))
+        if k in needed:
+            powers[k] = power
+    out = []
+    for h in hs:
+        e, g = max((m[v] for m in h), default=0) if image else 0, {}
+        for m, a in h.items():
+            if m[v] in powers:
+                a, rest = a * c ** (e - m[v]), m[:v] + m[v + 1:]
+                for p, b in powers[m[v]].items():
+                    p = mono_mul(rest, p)
+                    g[p] = g.get(p, 0) + a * b
+        out.append({m: a for m, a in g.items() if a})
+    return out
+
+
 def eliminate_linear(hs: Sequence[dict[Monomial, int]], nvars: int,
                      charge: Callable[[int], object]) -> tuple[list[dict[Monomial, int]], int]:
     """(hs', n'): while some lin in hs is exactly linear (every term of degree
-    1), lin = c·x_v + rest is dropped, and each other h becomes c^e·h with
-    x_v = −rest/c substituted and x_v dropped, over its content, zeros
-    dropped, for e the top exponent of x_v in h (0 when rest = 0); n' is
-    nvars less the number dropped.  x_v is the first variable of lin whose
-    top exponent in the other h is least, so the fewest powers of −rest are
-    built.  All on integer terms.  ``charge`` gets the terms of each power
-    of −rest built, and of each result, at least 1; rest = 0 builds no
-    power."""
+    1), lin = c·x_v + rest is dropped, and each other h becomes ``substitute``'s
+    c^e·h with x_v = −rest/c put in and x_v dropped, over its content, zeros
+    dropped; n' is nvars less the number dropped.  x_v is the first variable
+    of lin whose top exponent in the other h is least, so the fewest powers
+    of −rest are built.  ``charge`` gets the terms of each power of −rest
+    built, and of each result, at least 1; rest = 0 builds no power."""
     while lin := next((h for h in hs if all(mono_deg(m) == 1 for m in h)), None):
         hs, nvars = [h for h in hs if h is not lin], nvars - 1
         lm = min(sorted(lin, reverse=True),
                  key=lambda x: max((m[x.index(1)] for h in hs for m in h), default=0))
-        v, c = lm.index(1), lin[lm]
+        v = lm.index(1)
         image = {m[:v] + m[v + 1:]: -a for m, a in lin.items() if m != lm}
-        # the powers of −rest that the exponents of x_v call for
-        needed = {m[v] for h in hs for m in h} if image else {0}
-        powers, power = {}, {(0,) * nvars: 1}
-        for k in range(max(needed, default=0) + 1):
-            if k:
-                power = _product(power, image)
-                charge(len(power))
-            if k in needed:
-                powers[k] = power
         out = []
-        for h in hs:
-            e, g = max(m[v] for m in h) if image else 0, {}
-            for m, a in h.items():
-                if m[v] in powers:
-                    a *= c ** (e - m[v])
-                    for p, b in powers[m[v]].items():
-                        p = mono_mul(m[:v] + m[v + 1:], p)
-                        g[p] = g.get(p, 0) + a * b
-            g = {m: a for m, a in g.items() if a}
+        for g in substitute(hs, v, lin[lm], image, nvars, charge):
             charge(max(1, len(g)))
             if g:
                 content = gcd(*g.values())

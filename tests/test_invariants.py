@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from arrangement_pipeline import arrangement_pipeline
 from ideal_equality import ideals_equal, is_local_standard_basis
 from macaulay_oracle import macaulay_colength
 from saturation_oracle import colon_saturation, multipoly_saturation
+from test_cyclo import alarm_after
 
 ZXY = ["z", "x", "y"]
 
@@ -115,12 +117,61 @@ def test_slice_with_form_matches_hand_substitution():
     assert setup.f.nvars == 3
 
 
+def _slice_matrix(coeffs):
+    """The matrix of the change to (w, the other variables): x_p = (w − Σ c_i·x_i)/c_p
+    for x_p the first variable of nonzero coefficient, the others kept."""
+    n = len(coeffs)
+    pivot = next(i for i, c in enumerate(coeffs) if c)
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    matrix[pivot][0] = 1 / coeffs[pivot]
+    for col, i in enumerate((i for i in range(n) if i != pivot), start=1):
+        matrix[i][col] = Fraction(1)
+        matrix[pivot][col] = -coeffs[i] / coeffs[pivot]
+    return matrix
+
+
+def test_slice_with_form_matches_the_linear_change():
+    # f in 2-4 variables, of order at least 2, and forms with Fraction, zero
+    # and negative entries, a zero first entry included
+    rng = random.Random(17)
+    for case in range(200):
+        n = rng.randint(2, 4)
+        f = MultiPoly([(mono, Fraction(rng.randint(-4, 4) or 1, rng.choice([1, 2, 3, 7])))
+                       for mono in (tuple(rng.randint(0, 3) for _ in range(n))
+                                    for _ in range(rng.randint(1, 6))) if sum(mono) >= 2]
+                      or [((2,) + (0,) * (n - 1), 1)], n)
+        form = [rng.choice([0, 0, 1, -1, Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                for _ in range(n)]
+        if case % 4 == 0:
+            form[0] = 0
+        if not any(form):
+            form[-1] = Fraction(-2, 3)
+        names = rng.sample(["a", "b", "w", "w0", "x", "y"], n)
+        setup, new_names = slice_with_form(f, form, names)
+        coeffs = tuple(map(Fraction, form))
+        assert setup.f.terms == f.linear_change(_slice_matrix(coeffs)).terms, (f, form)
+        assert setup.z0_coefficients == coeffs
+        if coeffs == (1,) + (0,) * (n - 1):
+            assert new_names == tuple(names)
+        else:
+            pivot = next(i for i, c in enumerate(coeffs) if c)
+            kept = tuple(name for i, name in enumerate(names) if i != pivot)
+            slice_name = next(s for s in ("w", "w0", "w1", "w2") if s not in kept)
+            assert new_names == (slice_name,) + kept
+
+
 def test_slice_with_form_rejects_bad_forms():
     f = parse_poly("x*y*z", ["x", "y", "z"])
-    with pytest.raises(InputError):
-        slice_with_form(f, [0, 0, 0])
-    with pytest.raises(InputError):
-        slice_with_form(f, [1, 1])
+    with pytest.raises(InputError, match="^slice form must be nonzero$"):
+        slice_with_form(f, [0, 0, Fraction(0)])
+    for form in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(InputError, match="^slice form needs one coefficient per variable$"):
+            slice_with_form(f, form)
+    for names, message in ((["a", "b"], "need one variable name per variable: 2 names for 3"),
+                           (["a", "a", "b"], "duplicate variable names"),
+                           (["a", "b", "1c"], "variable names must be identifiers")):
+        with pytest.raises(InputError, match=message):
+            slice_with_form(f, [0, 1, 2], names)
 
 
 @pytest.mark.parametrize("names,message", [
@@ -411,6 +462,21 @@ def test_le_iomdine_on_random_germs(text, expected):
     F = g + MultiPoly.variable(0, g.nvars) ** N
     assert colength(ideal([F.partial(i) for i in range(F.nvars)])) == (
         inv.lambda0 + (N - 1) * inv.lambda1)
+
+
+@pytest.mark.parametrize("j", [2, 3])
+@pytest.mark.parametrize("text", [*GENERIC_LE_NUMBERS, *(text for text, _ in RANDOM_GERMS)])
+def test_sebastiani_thom_on_a_fourth_variable(text, j):
+    # Sebastiani-Thom: g = f + u^j has Σ(g) = Σ(f) × {0}, and at a form that
+    # does not involve u every Lê number of g is (j - 1) times f's
+    result = analyze_poly(parse_poly(text, XYZ))
+    numbers = (result.invariants.mu0, result.invariants.lambda0, result.invariants.lambda1,
+               result.invariants.omega)
+    with alarm_after(10):
+        inv = analyze_poly(parse_poly(f"{text} + u^{j}", [*XYZ, "u"]),
+                           z0=(*result.invariants.z0, 0)).invariants
+    assert inv.genericity_ok
+    assert (inv.mu0, inv.lambda0, inv.lambda1, inv.omega) == tuple((j - 1) * k for k in numbers)
 
 
 def test_analyze_poly_draws_on_one_default_budget(monkeypatch):

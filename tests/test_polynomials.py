@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from lenumbers import InputError, MultiPoly, PolyParseError, ResourceLimitError, parse_poly
+from lenumbers import polynomials
 from lenumbers.polynomials import MAX_MONOMIALS, eliminate_linear, integer, rational
 from test_cyclo import alarm_after
 from unipoly_oracle import primitive_positive, remainder, t_poly, unipoly_gcd
@@ -211,19 +212,36 @@ def test_product_matches_the_fraction_loop_term_for_term():
 
 @pytest.mark.parametrize("e", [1, 2, 3, 7, 8, 40, 63, 64])
 def test_power_uses_one_product_per_bit(monkeypatch, e):
-    # e.bit_length() - 1 squarings and popcount(e) multiplications
+    # e.bit_length() - 1 squarings and popcount(e) multiplications, each one
+    # product of integer terms
     base = P("x + 2", XY)
     products = []
-    mul = MultiPoly.__mul__
+    product = polynomials._product
 
     def counted(a, b):
         products.append((a, b))
-        return mul(a, b)
+        return product(a, b)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(polynomials, "_product", counted)
     binomial = {(k, 0): comb(e, k) * 2 ** (e - k) for k in range(e + 1)}
     assert base ** e == MultiPoly(binomial, 2)
-    assert len(products) <= e.bit_length() + bin(e).count("1") - 1
+    assert 0 < len(products) <= e.bit_length() + bin(e).count("1") - 1
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(11)
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        p = MultiPoly([(tuple(rng.randint(0, 2) for _ in range(nvars)),
+                        Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 6])))
+                       for _ in range(rng.randint(0, 4))], nvars)
+        expected = MultiPoly.constant(1, nvars)
+        for e in range(8):
+            assert (p ** e).terms == expected.terms, (p, e)
+            expected = expected * p
+    zero = MultiPoly.zero(2)
+    assert zero ** 0 == MultiPoly.constant(1, 2)
+    assert all((zero ** e).is_zero for e in range(1, 8))
 
 
 @pytest.mark.parametrize("text", ["3^10000000", "(1/2)^10000000"])
